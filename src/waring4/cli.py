@@ -69,7 +69,21 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count (--threads or WARING4_THREADS) must be an integer"
+            f" >= 1, got {text!r}"
+        )
+    return n
 
 
 def parse_spec(text: str) -> figurate.FigurateSpec:
@@ -334,8 +348,8 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument(
         "--threads",
-        type=int,
-        default=int(os.environ.get("WARING4_THREADS", "1")),
+        type=_thread_count,
+        default=os.environ.get("WARING4_THREADS", "1"),  # parsed by type too
     )
     common.add_argument("--budget", type=int, default=repcount.DEFAULT_OP_BUDGET)
     common.add_argument("--output", default=None)

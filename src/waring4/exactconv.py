@@ -2,9 +2,9 @@
 
 Nonnegative integer sequences are packed into one Python int with a fixed
 block width, so that big-int multiplication performs the full convolution in
-C.  The caller supplies an upper bound on every coefficient that can appear;
-the block width is sized from that bound, which guarantees no carry ever
-crosses a block boundary.  All results are exact.
+C.  Each product is packed at a width sized from an upper bound on every
+coefficient it can hold, which guarantees no carry ever crosses a block
+boundary.  All results are exact.
 """
 
 from __future__ import annotations
@@ -20,37 +20,43 @@ def _width_for(bound: int) -> int:
 
 
 def pack(seq: Sequence[int], width: int) -> int:
-    buf = bytearray(len(seq) * width)
-    for i, v in enumerate(seq):
-        buf[i * width : (i + 1) * width] = int(v).to_bytes(width, "little")
-    return int.from_bytes(bytes(buf), "little")
+    return int.from_bytes(b"".join(int(v).to_bytes(width, "little") for v in seq), "little")
 
 
 def unpack(packed: int, width: int, count: int) -> list[int]:
     data = packed.to_bytes(count * width, "little")
     return [
-        int.from_bytes(data[i * width : (i + 1) * width], "little")
-        for i in range(count)
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, count * width, width)
     ]
 
 
-def convolve(a: Sequence[int], b: Sequence[int], coeff_bound: int) -> list[int]:
-    """Linear convolution of nonnegative sequences, exact.
+def _widen(packed: int, width: int, new_width: int, count: int) -> int:
+    """Re-pack count blocks of width bytes at new_width >= width bytes."""
+    if new_width == width:
+        return packed
+    data = packed.to_bytes(count * width, "little")
+    buf = bytearray(count * new_width)
+    for j in range(width):
+        buf[j::new_width] = data[j::width]
+    return int.from_bytes(buf, "little")
 
-    coeff_bound must dominate every output coefficient.
-    """
-    if not a or not b:
-        return []
-    w = _width_for(coeff_bound)
-    return unpack(pack(a, w) * pack(b, w), w, len(a) + len(b) - 1)
 
-
-def cyclic_self_power(vec: Sequence[int], s: int, q: int) -> list[int]:
+def cyclic_self_power(
+    vec: Sequence[int], s: int, q: int, *, split: bool = False
+) -> list[int] | tuple[list[int], list[int]]:
     """s-fold cyclic self-convolution of vec over Z_q, exact.
 
-    Entries must be nonnegative; every intermediate coefficient is bounded by
-    sum(vec)**s, which sizes the block width.  Binary powering with a fold
-    back to length q after each multiply.
+    Entries must be nonnegative.  Left-to-right binary powering; the e-th
+    power's coefficients are bounded by sum(vec)**e, which sizes the block
+    width of the step that forms it.  The linear product of two length-q
+    packings has 2q - 1 blocks, each at most the matching cyclic coefficient,
+    so the fold back to length q is one mask, one shift and one add on the
+    packed int, and no carry crosses a block.
+
+    With split=True, return the halves A = vec^(s//2), B = vec^(s - s//2)
+    instead.  Entry r of the s-th power is sum_i A[i] * B[(r - i) % q], so a
+    caller that needs few entries never forms the widest multiply.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
@@ -58,33 +64,38 @@ def cyclic_self_power(vec: Sequence[int], s: int, q: int) -> list[int]:
         raise ValueError("vector length must equal the modulus")
     if s < 0:
         raise ValueError("power must be >= 0")
-    if s == 0:
-        return [1] + [0] * (q - 1)
+    if any(v < 0 for v in vec):
+        raise ValueError("entries must be nonnegative")
     total = sum(vec)
-    w = _width_for(max(total, 1) ** s)
+    # a power is (packed int, block width, exponent)
+    w = _width_for(total)
+    base = (pack(vec, w), w, 1)
 
-    def fold(vals: list[int]) -> list[int]:
-        out = vals[:q] + [0] * (q - len(vals))
-        for i in range(q, len(vals)):
-            out[i - q] += vals[i]
-        return out
+    def times(x, y):
+        e = x[2] + y[2]
+        w = _width_for(total**e)
+        a = _widen(x[0], x[1], w, q)
+        b = a if y is x else _widen(y[0], y[1], w, q)
+        prod = a * b
+        shift = 8 * w * q
+        return (prod & ((1 << shift) - 1)) + (prod >> shift), w, e
 
-    result: list[int] | None = None
-    base = list(vec)
-    e = s
-    while e:
-        if e & 1:
-            if result is None:
-                result = base[:]
-            else:
-                prod = pack(result, w) * pack(base, w)
-                result = fold(unpack(prod, w, 2 * q - 1))
-        e >>= 1
-        if e:
-            sq = pack(base, w)
-            base = fold(unpack(sq * sq, w, 2 * q - 1))
-    assert result is not None
-    return result
+    def power(e):
+        if e == 0:
+            return 1, 1, 0  # the unit vector at 0
+        result = base
+        for bit in bin(e)[3:]:
+            result = times(result, result)
+            if bit == "1":
+                result = times(result, base)
+        return result
+
+    if not split:
+        packed, w, _ = power(s)
+        return unpack(packed, w, q)
+    half = power(s // 2)
+    other = times(half, base) if s % 2 else half
+    return unpack(half[0], half[1], q), unpack(other[0], other[1], q)
 
 
 def sparse_power_profile(values: Iterable[int], s: int, m_max: int) -> list[int]:

@@ -35,7 +35,8 @@ class FigurateSpec:
 
     def __post_init__(self) -> None:
         for name in ("A", "B", "C"):
-            if not isinstance(getattr(self, name), int):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer")
         if self.A <= 0:
             raise ValueError("leading coefficient A must be >= 1")

@@ -14,6 +14,7 @@ histogram, which evaluates the same count in floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -111,9 +112,12 @@ def residue_distribution(spec: FigurateSpec, t: int, q: int) -> ResidueDistribut
 @lru_cache(maxsize=128)
 def _congruence_profile(
     spec: FigurateSpec, s: int, t: int, q: int
-) -> tuple[int, ...]:
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The half powers A, B of the residue histogram, whose cyclic product is
+    the full profile M_r(t, q) over r mod q."""
     dist = residue_distribution(spec, t, q)
-    return tuple(cyclic_self_power(dist.counts, s, q))
+    A, B = cyclic_self_power(dist.counts, s, q, split=True)
+    return tuple(A), tuple(B)
 
 
 def count_congruence(spec: FigurateSpec, s: int, m: int, t: int, q: int) -> int:
@@ -126,7 +130,9 @@ def count_congruence(spec: FigurateSpec, s: int, m: int, t: int, q: int) -> int:
         raise BudgetError(
             f"exact congruence counting is capped at modulus {EXACT_MODULUS_CAP}"
         )
-    return _congruence_profile(spec, s, t, q)[m % q]
+    A, B = _congruence_profile(spec, s, t, q)
+    r = m % q
+    return sum(map(operator.mul, A, B[r::-1] + B[:r:-1]))
 
 
 def scaling_identity_check(

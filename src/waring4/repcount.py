@@ -19,10 +19,11 @@ import numpy as np
 
 from .errors import BudgetError
 from .exactconv import sparse_power_profile
-from .figurate import FigurateSpec, max_index
+from .figurate import FigurateSpec
 
 DEFAULT_OP_BUDGET = 2_000_000_000
 DFT_DEGREE_LIMIT = 1 << 20
+DFT_COUNT_LIMIT = 1 << 53  # every integer below this is a float
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,12 @@ def count_profile_via_dft(spec: FigurateSpec, s: int, m_max: int) -> CountVector
     if degree > DFT_DEGREE_LIMIT:
         raise BudgetError(
             f"transform degree {degree} exceeds guard {DFT_DEGREE_LIMIT}"
+        )
+    # a count at or above 2^53 rounds to a nearby float that the residue
+    # guard cannot tell from an integer, so bound every count first
+    if len(vals) ** s >= DFT_COUNT_LIMIT:
+        raise BudgetError(
+            f"counts up to {len(vals)}^{s} exceed the exact float range 2^53"
         )
     return CountVector(0, tuple(_dft_profile(vals, s, m_max)))
 

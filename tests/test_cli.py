@@ -125,6 +125,21 @@ def test_threads_default_comes_from_environment(monkeypatch):
     assert args.threads == 1
 
 
+def test_bad_thread_count_from_environment_exits_one(monkeypatch, capsys):
+    monkeypatch.setenv("WARING4_THREADS", "abc")
+    assert cli.main(["eval", "--spec", "{3,4,3}", "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "WARING4_THREADS" in captured.err
+
+
+def test_zero_threads_exits_one(capsys):
+    assert cli.main(["eval", "--spec", "{3,4,3}", "--n", "1", "--threads", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_series_command(capsys):
     code = cli.main(
         ["series", "--spec", "{3,4,3}", "--s", "17", "--m", "3", "--Q", "12"]

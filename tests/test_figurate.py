@@ -42,6 +42,12 @@ def test_make_spec_rejects_nonpositive_leading_coefficient():
         figurate.make_spec(-4, 1, 1)
 
 
+def test_make_spec_rejects_bool_coefficients():
+    for args in ((True, 0, 0), (1, False, 0), (1, 0, True)):
+        with pytest.raises(TypeError):
+            figurate.make_spec(*args)
+
+
 def test_scaled24_matches_value():
     rng = random.Random(101)
     for _ in range(200):

@@ -98,6 +98,15 @@ def test_budget_refusal():
         repcount.count_profile_via_dft(F1, 2, 10**9)
 
 
+def test_dft_refuses_counts_beyond_float_range():
+    # within the degree guard, but counts reach len(vals)**40 >> 2^53, where
+    # floats round to neighbours the 0.4 residue guard cannot detect
+    spec = figurate.make_spec(1, 0, 0)
+    assert 40 * max(repcount.values_upto(spec, 26213)) <= repcount.DFT_DEGREE_LIMIT
+    with pytest.raises(BudgetError):
+        repcount.count_profile_via_dft(spec, 40, 26213)
+
+
 def test_zero_below_minimum():
     # the smallest value of an s-fold sum is s
     for s in (1, 2, 5):
