@@ -43,9 +43,13 @@ def _widen(packed: int, width: int, new_width: int, count: int) -> int:
 
 
 def cyclic_self_power(
-    vec: Sequence[int], s: int, q: int, *, split: bool = False
-) -> list[int] | tuple[list[int], list[int]]:
-    """s-fold cyclic self-convolution of vec over Z_q, exact.
+    vec: Sequence[int], s: int, q: int
+) -> tuple[list[int], list[int]]:
+    """The halves A = vec^(s//2), B = vec^(s - s//2) of the s-fold cyclic
+    self-convolution of vec over Z_q, exact.
+
+    Entry r of the s-th power is sum_i A[i] * B[(r - i) % q], so a caller
+    that needs few entries never forms the widest multiply.
 
     Entries must be nonnegative.  Left-to-right binary powering; the e-th
     power's coefficients are bounded by sum(vec)**e, which sizes the block
@@ -53,10 +57,6 @@ def cyclic_self_power(
     packings has 2q - 1 blocks, each at most the matching cyclic coefficient,
     so the fold back to length q is one mask, one shift and one add on the
     packed int, and no carry crosses a block.
-
-    With split=True, return the halves A = vec^(s//2), B = vec^(s - s//2)
-    instead.  Entry r of the s-th power is sum_i A[i] * B[(r - i) % q], so a
-    caller that needs few entries never forms the widest multiply.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
@@ -90,9 +90,6 @@ def cyclic_self_power(
                 result = times(result, base)
         return result
 
-    if not split:
-        packed, w, _ = power(s)
-        return unpack(packed, w, q)
     half = power(s // 2)
     other = times(half, base) if s % 2 else half
     return unpack(half[0], half[1], q), unpack(other[0], other[1], q)

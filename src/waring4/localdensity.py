@@ -116,7 +116,7 @@ def _congruence_profile(
     """The half powers A, B of the residue histogram, whose cyclic product is
     the full profile M_r(t, q) over r mod q."""
     dist = residue_distribution(spec, t, q)
-    A, B = cyclic_self_power(dist.counts, s, q, split=True)
+    A, B = cyclic_self_power(dist.counts, s, q)
     return tuple(A), tuple(B)
 
 

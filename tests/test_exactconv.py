@@ -21,6 +21,11 @@ def naive_cyclic_power(vec, s, q):
     return out
 
 
+def power_from_halves(vec, s, q):
+    A, B = exactconv.cyclic_self_power(vec, s, q)
+    return [sum(A[i] * B[(r - i) % q] for i in range(q)) for r in range(q)]
+
+
 def naive_sparse_power(values, s, m_max):
     out = [0] * (m_max + 1)
     for combo in itertools.product(sorted(set(values)), repeat=s):
@@ -47,29 +52,29 @@ def cyclic_cases(draw):
 @example(([3, 1, 4], 2, 3))
 def test_cyclic_self_power_matches_naive(case):
     vec, s, q = case
-    want = naive_cyclic_power(vec, s, q)
-    assert exactconv.cyclic_self_power(vec, s, q) == want
-    A, B = exactconv.cyclic_self_power(vec, s, q, split=True)
+    A, B = exactconv.cyclic_self_power(vec, s, q)
     assert A == naive_cyclic_power(vec, s // 2, q)
     assert B == naive_cyclic_power(vec, s - s // 2, q)
-    assert [sum(A[i] * B[(r - i) % q] for i in range(q)) for r in range(q)] == want
+    assert power_from_halves(vec, s, q) == naive_cyclic_power(vec, s, q)
 
 
 @pytest.mark.parametrize(
-    "total,s", [(256, 1), (256, 2), (16, 2), (16, 4), (16, 6), (4, 4), (2, 8)]
+    "total,s",
+    [(256, 1), (256, 2), (16, 2), (16, 4), (16, 6), (4, 4), (4, 8), (2, 8), (2, 16)],
 )
 @pytest.mark.parametrize("q", [1, 2, 5])
 def test_cyclic_power_at_a_width_boundary(total, s, q):
-    # all mass on one residue: the power's single nonzero entry is exactly
-    # total**s = 256**k, which needs one byte more than 256**k - 1
+    # all mass on one residue: the single nonzero entry of every power is
+    # exactly total**e, and 256**k needs one byte more than 256**k - 1; each
+    # case puts the full power, and a half or a step before it, on a boundary
     vec = [0] * q
     vec[q - 1] = total
-    got = exactconv.cyclic_self_power(vec, s, q)
-    assert got == naive_cyclic_power(vec, s, q)
-    assert max(got) == total**s and (total**s).bit_length() % 8 == 1
-    A, B = exactconv.cyclic_self_power(vec, s, q, split=True)
+    A, B = exactconv.cyclic_self_power(vec, s, q)
     assert A == naive_cyclic_power(vec, s // 2, q)
     assert B == naive_cyclic_power(vec, s - s // 2, q)
+    got = power_from_halves(vec, s, q)
+    assert got == naive_cyclic_power(vec, s, q)
+    assert max(got) == total**s and (total**s).bit_length() % 8 == 1
 
 
 def test_cyclic_power_one_below_a_width_boundary():
@@ -78,7 +83,9 @@ def test_cyclic_power_one_below_a_width_boundary():
         vec = [0] * q
         vec[0] = 255
         for s in range(7):
-            assert exactconv.cyclic_self_power(vec, s, q) == naive_cyclic_power(vec, s, q)
+            A, B = exactconv.cyclic_self_power(vec, s, q)
+            assert A == naive_cyclic_power(vec, s // 2, q)
+            assert B == naive_cyclic_power(vec, s - s // 2, q)
 
 
 def test_cyclic_self_power_rejects_bad_input():
