@@ -73,17 +73,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _thread_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(
-            f"thread count (--threads or WARING4_THREADS) must be an integer"
-            f" >= 1, got {text!r}"
-        )
-    return n
+def _int_at_least(low: int, what: str):
+    """argparse type: an integer >= low, else a usage error naming what."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = low - 1
+        if n < low:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be an integer >= {low}, got {text!r}"
+            )
+        return n
+
+    return parse
 
 
 def parse_spec(text: str) -> figurate.FigurateSpec:
@@ -348,10 +352,12 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument(
         "--threads",
-        type=_thread_count,
+        type=_int_at_least(1, "thread count (--threads or WARING4_THREADS)"),
         default=os.environ.get("WARING4_THREADS", "1"),  # parsed by type too
     )
-    common.add_argument("--budget", type=int, default=repcount.DEFAULT_OP_BUDGET)
+    common.add_argument(
+        "--budget", type=_int_at_least(0, "budget"), default=repcount.DEFAULT_OP_BUDGET
+    )
     common.add_argument("--output", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)

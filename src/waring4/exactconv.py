@@ -11,6 +11,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
+import numpy as np
+
+# rows of the two byte-plane matrices multiplied per int64 chunk
+DOT_ROWS = 1 << 16
+# a byte-plane dot over more rows than this could exceed an int64
+MAX_DOT_ROWS = ((1 << 63) - 1) // 255**2
+
 
 def _width_for(bound: int) -> int:
     """Block width in bytes so that any value <= bound fits strictly."""
@@ -95,15 +102,8 @@ def cyclic_self_power(
     return unpack(half[0], half[1], q), unpack(other[0], other[1], q)
 
 
-def sparse_power_profile(values: Iterable[int], s: int, m_max: int) -> list[int]:
-    """Coefficients of (sum_v x^v)^s up to x^m_max, exact.
-
-    values are distinct nonnegative integers (x-exponents).  Each powering
-    step shifts and adds the running polynomial once per value, then truncates
-    above m_max, so memory stays at O(m_max * width).  Coefficients are
-    counts of ordered tuples and are bounded by len(values)**s, which sizes
-    the block width.
-    """
+def _exponents(values: Iterable[int], s: int, m_max: int) -> list[int]:
+    """The distinct exponents <= m_max, ascending, after checking the arguments."""
     vals = sorted(set(int(v) for v in values))
     if any(v < 0 for v in vals):
         raise ValueError("exponents must be >= 0")
@@ -111,20 +111,86 @@ def sparse_power_profile(values: Iterable[int], s: int, m_max: int) -> list[int]
         raise ValueError("power must be >= 0")
     if m_max < 0:
         raise ValueError("truncation bound must be >= 0")
-    vals = [v for v in vals if v <= m_max]
-    out = [0] * (m_max + 1)
-    if s == 0:
-        out[0] = 1
-        return out
-    if not vals:
-        return out
-    w = _width_for(len(vals) ** s)
-    bits = 8 * w
-    mask = (1 << (bits * (m_max + 1))) - 1
-    cur = 1
-    for _ in range(s):
-        acc = 0
-        for v in vals:
-            acc += cur << (bits * v)
-        cur = acc & mask
-    return unpack(cur, w, m_max + 1)
+    return [v for v in vals if v <= m_max]
+
+
+def _truncated_powers(
+    vals: list[int], keep: set[int], count: int
+) -> dict[int, tuple[int, int]]:
+    """(packed, width) of (sum_v x^v)^e truncated to its first count
+    coefficients, for every e in keep.
+
+    Step e is one shift-add pass over the values on step e - 1.  Its
+    coefficients count ordered e-tuples, so they are at most len(vals)**e,
+    and step e is packed at the width of that bound: the early steps move
+    narrow blocks, and no carry crosses a block.  Memory stays at
+    O(count * width).
+    """
+    packed, width = 1, 1  # the zeroth power
+    kept = {}
+    for e in range(max(keep) + 1):
+        if e > 0:
+            new_width = _width_for(len(vals) ** e)
+            cur = _widen(packed, width, new_width, count)
+            bits = 8 * new_width
+            acc = 0
+            for v in vals:
+                acc += cur << (bits * v)
+            packed, width = acc & ((1 << (bits * count)) - 1), new_width
+        if e in keep:
+            kept[e] = packed, width
+    return kept
+
+
+def sparse_power_profile(values: Iterable[int], s: int, m_max: int) -> list[int]:
+    """Coefficients of (sum_v x^v)^s up to x^m_max, exact.
+
+    values are distinct nonnegative integers (x-exponents).  s shift-add
+    passes, each truncated above m_max and packed at the width of its own
+    bound (see _truncated_powers).
+    """
+    vals = _exponents(values, s, m_max)
+    packed, width = _truncated_powers(vals, {s}, m_max + 1)[s]
+    return unpack(packed, width, m_max + 1)
+
+
+def _reversed_dot(a: int, wa: int, b: int, wb: int, count: int) -> int:
+    """sum_k a[k] * b[count - 1 - k] for two packings of count blocks.
+
+    Each packing is read as a count x width matrix of bytes.  Byte plane i
+    of a and plane j of b contribute 256**(i + j) times their int64 dot,
+    taken DOT_ROWS rows at a time so that no int64 copy of a whole matrix
+    is made.
+    """
+    rows_a = np.frombuffer(a.to_bytes(count * wa, "little"), np.uint8).reshape(count, wa)
+    rows_b = np.frombuffer(b.to_bytes(count * wb, "little"), np.uint8).reshape(count, wb)
+    rows_b = rows_b[::-1]  # row k holds b[count - 1 - k]
+    planes = np.zeros((wa, wb), np.int64)
+    for lo in range(0, count, DOT_ROWS):
+        # one contiguous int64 row per byte plane, so each dot runs unit-stride
+        chunk_a = rows_a[lo : lo + DOT_ROWS].T.astype(np.int64, order="C")
+        chunk_b = rows_b[lo : lo + DOT_ROWS].T.astype(np.int64, order="C")
+        planes += np.inner(chunk_a, chunk_b)
+    return sum(
+        int(planes[i, j]) << (8 * (i + j)) for i in range(wa) for j in range(wb)
+    )
+
+
+def sparse_power_entry(values: Iterable[int], s: int, m: int) -> int:
+    """The coefficient of x^m in (sum_v x^v)^s, exact.
+
+    The s-th power is never formed: one shift-add run of s - s//2 passes
+    (see _truncated_powers) keeps the halves A = step s//2 and
+    B = step s - s//2, both truncated above x^m, and the entry is
+    sum_k A[k] * B[m - k], read from their byte planes by _reversed_dot.
+
+    Guard: every byte-plane partial sum is at most (m + 1) * 255**2, which
+    stays below 2**63 while m + 1 <= MAX_DOT_ROWS; a larger m raises
+    OverflowError.
+    """
+    vals = _exponents(values, s, m)
+    if m + 1 > MAX_DOT_ROWS:
+        raise OverflowError(f"target {m} is past the int64 guard of the entry dot")
+    half = s // 2
+    steps = _truncated_powers(vals, {half, s - half}, m + 1)
+    return _reversed_dot(*steps[half], *steps[s - half], m + 1)

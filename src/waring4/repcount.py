@@ -3,7 +3,8 @@
 R_s(m) is the number of ordered s-tuples (n_1, ..., n_s), all n_i >= 1, with
 f(n_1) + ... + f(n_s) = m.  Counts are plain Python integers (arbitrary
 precision); the workhorse is a truncated value-domain convolution done in
-block-packed big-int arithmetic, so no modular wraparound can occur.
+block-packed big-int arithmetic, so no modular wraparound can occur.  A
+single count is read from the two half powers, never from a full profile.
 
 count_via_dft is an independent floating cross-check: with more sample
 points than the degree of S(alpha)^s, the inverse transform recovers every
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
-from .exactconv import sparse_power_profile
+from .exactconv import sparse_power_entry, sparse_power_profile
 from .figurate import FigurateSpec
 
 DEFAULT_OP_BUDGET = 2_000_000_000
@@ -71,6 +72,16 @@ def values_upto(spec: FigurateSpec, m: int) -> list[int]:
     return out
 
 
+def _check_budget(s: int, m_max: int, vals: list[int], budget: int) -> None:
+    """Refuse a count whose shift-add work, s * (m_max + 1) * len(vals) block
+    operations, exceeds budget."""
+    if s * (m_max + 1) * max(len(vals), 1) > budget:
+        raise BudgetError(
+            f"profile needs ~{s * (m_max + 1) * len(vals)} block operations, "
+            f"budget is {budget}"
+        )
+
+
 def count_profile(
     spec: FigurateSpec,
     s: int,
@@ -83,11 +94,7 @@ def count_profile(
     if m_max < 0:
         raise ValueError("bound must be >= 0")
     vals = values_upto(spec, m_max)
-    if s * (m_max + 1) * max(len(vals), 1) > budget:
-        raise BudgetError(
-            f"profile needs ~{s * (m_max + 1) * len(vals)} block operations, "
-            f"budget is {budget}"
-        )
+    _check_budget(s, m_max, vals, budget)
     counts = sparse_power_profile(vals, s, m_max)
     return CountVector(0, tuple(counts))
 
@@ -98,10 +105,15 @@ def count_representations(
     m: int,
     budget: int = DEFAULT_OP_BUDGET,
 ) -> int:
-    """Exact R_s(m)."""
+    """Exact R_s(m), as one dot product of the two half powers of the
+    value polynomial; the full profile is never formed."""
     if m < 0:
         raise ValueError("target must be >= 0")
-    return count_profile(spec, s, m, budget=budget).entry(m)
+    if s < 0:
+        raise ValueError("order must be >= 0")
+    vals = values_upto(spec, m)
+    _check_budget(s, m, vals, budget)
+    return sparse_power_entry(vals, s, m)
 
 
 def _dft_profile(values: list[int], s: int, m_max: int) -> list[int]:

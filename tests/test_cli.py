@@ -52,6 +52,22 @@ def test_budget_refusal_exits_two(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["-1", "abc", "1.5"])
+def test_malformed_budget_exits_one(budget, capsys):
+    code = cli.main(["count", "--spec", "{3,4,3}", "--s", "3", "--m", "10", "--budget", budget])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "budget" in captured.err
+    assert "budget refusal" not in captured.err
+
+
+def test_zero_budget_refuses_with_exit_two(capsys):
+    code = cli.main(["count", "--spec", "{3,4,3}", "--s", "3", "--m", "10", "--budget", "0"])
+    assert code == 2
+    assert "budget refusal" in capsys.readouterr().err
+
+
 def test_parse_spec_forms():
     assert cli.parse_spec("{3,4,3}").A == 72
     explicit = cli.parse_spec("72, 84, 22")

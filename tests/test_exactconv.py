@@ -1,5 +1,6 @@
 """Packed big-int kernels against naive loops: cyclic powers, split entries,
-truncated sparse powers, and block widths at their carry boundaries."""
+truncated sparse powers and their single entries, and block widths at their
+carry boundaries."""
 
 import itertools
 
@@ -148,6 +149,96 @@ def test_sparse_power_profile_at_a_width_boundary():
     assert exactconv.sparse_power_profile(values, 2, 40) == naive_sparse_power(
         values, 2, 40
     )
+
+
+def dp_sparse_power(values, s, m_max):
+    """Repeated truncated convolution of plain lists; for sizes where tuple
+    enumeration is too slow."""
+    out = [1] + [0] * m_max
+    for _ in range(s):
+        nxt = [0] * (m_max + 1)
+        for i, c in enumerate(out):
+            if c:
+                for v in set(values):
+                    if i + v <= m_max:
+                        nxt[i + v] += c
+        out = nxt
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 25), max_size=6),
+    st.integers(0, 6),
+    st.integers(0, 30),
+)
+@example([], 0, 0)
+@example([], 0, 4)
+@example([], 1, 0)
+@example([], 2, 5)
+@example([3, 7], 0, 0)
+@example([3, 7], 1, 0)
+@example([3, 7], 2, 0)
+@example([3, 7], 1, 2)  # m below the smallest value
+@example([3, 7], 2, 2)
+@example([0], 3, 0)
+@example([1, 2], 1, 4)
+@example([1, 2], 2, 4)
+@example([0, 5, 5, 30], 2, 10)
+def test_sparse_power_entry_matches_naive(values, s, m):
+    want = naive_sparse_power(values, s, m)[m]
+    assert exactconv.sparse_power_entry(values, s, m) == want
+    assert exactconv.sparse_power_profile(values, s, m)[m] == want
+
+
+@pytest.mark.parametrize(
+    "n,s",
+    # len(values)**e == 256 for the step e = s // 2 or s - s // 2 that makes
+    # a half: 16**2, 4**4, 2**8 and 256**1
+    [(16, 3), (16, 4), (16, 5), (4, 7), (4, 8), (4, 9), (2, 15), (2, 16), (2, 17),
+     (256, 1), (256, 2), (256, 3)],
+)
+def test_sparse_power_entry_at_a_half_width_boundary(n, s):
+    values = list(range(n))
+    top = s * (n - 1)
+    want = dp_sparse_power(values, s, top)
+    assert any(n**e == 256 for e in (s // 2, s - s // 2))
+    for m in sorted({0, 1, top // 2, top - 1, top}):
+        assert exactconv.sparse_power_entry(values, s, m) == want[m]
+    assert exactconv.sparse_power_profile(values, s, top) == want
+
+
+def test_sparse_power_entry_past_int64():
+    # the central coefficient of (1 + x + ... + x^15)^18 is above 2**63, so
+    # the byte-plane partial sums must recombine as Python ints
+    values, s = list(range(16)), 18
+    m = s * 15 // 2
+    want = dp_sparse_power(values, s, m)[m]
+    assert want >= 2**63
+    assert exactconv.sparse_power_entry(values, s, m) == want
+
+
+def test_sparse_power_entry_over_several_dot_chunks():
+    # more than DOT_ROWS coefficients, so the dot runs over several chunks
+    values = [1, 7, 500, 40_000, 90_000]
+    m = exactconv.DOT_ROWS + 12_345
+    for s in (2, 3):
+        want = dp_sparse_power(values, s - 1, m)
+        got = exactconv.sparse_power_entry(values, s, m)
+        assert got == sum(want[m - v] for v in values if v <= m)
+        assert got == exactconv.sparse_power_profile(values, s, m)[m]
+
+
+def test_sparse_power_entry_rejects_bad_input():
+    with pytest.raises(ValueError):
+        exactconv.sparse_power_entry([-1, 2], 2, 5)
+    with pytest.raises(ValueError):
+        exactconv.sparse_power_entry([1], -1, 5)
+    with pytest.raises(ValueError):
+        exactconv.sparse_power_entry([1], 2, -1)
+    # past the int64 guard of the byte-plane dot; refused before any work
+    with pytest.raises(OverflowError):
+        exactconv.sparse_power_entry([1], 1, exactconv.MAX_DOT_ROWS)
 
 
 @given(st.lists(st.integers(0, 2**40), max_size=20), st.integers(0, 3))

@@ -1,8 +1,11 @@
 """Exact representation counting: convolution tables, DFT cross-check, budgets."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from waring4 import figurate, repcount
 from waring4.errors import BudgetError
@@ -127,3 +130,36 @@ def test_count_vector_mass():
         )
         prof = repcount.count_profile(F1, s, limit)
         assert sum(prof.counts) == want
+
+
+@st.composite
+def small_valid_specs(draw):
+    """Specs with A >= 1 and small B, C whose values increase (checked up to
+    n = 40, past every value the tests below reach)."""
+    spec = figurate.make_spec(
+        draw(st.integers(1, 20)), draw(st.integers(-6, 12)), draw(st.integers(0, 12))
+    )
+    assume(all(spec.value(n + 1) > spec.value(n) for n in range(40)))
+    return spec
+
+
+def brute_force_profile(spec, s, limit):
+    """Counts of ordered s-tuples of indices n >= 1, by enumeration; f(n) >= n
+    for an increasing f with f(1) = 1, so indices above limit never count."""
+    vals = [spec.value(n) for n in range(1, limit + 1) if spec.value(n) <= limit]
+    out = [0] * (limit + 1)
+    for combo in itertools.product(vals, repeat=s):
+        if sum(combo) <= limit:
+            out[sum(combo)] += 1
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_valid_specs(), st.integers(0, 4), st.integers(0, 300))
+@example(figurate.make_spec(1, 0, 0), 4, 300)
+@example(figurate.make_spec(72, 84, 22), 3, 300)
+@example(figurate.make_spec(1, 0, 0), 0, 0)
+def test_counts_match_brute_force_enumeration(spec, s, limit):
+    want = brute_force_profile(spec, s, limit)
+    assert list(repcount.count_profile(spec, s, limit).counts) == want
+    assert [repcount.count_representations(spec, s, m) for m in range(limit + 1)] == want
