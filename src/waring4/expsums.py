@@ -16,9 +16,13 @@ mean_value(spec, N, j) is the exact number of solutions of
 
     f(u_1)+...+f(u_h) = f(v_1)+...+f(v_h),  h = 2^(j-1),  1 <= u_i, v_i <= N,
 
-i.e. the 2^j-th power moment of |S_N| integrated over the circle.  It is
-computed by value-domain convolution with integer arithmetic, never by
-Monte Carlo.
+i.e. the 2^j-th power moment of |S_N| integrated over the circle: the sum of
+the squared counts of the h-fold sums.  Those counts come from grouping, in
+exact int64 arithmetic, never from Monte Carlo.  The values are shifted by
+their minimum and grouped into distinct values with counts.  Each pass then
+turns the distinct k-fold sums with their counts into the 2k-fold ones, in
+one sort of packed (sum, weight) keys.  j = 4 adds the values into a dense
+table of octuple-sum counts instead.
 """
 
 from __future__ import annotations
@@ -148,11 +152,18 @@ def v_of_q(spec: FigurateSpec, q: int, s: int, m: int) -> complex:
     return _kahan_complex(parts)
 
 
-def _values_array(spec: FigurateSpec, N: int) -> np.ndarray:
+def _shifted_values(spec: FigurateSpec, N: int, j: int) -> np.ndarray:
+    """f(1..N) minus their minimum, as int64.
+
+    The moment does not change under the shift, because both sides of
+    sum f(u_i) = sum f(v_i) have h = 2^(j-1) terms.  Every h-fold sum of the
+    shifted values is below 2^63, or BudgetError is raised.
+    """
     vals = [spec.value(n) for n in range(1, N + 1)]
-    if vals and max(vals) >= 1 << 62:
-        raise BudgetError("values too large for 64-bit moment computation")
-    return np.array(vals, dtype=np.int64)
+    lo = min(vals)
+    if (max(vals) - lo) << (j - 1) >= 1 << 63:
+        raise BudgetError("values spread too wide for 64-bit moment computation")
+    return np.array([v - lo for v in vals], dtype=np.int64)
 
 
 def _sum_of_squares_int64(arr: np.ndarray) -> int:
@@ -172,11 +183,59 @@ def _sum_of_squares_int64(arr: np.ndarray) -> int:
     return (s_hh << 38) + (s_hl << 20) + s_ll
 
 
-def _pair_sum_counts(fv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values and multiplicities of f(u)+f(v) over ordered pairs."""
-    sums = (fv[:, None] + fv[None, :]).ravel()
-    vals, cnts = np.unique(sums, return_counts=True)
-    return vals, cnts.astype(np.int64)
+def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
+    each with its summed weight wts[i] * wts[k].
+
+    vals must be nonempty, distinct, ascending and >= 0, and wts >= 1, both
+    int64; every group's weight sum is at most sum(wts)^2, which must stay
+    below 2^63.  Only the upper triangle i <= k is enumerated, a pair with
+    i < k counting twice, so every weight is at most 2 * max(wts)^2, which
+    has b bits.  When 2 * max(vals) << b fits below 2^63, each pair becomes
+    one int64 key sum << b | weight, written row by row into one array,
+    and one in-place sort brings equal sums together.  Otherwise sums and
+    weights stay apart and are ordered by an argsort of the sums.
+    """
+    n = len(vals)
+    top = int(wts.max())
+    bits = (2 * top * top).bit_length()
+    packed = (2 * int(vals[-1])) << bits < 1 << 63
+    size = n * (n + 1) // 2
+    sums = np.empty(size, dtype=np.int64)
+    weights = None if packed else np.empty(size, dtype=np.int64)
+    row_w = np.empty(n, dtype=np.int64)
+    pos = 0
+    for i in range(n):
+        end = pos + n - i
+        w = row_w[: n - i]
+        np.multiply(wts[i:], 2 * wts[i], out=w)
+        w[0] = wts[i] * wts[i]
+        row = sums[pos:end]
+        np.add(vals[i:], vals[i], out=row)
+        if packed:
+            row <<= bits
+            row |= w
+        else:
+            weights[pos:end] = w
+        pos = end
+    if packed:
+        sums.sort()
+        weights = sums & ((1 << bits) - 1)
+        sums >>= bits
+    else:
+        order = np.argsort(sums)
+        sums, weights = sums[order], weights[order]
+    new = np.empty(size, dtype=bool)
+    new[0] = True
+    np.not_equal(sums[1:], sums[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    return sums[starts], np.add.reduceat(weights, starts)
+
+
+_DENSE_REFUSAL = (
+    "sixteenth moment needs a dense table of 8*(max f - min f) entries; "
+    "this spec exceeds the memory budget at the requested N"
+)
 
 
 def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
@@ -192,49 +251,26 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
         raise BudgetError("fourth moment is limited to N <= 4000")
     if j == 3 and N > 120:
         raise BudgetError("eighth moment is limited to N <= 120")
-    if j == 4 and (N > 24 or 8 * spec.value(N) > 12_000_000):
-        raise BudgetError(
-            "sixteenth moment needs a dense table of 8*f(N) entries; "
-            "this spec exceeds the memory budget at the requested N"
-        )
+    if j == 4 and N > 24:
+        raise BudgetError(_DENSE_REFUSAL)
 
-    fv = _values_array(spec, N)
-    if j == 1:
-        _, cnts = np.unique(fv, return_counts=True)
-        return _sum_of_squares_int64(cnts.astype(np.int64))
-    vals2, cnts2 = _pair_sum_counts(fv)
-    if j == 2:
-        return _sum_of_squares_int64(cnts2)
-    if j == 3:
-        # quadruple sums: combine the distinct pair sums pairwise, in row
-        # chunks so the intermediate outer products stay small
-        acc_v = acc_c = None
-        chunk = max(1, 4_000_000 // max(1, len(vals2)))
-        for i in range(0, len(vals2), chunk):
-            v4 = (vals2[i : i + chunk, None] + vals2[None, :]).ravel()
-            c4 = (cnts2[i : i + chunk, None] * cnts2[None, :]).ravel()
-            uv, inv = np.unique(v4, return_inverse=True)
-            uc = np.zeros(len(uv), dtype=np.int64)
-            np.add.at(uc, inv, c4)
-            if acc_v is None:
-                acc_v, acc_c = uv, uc
-            else:
-                merged_v = np.concatenate([acc_v, uv])
-                merged_c = np.concatenate([acc_c, uc])
-                acc_v, inv2 = np.unique(merged_v, return_inverse=True)
-                acc_c = np.zeros(len(acc_v), dtype=np.int64)
-                np.add.at(acc_c, inv2, merged_c)
-        return _sum_of_squares_int64(acc_c)
+    fv = _shifted_values(spec, N, j)
+    vals, cnts = np.unique(fv, return_counts=True)
+    if j < 4:
+        # h-fold sums with their counts, doubling h on every pass
+        for _ in range(j - 1):
+            vals, cnts = _pair_sums(vals, cnts)
+        return _sum_of_squares_int64(cnts)
     # j == 4: dense octuple-sum table by repeated shifted adds of the base
     # values; every intermediate count is bounded by N^8 <= 24^8 < 2^37
-    top = int(fv[-1])
-    base = [int(v) for v in fv]
-    uv, uc = np.unique(fv, return_counts=True)
+    top = int(vals[-1])
+    if 8 * top > 12_000_000:
+        raise BudgetError(_DENSE_REFUSAL)
     dense = np.zeros(top + 1, dtype=np.int64)
-    dense[uv] = uc
+    dense[vals] = cnts
     for level in range(2, 9):
         out = np.zeros(level * top + 1, dtype=np.int64)
-        for v in base:
+        for v in fv.tolist():
             out[v : v + len(dense)] += dense
         dense = out
     return _sum_of_squares_int64(dense)

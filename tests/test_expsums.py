@@ -5,9 +5,13 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from waring4 import expsums, figurate
+from waring4.errors import BudgetError
 
 F1 = figurate.catalog("{3,4,3}").spec
 F2 = figurate.catalog("{3,3,5}").spec
@@ -177,18 +181,106 @@ def test_mean_value_j3_matches_dict_oracle():
         assert expsums.mean_value(F1, N, 3) == want
 
 
+def sum_counter(vals, h):
+    """Counts of every h-fold ordered sum of vals, one summand at a time."""
+    acc = Counter({0: 1})
+    for _ in range(h):
+        new = Counter()
+        for t, c in acc.items():
+            for v in vals:
+                new[t + v] += c
+        acc = new
+    return acc
+
+
 def test_mean_value_j4_matches_dict_oracle():
-    for N in (2, 4, 6, 8):
-        vals = [F1.value(n) for n in range(1, N + 1)]
-        acc = Counter({0: 1})
-        for _ in range(8):
-            new = Counter()
-            for t, c in acc.items():
-                for v in vals:
-                    new[t + v] += c
-            acc = new
-        want = sum(v * v for v in acc.values())
-        assert expsums.mean_value(F1, N, 4) == want
+    # (3, -4, 1) has negative, non-monotone values: 1, 3, 2, -3, -10, -14, -7, 22
+    cases = [(F1, N) for N in (2, 4, 6, 8)] + [(figurate.make_spec(3, -4, 1), 8)]
+    for sp, N in cases:
+        vals = [sp.value(n) for n in range(1, N + 1)]
+        want = sum(v * v for v in sum_counter(vals, 8).values())
+        assert expsums.mean_value(sp, N, 4) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 20),
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+    st.integers(1, 6),
+    st.integers(1, 4),
+)
+# values 1, 2, 2^58 + 3, 2^60 + 5: pair sums too wide for a packed key
+@example(1, 1 << 58, 0, 4, 2)
+@example(1, 1 << 58, 0, 4, 3)
+@example(1, 1 << 58, 0, 4, 4)
+@example(3, -4, 1, 6, 3)
+def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
+    spec = figurate.make_spec(A, B, C)
+    vals = [spec.value(n) for n in range(1, N + 1)]
+    spread = max(vals) - min(vals)
+    if spread << (j - 1) >= 1 << 63 or (j == 4 and 8 * spread > 12_000_000):
+        with pytest.raises(BudgetError):
+            expsums.mean_value(spec, N, j)
+        return
+    want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
+    assert expsums.mean_value(spec, N, j) == want
+
+
+@pytest.mark.parametrize(
+    "vals, wts",
+    [
+        ([0], [1]),
+        ([0, 3, 5, 8], [1, 1, 1, 1]),
+        ([0, 1, 2, 7], [3, 1, 4, 1]),
+        # 2 * max(vals) << b passes 2^63: grouped by argsort
+        ([0, 5, 1 << 57, (1 << 58) + 3], [1, 4, 2, 1]),
+        ([0, 2, 1 << 61, (1 << 62) - 1], [1, 1, 1, 1]),
+    ],
+)
+def test_pair_sums_match_counter(vals, wts):
+    got_v, got_w = expsums._pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+    want = Counter()
+    for x, cx in zip(vals, wts):
+        for y, cy in zip(vals, wts):
+            want[x + y] += cx * cy
+    assert got_v.tolist() == sorted(want)
+    assert got_w.tolist() == [want[v] for v in sorted(want)]
+
+
+def test_mean_value_refuses_sums_past_int64():
+    # quadruple sums of these values span more than 2^64; the unshifted int64
+    # sums wrapped and the eighth moment read 2718 instead of 2716
+    spec = figurate.make_spec(3, 2305843009213693961, -768614336404564661)
+    vals = [spec.value(n) for n in range(1, 5)]
+    assert sum(c * c for c in sum_counter(vals, 4).values()) == 2716
+    assert expsums.mean_value(spec, 4, 1) == sum(c * c for c in sum_counter(vals, 1).values())
+    for j in (2, 3):
+        with pytest.raises(BudgetError):
+            expsums.mean_value(spec, 4, j)
+
+
+@pytest.mark.parametrize(
+    "vals",
+    [
+        [],
+        [0, 1, 5],
+        [(1 << 31) - 1],  # largest entry of the plain int64 dot
+        [(1 << 31) - 1] * 2,  # max * sum passes 2^62: split
+        [1 << 31, 3, 0],
+        [(1 << 37) - 1, 1 << 36, 12345],  # largest entry of the split
+    ],
+)
+def test_sum_of_squares_int64_matches_python(vals):
+    assert expsums._sum_of_squares_int64(np.array(vals, dtype=np.int64)) == sum(v * v for v in vals)
+
+
+def test_sum_of_squares_int64_refuses_past_the_split():
+    with pytest.raises(BudgetError):
+        expsums._sum_of_squares_int64(np.array([1 << 37], dtype=np.int64))
+    # 2^24 entries, as a broadcast view that allocates none of them
+    with pytest.raises(BudgetError):
+        expsums._sum_of_squares_int64(np.broadcast_to(np.int64(1 << 31), (1 << 24,)))
 
 
 def test_mean_value_frozen_large_cases():
