@@ -21,7 +21,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import BudgetError
-from .figurate import FigurateSpec
+from .figurate import FigurateSpec, residues, values
 from .quadrature import integrate_adaptive
 from .repcount import count_representations
 from .singularintegral import MainTermParams, main_term
@@ -108,18 +108,15 @@ def dissect(N: int, delta) -> ArcDissection:
     return ArcDissection(N, delta, float(N) ** float(delta), arcs)
 
 
-def _phase_values(spec: FigurateSpec, N: int) -> np.ndarray:
-    return np.array([spec.value(n) for n in range(1, N + 1)], dtype=np.int64)
+def _arc_integrand(spec, s, m, q, a, fv):
+    """Integrand theta -> S_f(a/q + theta)^s e(-(a/q + theta) m), where fv
+    holds f(1..N) as floats.
 
-
-def _arc_integrand(spec, s, m, q, a, fvals):
-    """Integrand theta -> S_f(a/q + theta)^s e(-(a/q + theta) m).
-
-    The rational part of each phase is exact modular arithmetic; only the
-    small-theta part goes through floating point.
+    The rational part of each phase is exact modular arithmetic on
+    r = f(n) mod q, so a * r < q^2 never wraps; only the small-theta part
+    goes through floating point.
     """
-    rat = ((a * fvals) % q).astype(float) / q
-    fv = fvals.astype(float)
+    rat = ((a * residues(spec, len(fv), q)) % q) / q
     phase_m = np.exp(-2j * np.pi * ((a * m) % q) / q)
 
     def fn(thetas: np.ndarray) -> np.ndarray:
@@ -147,15 +144,16 @@ def major_arc_integral(
     if s < 1:
         raise ValueError("exponent must be >= 1")
     N = dissection.N
-    fvals = _phase_values(spec, N)
+    fvals = values(spec, N)
     hw = float(N) ** (float(dissection.delta) - 4.0)
-    cycles = (s * int(fvals[-1]) + m) * 2.0 * hw
+    cycles = (s * fvals[-1] + m) * 2.0 * hw
     if cycles > ARC_CYCLE_BUDGET:
         raise BudgetError("major-arc integrand oscillates beyond the budget")
+    fv = np.array(fvals, dtype=float)
     abs_tol = rel_tol * max(1.0, float(N) ** s) / max(1, len(dissection.arcs))
 
     def one_arc(arc: MajorArc) -> tuple[complex, float]:
-        fn = _arc_integrand(spec, s, m, arc.q, arc.a, fvals)
+        fn = _arc_integrand(spec, s, m, arc.q, arc.a, fv)
         value, err, _panels = integrate_adaptive(
             fn, -hw, hw, abs_tol=abs_tol, base_panels=int(cycles) + 4
         )
@@ -188,15 +186,15 @@ def minor_arc_integral(
     if s < 1:
         raise ValueError("exponent must be >= 1")
     N = dissection.N
-    fvals = _phase_values(spec, N)
+    fvals = values(spec, N)
     hw = float(N) ** (float(dissection.delta) - 4.0)
-    cycles_per_unit = s * int(fvals[-1]) + m
+    cycles_per_unit = s * fvals[-1] + m
     if cycles_per_unit > ARC_CYCLE_BUDGET:
         raise BudgetError("minor-arc integrand oscillates beyond the budget")
     centers = sorted(float(arc.center) for arc in dissection.arcs)
     if not centers or centers[-1] != 1.0:
         raise ValueError("dissection must include the arc centered at 1")
-    fv = fvals.astype(float)
+    fv = np.array(fvals, dtype=float)
 
     def fn(alphas: np.ndarray) -> np.ndarray:
         ph = (fv[None, :] * alphas[:, None]) % 1.0
@@ -263,9 +261,8 @@ def approx_chain_check(
     V = complete_sum_V(spec, q, a)
     ratio = V / (24.0 * q)
     # evaluate S_f at the split point with the rational part exact
-    fvals = _phase_values(spec, N)
-    rat = ((a * fvals) % q).astype(float) / q
-    frac = (fvals.astype(float) * theta) % 1.0
+    rat = ((a * residues(spec, N, q)) % q) / q
+    frac = (np.array(values(spec, N), dtype=float) * theta) % 1.0
     S = complex(np.exp(2j * np.pi * ((rat + frac) % 1.0)).sum())
     v = v_theta(A, N, theta)
     lhs = abs(S - ratio * v)

@@ -17,7 +17,7 @@ import os
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import arcs as arcs_mod
@@ -104,59 +104,28 @@ def parse_spec(text: str) -> figurate.FigurateSpec:
 
 
 def report_to_dict(report: arcs_mod.ComparisonReport) -> dict:
-    """JSON-ready mapping; arbitrary-precision counts become decimal strings."""
-    series = report.series
-    return {
-        "m": report.m,
-        "s": report.s,
-        "spec": report.spec_label,
-        "exact": None if report.exact_count is None else str(report.exact_count),
-        "major_value": report.major_value,
-        "main_term": report.main_term,
-        "minor_residual": report.minor_residual,
-        "ratio": report.ratio,
-        "series": {
-            "truncated": series.truncated,
-            "Q": series.Q,
-            "imag_residue": series.imag_residue,
-            "euler_estimate": series.euler_estimate,
-            "per_prime": [[p, v] for p, v in series.per_prime],
-            "tail_log": series.tail_log,
-            "positivity": series.positivity,
-        },
-        "bound_checks": [
-            {"lhs": c.lhs, "rhs": c.rhs, "holds": c.holds, "context": c.context}
-            for c in report.bound_checks
-        ],
-    }
+    """JSON-ready mapping of the report's fields; the exact count (which can
+    exceed 2^63) becomes a decimal string under "exact", the label "spec"."""
+    data = asdict(report)
+    data["spec"] = data.pop("spec_label")
+    exact = data.pop("exact_count")
+    data["exact"] = None if exact is None else str(exact)
+    return data
 
 
 def report_from_dict(data: dict) -> arcs_mod.ComparisonReport:
-    series = singularseries.SeriesEstimate(
-        truncated=data["series"]["truncated"],
-        Q=data["series"]["Q"],
-        imag_residue=data["series"]["imag_residue"],
-        euler_estimate=data["series"]["euler_estimate"],
-        per_prime=tuple((p, v) for p, v in data["series"]["per_prime"]),
-        tail_log=data["series"]["tail_log"],
-        positivity=data["series"]["positivity"],
+    """Inverse of report_to_dict."""
+    fields = dict(data)
+    fields["spec_label"] = fields.pop("spec")
+    exact = fields.pop("exact")
+    fields["exact_count"] = None if exact is None else int(exact)
+    series = dict(fields["series"])
+    series["per_prime"] = tuple(tuple(pv) for pv in series["per_prime"])
+    fields["series"] = singularseries.SeriesEstimate(**series)
+    fields["bound_checks"] = tuple(
+        weylbounds.BoundCheckReport(**c) for c in fields["bound_checks"]
     )
-    checks = tuple(
-        weylbounds.BoundCheckReport(c["lhs"], c["rhs"], c["holds"], c["context"])
-        for c in data["bound_checks"]
-    )
-    return arcs_mod.ComparisonReport(
-        m=data["m"],
-        s=data["s"],
-        spec_label=data["spec"],
-        exact_count=None if data["exact"] is None else int(data["exact"]),
-        major_value=data["major_value"],
-        main_term=data["main_term"],
-        minor_residual=data["minor_residual"],
-        series=series,
-        ratio=data["ratio"],
-        bound_checks=checks,
-    )
+    return arcs_mod.ComparisonReport(**fields)
 
 
 def emit_report(

@@ -121,16 +121,17 @@ def _truncated_powers(
     coefficients, for every e in keep.
 
     Step e is one shift-add pass over the values on step e - 1.  Its
-    coefficients count ordered e-tuples, so they are at most len(vals)**e,
-    and step e is packed at the width of that bound: the early steps move
-    narrow blocks, and no carry crosses a block.  Memory stays at
-    O(count * width).
+    coefficient at x^k counts ordered e-tuples of values summing to k; the
+    values are distinct, so the last term is fixed by the others and the
+    count is at most len(vals)**(e - 1).  Step e is packed at the width of
+    that bound: the early steps move narrow blocks, and no carry crosses a
+    block.  Memory stays at O(count * width).
     """
     packed, width = 1, 1  # the zeroth power
     kept = {}
     for e in range(max(keep) + 1):
         if e > 0:
-            new_width = _width_for(len(vals) ** e)
+            new_width = _width_for(len(vals) ** (e - 1))
             cur = _widen(packed, width, new_width, count)
             bits = 8 * new_width
             acc = 0

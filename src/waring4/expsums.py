@@ -6,11 +6,12 @@ e(x) denotes exp(2*pi*i*x) throughout.  The three sums of interest:
 * partial_sum_M:  M_t(a/q)   = sum_{n=1}^{t} e((a/q) * f(n))
 * complete_sum_V: V(q, a)    = sum_{n=1}^{24q} e((a/q) * f(n))
 
-Rational phases are computed exactly: f(n) mod q comes from the integer
-polynomial 24*f(n) reduced mod 24q and divided by 24, so no precision is
-lost no matter how large f(n) grows.  Arbitrary real alpha goes through the
-exact integer ratio of the float, which keeps alpha * f(n) mod 1 correct to
-one rounding even when f(n) has 60-bit magnitude.
+Rational phases are computed exactly: f(n) mod q comes from
+figurate.residues, which reduces the integer polynomial 24*f(n) mod 24q and
+divides by 24, so no precision is lost no matter how large f(n) grows.
+Arbitrary real alpha goes through the exact integer ratio of the float, which
+keeps alpha * f(n) mod 1 correct to one rounding even when f(n) has 60-bit
+magnitude.
 
 mean_value(spec, N, j) is the exact number of solutions of
 
@@ -36,7 +37,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetError
-from .figurate import FigurateSpec
+from .figurate import FigurateSpec, residues, values
 
 TWO_PI = 2.0 * cmath.pi
 
@@ -62,21 +63,9 @@ def _kahan_complex(parts) -> complex:
 
 
 @lru_cache(maxsize=4096)
-def _residue_period(spec: FigurateSpec, q: int) -> tuple[int, ...]:
-    """f(n) mod q for n = 1..24q (one full period of n)."""
-    qq = 24 * q
-    out = []
-    for n in range(1, qq + 1):
-        out.append((spec.scaled24(n) % qq) // 24)
-    return tuple(out)
-
-
-@lru_cache(maxsize=4096)
 def _complete_sum_table(spec: FigurateSpec, q: int) -> tuple[complex, ...]:
     """V(q, a) for a = 0..q-1, via the residue histogram of one full period."""
-    hist = [0] * q
-    for r in _residue_period(spec, q):
-        hist[r] += 1
+    hist = np.bincount(residues(spec, 24 * q, q), minlength=q).tolist()
     roots = [cmath.exp(TWO_PI * 1j * (r / q)) for r in range(q)]
     table = []
     for a in range(q):
@@ -97,10 +86,9 @@ def weyl_phase_sum(spec: FigurateSpec, N: int, alpha: float) -> PhaseSum:
         raise ValueError("length must be >= 0")
     frac = Fraction(alpha)
     num, den = frac.numerator, frac.denominator
-    parts = []
-    for n in range(1, N + 1):
-        fn = spec.value(n)
-        parts.append(cmath.exp(TWO_PI * 1j * (((num * fn) % den) / den)))
+    parts = [
+        cmath.exp(TWO_PI * 1j * (((num * fn) % den) / den)) for fn in values(spec, N)
+    ]
     return PhaseSum(_kahan_complex(parts), N)
 
 
@@ -115,12 +103,8 @@ def partial_sum_M(spec: FigurateSpec, q: int, a: int, t: int) -> complex:
         raise ValueError("denominator must be >= 1")
     if t < 0:
         raise ValueError("length must be >= 0")
-    period = _residue_period(spec, q)
-    qq = len(period)
     roots = [cmath.exp(TWO_PI * 1j * (r / q)) for r in range(q)]
-    return _kahan_complex(
-        roots[(a * period[(n - 1) % qq]) % q] for n in range(1, t + 1)
-    )
+    return _kahan_complex(roots[(a * r) % q] for r in residues(spec, t, q).tolist())
 
 
 def complete_sum_V(spec: FigurateSpec, q: int, a: int) -> complex:
@@ -159,7 +143,7 @@ def _shifted_values(spec: FigurateSpec, N: int, j: int) -> np.ndarray:
     sum f(u_i) = sum f(v_i) have h = 2^(j-1) terms.  Every h-fold sum of the
     shifted values is below 2^63, or BudgetError is raised.
     """
-    vals = [spec.value(n) for n in range(1, N + 1)]
+    vals = values(spec, N)
     lo = min(vals)
     if (max(vals) - lo) << (j - 1) >= 1 << 63:
         raise BudgetError("values spread too wide for 64-bit moment computation")

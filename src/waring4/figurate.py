@@ -9,19 +9,26 @@ f(1) = 1 by construction.  The three regular 4-polytope families are shipped
 as a catalog keyed by Schlaefli symbol.
 
 Because the binomial basis has denominator 24, exact modular work goes
-through scaled24(n) = 24*f(n), which is a plain integer polynomial
+through 24*f(n) (poly24, scaled24), which is a plain integer polynomial
 
     24*f(n) = A*n^4 + (4B-6A)*n^3 + (11A-12B+12C)*n^2 + (-6A+8B-12C+24)*n.
 
 The derivative also clears denominators at 12:
 
     12*f'(t) = 2A*t^3 + (6B-9A)*t^2 + (11A-12B+12C)*t + (-3A+4B-6C+12).
+
+Value tables (values, values_upto) and residues f(n) mod q (residues) are
+built here and nowhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
+
+import numpy as np
+
+from .errors import BudgetError
 
 
 @dataclass(frozen=True)
@@ -115,32 +122,56 @@ def catalog_specs() -> list[FigurateSpec]:
     return [catalog(sym).spec for sym in sorted(_CATALOG)]
 
 
-def max_index(spec: FigurateSpec, m: int) -> int:
-    """Largest n >= 0 with f(n) <= m, assuming f increases on positive integers.
+def values(spec: FigurateSpec, N: int) -> list[int]:
+    """Exact f(1), ..., f(N) as Python ints."""
+    if N < 0:
+        raise ValueError("length must be >= 0")
+    return [spec.value(n) for n in range(1, N + 1)]
 
-    Doubling scan followed by bisection; a decrease seen at any probed point
-    raises ValueError (possible for adversarial B, C).
+
+def values_upto(spec: FigurateSpec, m: int) -> list[int]:
+    """All values f(n) <= m for n >= 1, ascending.
+
+    Linear scan with a strict-increase check at every step, so the result is
+    trustworthy even for adversarial coefficient choices.
     """
     if m < 0:
         raise ValueError("bound must be >= 0")
-    if spec.value(1) > m:
-        return 0
-    lo, prev = 1, spec.value(1)
-    hi = 2
+    out: list[int] = []
+    n, prev = 1, 0
     while True:
-        v = spec.value(hi)
+        v = spec.value(n)
         if v <= prev:
-            raise ValueError(f"values not increasing near n={hi}")
+            raise ValueError(f"values not increasing at n={n}")
         if v > m:
             break
-        lo, prev = hi, v
-        hi *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if spec.value(mid) <= m:
-            lo = mid
-        else:
-            hi = mid
-    if not (spec.value(lo) <= m < spec.value(lo + 1)):
-        raise ValueError("values not increasing across the bisection bracket")
-    return lo
+        out.append(v)
+        n, prev = n + 1, v
+    return out
+
+
+def max_index(spec: FigurateSpec, m: int) -> int:
+    """Largest n >= 0 with f(n) <= m; ValueError if the values up to there
+    do not increase strictly."""
+    return len(values_upto(spec, m))
+
+
+def residues(spec: FigurateSpec, count: int, q: int) -> np.ndarray:
+    """f(n) mod q for n = 1..count, as an int64 array.
+
+    f mod q = (24 f mod 24q) / 24 holds because 24 f has integer
+    coefficients.  24 f(n) mod 24q depends only on n mod 24q and is
+    evaluated by Horner's rule in int64, which stays exact while
+    (24q)^2 < 2^63; a modulus 24q >= 2^31 raises BudgetError before any
+    array is made.
+    """
+    if q < 1:
+        raise ValueError("modulus must be >= 1")
+    modulus = 24 * q
+    if modulus >= 1 << 31:
+        raise BudgetError("modulus too large for the vectorized residue scan")
+    n = np.arange(1, count + 1, dtype=np.int64) % modulus
+    acc = np.full_like(n, spec.poly24[0] % modulus)
+    for coeff in spec.poly24[1:]:
+        acc = (acc * n + coeff % modulus) % modulus
+    return (acc * n % modulus) // 24

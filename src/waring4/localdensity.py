@@ -5,8 +5,8 @@ congruent to m mod q; M_m(q) abbreviates M_m(q, q).  The local density at a
 prime p is rho_k = p^(k(1-s)) * M_m(p^k), with limit T_m(p) as k grows.
 
 Everything on the exact path is integer arithmetic: residues of f come from
-the identity f(n) mod q = (24 f(n) mod 24q) / 24, valid because 24 f has
-integer coefficients, and tuple counts come from exact cyclic convolution.
+figurate.residues, through the identity f(n) mod q = (24 f(n) mod 24q) / 24,
+and tuple counts come from exact cyclic convolution.
 Moduli above the exact-path cap use a unit-magnitude DFT of the residue
 histogram, which evaluates the same count in floating point.
 """
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .exactconv import cyclic_self_power
-from .figurate import FigurateSpec
+from .figurate import FigurateSpec, residues
 from .weylbounds import BoundCheckReport, bound_report
 
 EXACT_MODULUS_CAP = 5000
@@ -72,22 +72,6 @@ class DensityReport:
             raise ValueError("a stabilized density must be positive")
 
 
-def _residues_mod(spec: FigurateSpec, count: int, q: int) -> np.ndarray:
-    """f(n) mod q for n = 1..count as an int64 array (count <= 24q expected).
-
-    Horner evaluation of 24 f(n) mod 24q stays inside int64 provided
-    (24q)^2 < 2^63; the final division by 24 recovers f mod q exactly.
-    """
-    modulus = 24 * q
-    if modulus >= 1 << 31:
-        raise BudgetError("modulus too large for the vectorized residue scan")
-    n = np.arange(1, count + 1, dtype=np.int64) % modulus
-    acc = np.full_like(n, spec.poly24[0] % modulus)
-    for coeff in spec.poly24[1:]:
-        acc = (acc * n + coeff % modulus) % modulus
-    return (acc * n % modulus) // 24
-
-
 def residue_distribution(spec: FigurateSpec, t: int, q: int) -> ResidueDistribution:
     """Exact histogram of f(n) mod q over 1 <= n <= t.
 
@@ -99,7 +83,7 @@ def residue_distribution(spec: FigurateSpec, t: int, q: int) -> ResidueDistribut
     period = 24 * q
     full, rem = divmod(t, period)
     scan = period if full > 0 else rem
-    res = _residues_mod(spec, scan, q)
+    res = residues(spec, scan, q)
     counts = np.bincount(res, minlength=q)
     if full > 0:
         prefix = np.bincount(res[:rem], minlength=q) if rem else np.zeros(q, np.int64)
@@ -175,8 +159,7 @@ def nonsingular_count(spec: FigurateSpec, s: int, m: int, p: int) -> int:
     if not is_prime(p):
         raise ValueError("modulus must be prime")
     total = 0
-    for n1 in range(1, p + 1):
-        fn1 = spec.value(n1) % p
+    for n1, fn1 in enumerate(residues(spec, p, p).tolist(), 1):
         if fn1 == 0 or _derivative_valuation(spec, n1, p) != 0:
             continue
         if s == 1:
@@ -195,7 +178,7 @@ def _density_float(spec: FigurateSpec, s: int, m: int, q: int) -> float:
     """
     if 24 * q > FLOAT_PERIOD_CAP:
         raise BudgetError("modulus exceeds the float-path budget")
-    res = _residues_mod(spec, q, q)
+    res = residues(spec, q, q)
     hist = np.bincount(res, minlength=q).astype(float)
     F = np.fft.fft(hist) / q
     t = np.arange(q, dtype=float)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .exactconv import sparse_power_entry, sparse_power_profile
-from .figurate import FigurateSpec
+from .figurate import FigurateSpec, values_upto
 
 DEFAULT_OP_BUDGET = 2_000_000_000
 DFT_DEGREE_LIMIT = 1 << 20
@@ -49,27 +49,6 @@ class CountVector:
 
     def total(self) -> int:
         return sum(self.counts)
-
-
-def values_upto(spec: FigurateSpec, m: int) -> list[int]:
-    """All values f(n) <= m for n >= 1, ascending.
-
-    Linear scan with a strict-increase check at every step, so the result is
-    trustworthy even for adversarial coefficient choices.
-    """
-    if m < 0:
-        raise ValueError("bound must be >= 0")
-    out: list[int] = []
-    n, prev = 1, 0
-    while True:
-        v = spec.value(n)
-        if v <= prev:
-            raise ValueError(f"values not increasing at n={n}")
-        if v > m:
-            break
-        out.append(v)
-        n, prev = n + 1, v
-    return out
 
 
 def _check_budget(s: int, m_max: int, vals: list[int], budget: int) -> None:

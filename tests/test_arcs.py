@@ -1,9 +1,11 @@
 """Arc dissection, major/minor decomposition, end-to-end comparison report."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from waring4 import arcs, figurate, repcount
@@ -11,6 +13,7 @@ from waring4.errors import BudgetError
 
 F1 = figurate.catalog("{3,4,3}").spec
 F2 = figurate.catalog("{3,3,5}").spec
+F3 = figurate.catalog("{5,3,3}").spec
 
 
 def test_integer_fourth_root():
@@ -138,6 +141,27 @@ def test_approx_chain_flags_out_of_range_inputs():
     assert "hypothesis_met=False" in rep.context
     assert "theta_within_arc=False" in rep.context
     assert "M-steps-ok=True" in rep.context
+
+
+def test_rational_phases_do_not_wrap_int64():
+    # a * f(n) passes 2^63 for 106 of these n; the phases must still be
+    # exactly (a * f(n)) % q, as the Python-int sums below take them
+    q, a, N = 1009, 1008, 3000
+    fvals = [F3.value(n) for n in range(1, N + 1)]
+    assert max(fvals) * a >= 2**63
+
+    def e(r):
+        return cmath.exp(2j * cmath.pi * r / q)
+
+    S = sum(e((a * f) % q) for f in fvals)
+    V = sum(e((a * F3.value(n)) % q) for n in range(1, 24 * q + 1))
+    # at theta = 0 with s = 1, m = 0 the integrand is sum_n e(rational phase)
+    fn = arcs._arc_integrand(F3, 1, 0, q, a, np.array(fvals, dtype=float))
+    assert complex(fn(np.zeros(1))[0]) == pytest.approx(S, abs=1e-9)
+    want = abs(S - V / (24 * q) * (N - 1))  # v(0) = N - 1
+    assert want == pytest.approx(8.3483, abs=1e-4)
+    lhs = arcs.approx_chain_check(F3, q, a, 0.0, N).lhs
+    assert lhs == pytest.approx(want, abs=1e-9)
 
 
 def test_approx_chain_rejects_bad_fraction():

@@ -144,11 +144,12 @@ def test_sparse_power_profile_matches_naive(values, s, m_max):
 
 
 def test_sparse_power_profile_at_a_width_boundary():
-    # 16 values at s = 2 size the blocks from 16**2 = 256, just past one byte
-    values = list(range(16))
-    assert exactconv.sparse_power_profile(values, 2, 40) == naive_sparse_power(
-        values, 2, 40
-    )
+    # 256 values at s = 2 size the blocks from the bound 256**(2 - 1) = 256,
+    # just past one byte, and the coefficient of x^255 reaches it exactly
+    values = list(range(256))
+    want = naive_sparse_power(values, 2, 510)
+    assert max(want) == 256
+    assert exactconv.sparse_power_profile(values, 2, 510) == want
 
 
 def dp_sparse_power(values, s, m_max):
@@ -193,16 +194,19 @@ def test_sparse_power_entry_matches_naive(values, s, m):
 
 @pytest.mark.parametrize(
     "n,s",
-    # len(values)**e == 256 for the step e = s // 2 or s - s // 2 that makes
-    # a half: 16**2, 4**4, 2**8 and 256**1
-    [(16, 3), (16, 4), (16, 5), (4, 7), (4, 8), (4, 9), (2, 15), (2, 16), (2, 17),
-     (256, 1), (256, 2), (256, 3)],
+    # step e is packed from the bound len(values)**(e - 1); each case has a
+    # half, e = s // 2 or s - s // 2, whose bound is 256 (16**2, 4**4, 2**8,
+    # 256**1) or whose next step's bound is
+    [(16, 3), (16, 4), (16, 5), (16, 6), (16, 7),
+     (4, 7), (4, 8), (4, 9), (4, 10), (4, 11),
+     (2, 15), (2, 16), (2, 17), (2, 18), (2, 19),
+     (256, 1), (256, 2), (256, 3), (256, 4), (256, 5)],
 )
 def test_sparse_power_entry_at_a_half_width_boundary(n, s):
     values = list(range(n))
     top = s * (n - 1)
     want = dp_sparse_power(values, s, top)
-    assert any(n**e == 256 for e in (s // 2, s - s // 2))
+    assert any(256 in (n ** max(e - 1, 0), n**e) for e in (s // 2, s - s // 2))
     for m in sorted({0, 1, top // 2, top - 1, top}):
         assert exactconv.sparse_power_entry(values, s, m) == want[m]
     assert exactconv.sparse_power_profile(values, s, top) == want

@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring4 import figurate
+from waring4.errors import BudgetError
 
 
 def test_catalog_coefficients():
@@ -114,3 +117,37 @@ def test_values_strictly_increasing():
     for sp in figurate.catalog_specs():
         vals = [sp.value(n) for n in range(1, 2001)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 10**4),
+    st.integers(-(10**4), 10**4),
+    st.integers(-(10**4), 10**4),
+    st.integers(1, 60),
+)
+def test_residues_match_direct_values(A, B, C, q):
+    # over one full period of n, against f(n) mod q in Python ints
+    spec = figurate.make_spec(A, B, C)
+    got = figurate.residues(spec, 24 * q, q)
+    assert got.tolist() == [spec.value(n) % q for n in range(1, 24 * q + 1)]
+
+
+def test_residues_past_one_period():
+    for sp in figurate.catalog_specs():
+        for q in (1, 7, 60):
+            count = 2 * 24 * q + 17
+            want = [sp.value(n) % q for n in range(1, count + 1)]
+            assert figurate.residues(sp, count, q).tolist() == want
+
+
+def test_residues_modulus_guard():
+    q = (1 << 31) // 24  # 24q = 2^31 - 8, the largest modulus the scan takes
+    for sp in figurate.catalog_specs():
+        want = [sp.value(n) % q for n in range(1, 51)]
+        assert figurate.residues(sp, 50, q).tolist() == want
+    # refused before any array is made: 10^18 entries could not be allocated
+    with pytest.raises(BudgetError):
+        figurate.residues(figurate.catalog("{3,4,3}").spec, 10**18, q + 1)
+    with pytest.raises(ValueError):
+        figurate.residues(figurate.catalog("{3,4,3}").spec, 5, 0)

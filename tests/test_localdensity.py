@@ -5,10 +5,8 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from waring4 import expsums, figurate, localdensity
+from waring4 import figurate, localdensity
 from waring4.errors import BudgetError
 
 F1 = figurate.catalog("{3,4,3}").spec
@@ -34,20 +32,6 @@ def test_residue_distribution_matches_direct_scan():
             brute = Counter(sp.value(n) % q for n in range(1, t + 1))
             assert dist.q == q and dist.t == t
             assert list(dist.counts) == [brute.get(r, 0) for r in range(q)]
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 10**4),
-    st.integers(-(10**4), 10**4),
-    st.integers(-(10**4), 10**4),
-    st.integers(1, 60),
-)
-def test_numpy_residues_match_python_period(A, B, C, q):
-    # the two f mod q routines must agree over one full period of n
-    spec = figurate.make_spec(A, B, C)
-    got = localdensity._residues_mod(spec, 24 * q, q)
-    assert tuple(int(r) for r in got) == expsums._residue_period(spec, q)
 
 
 def test_residue_distribution_rejects_bad_args():
