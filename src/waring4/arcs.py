@@ -22,13 +22,12 @@ import numpy as np
 
 from .errors import BudgetError
 from .figurate import FigurateSpec, residues, values
-from .quadrature import integrate_adaptive
+from .quadrature import integrate, size_panels
 from .repcount import count_representations
 from .singularintegral import MainTermParams, main_term
 from .singularseries import SeriesEstimate, euler_product
 from .weylbounds import BoundCheckReport
 
-ARC_CYCLE_BUDGET = 10_000_000
 FALLBACK_DELTA = Fraction(73, 372)
 
 
@@ -127,6 +126,12 @@ def _arc_integrand(spec, s, m, q, a, fv):
     return fn
 
 
+def _bandwidth(fvals: list[int], s: int, m: int) -> int:
+    """Largest |k| among the frequencies k = f(n_1) + ... + f(n_s) - m of
+    S_f(alpha)^s e(-alpha m)."""
+    return max(abs(s * min(fvals) - m), abs(s * max(fvals) - m))
+
+
 def major_arc_integral(
     spec: FigurateSpec,
     s: int,
@@ -135,38 +140,34 @@ def major_arc_integral(
     rel_tol: float = 1e-12,
     threads: int = 1,
 ) -> tuple[complex, float]:
-    """Sum over arcs of the adaptive quadrature of S_f(alpha)^s e(-alpha m).
+    """Sum over arcs of the Gauss-Legendre quadrature of S_f(alpha)^s e(-alpha m).
 
-    Returns (value, accumulated error estimate).  Tolerance is distributed
-    over arcs relative to the trivial magnitude N^s.  Arcs may integrate in
-    parallel; the final accumulation is in fixed arc order either way.
+    Returns (value, error bound).  The tolerance is distributed over arcs
+    relative to the trivial magnitude N^s; every arc takes the panel count
+    quadrature.size_panels derives from the integrand's bandwidth, and the
+    bound is the sum of the proven truncation bounds (rounding excluded).  A
+    panel count above quadrature.PANEL_CAP is refused with BudgetError
+    before any evaluation.  Arcs may integrate in parallel; the final
+    accumulation is in fixed arc order either way.
     """
     if s < 1:
         raise ValueError("exponent must be >= 1")
     N = dissection.N
     fvals = values(spec, N)
     hw = float(N) ** (float(dissection.delta) - 4.0)
-    cycles = (s * fvals[-1] + m) * 2.0 * hw
-    if cycles > ARC_CYCLE_BUDGET:
-        raise BudgetError("major-arc integrand oscillates beyond the budget")
-    fv = np.array(fvals, dtype=float)
     abs_tol = rel_tol * max(1.0, float(N) ** s) / max(1, len(dissection.arcs))
+    panels, bound = size_panels(2.0 * hw, _bandwidth(fvals, s, m), s * math.log(N), abs_tol)
+    fv = np.array(fvals, dtype=float)
 
-    def one_arc(arc: MajorArc) -> tuple[complex, float]:
-        fn = _arc_integrand(spec, s, m, arc.q, arc.a, fv)
-        value, err, _panels = integrate_adaptive(
-            fn, -hw, hw, abs_tol=abs_tol, base_panels=int(cycles) + 4
-        )
-        return value, err
+    def one_arc(arc: MajorArc) -> complex:
+        return integrate(_arc_integrand(spec, s, m, arc.q, arc.a, fv), -hw, hw, panels)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one_arc, dissection.arcs))
     else:
         results = [one_arc(arc) for arc in dissection.arcs]
-    total = complex(sum(v for v, _ in results))
-    err = math.fsum(e for _, e in results)
-    return total, err
+    return complex(sum(results)), bound * len(results)
 
 
 def minor_arc_integral(
@@ -181,16 +182,17 @@ def minor_arc_integral(
 
     The period is (hw, 1 + hw]; with centers sorted (and the arc at 1 wrapping
     to cover the period ends) the minor set is the union of the open gaps
-    between consecutive arcs.
+    between consecutive arcs.  Each gap takes the panel count
+    quadrature.size_panels derives from the integrand's bandwidth and the
+    gap's length.  All gaps are sized before any evaluation, and a panel
+    count above quadrature.PANEL_CAP is refused with BudgetError.
+    Returns (value, sum of the proven truncation bounds).
     """
     if s < 1:
         raise ValueError("exponent must be >= 1")
     N = dissection.N
     fvals = values(spec, N)
     hw = float(N) ** (float(dissection.delta) - 4.0)
-    cycles_per_unit = s * fvals[-1] + m
-    if cycles_per_unit > ARC_CYCLE_BUDGET:
-        raise BudgetError("minor-arc integrand oscillates beyond the budget")
     centers = sorted(float(arc.center) for arc in dissection.arcs)
     if not centers or centers[-1] != 1.0:
         raise ValueError("dissection must include the arc centered at 1")
@@ -208,24 +210,20 @@ def minor_arc_integral(
         if hi > lo:
             segments.append((lo, hi))
         prev = c
+    K = _bandwidth(fvals, s, m)
+    abs_tol = rel_tol * max(1.0, float(N) ** s) / max(1, len(segments))
+    sized = [(lo, hi, *size_panels(hi - lo, K, s * math.log(N), abs_tol)) for lo, hi in segments]
 
-    def one_segment(seg: tuple[float, float]) -> tuple[complex, float]:
-        lo, hi = seg
-        base = int(cycles_per_unit * (hi - lo)) + 4
-        abs_tol = rel_tol * max(1.0, float(N) ** s) / max(1, len(segments))
-        value, err, _panels = integrate_adaptive(
-            fn, lo, hi, abs_tol=abs_tol, base_panels=base
-        )
-        return value, err
+    def one_segment(seg: tuple[float, float, int, float]) -> complex:
+        lo, hi, panels, _bound = seg
+        return integrate(fn, lo, hi, panels)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_segment, segments))
+            results = list(pool.map(one_segment, sized))
     else:
-        results = [one_segment(seg) for seg in segments]
-    total = complex(sum(v for v, _ in results))
-    err = math.fsum(e for _, e in results)
-    return total, err
+        results = [one_segment(seg) for seg in sized]
+    return complex(sum(results)), math.fsum(seg[3] for seg in sized)
 
 
 def approx_chain_check(

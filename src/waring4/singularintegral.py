@@ -26,7 +26,8 @@ def v_theta(A: int, N: int, theta: float) -> complex:
     """integral from 1 to N of e(A*theta*t^4/24) dt, |theta| <= 1/2.
 
     Adaptive Gauss-Legendre with absolute tolerance 1e-9*N; the initial panel
-    count matches the total phase turn A*|theta|*N^4/24.
+    count matches the total phase turn A*|theta|*N^4/24, and one above
+    quadrature.PANEL_CAP is refused with BudgetError before any evaluation.
     """
     if abs(theta) > 0.5:
         raise ValueError("theta must lie in [-1/2, 1/2]")
