@@ -29,6 +29,7 @@ from .singularseries import SeriesEstimate, euler_product
 from .weylbounds import BoundCheckReport
 
 FALLBACK_DELTA = Fraction(73, 372)
+REL_TOL = 1e-12
 
 
 def integer_fourth_root(x: int) -> int:
@@ -62,12 +63,27 @@ def optimal_delta(s: int) -> Fraction:
     return Fraction(73, 219 + 9 * s)
 
 
+def dissection_delta(s: int) -> Fraction:
+    """The exponent the reports dissect with: optimal_delta(s) from s = 9 on,
+    FALLBACK_DELTA below."""
+    return optimal_delta(s) if s >= 9 else FALLBACK_DELTA
+
+
+def _halfwidth(N: int, delta: Fraction) -> float:
+    """N^(delta - 4), the major-arc halfwidth."""
+    return float(N) ** (float(delta) - 4.0)
+
+
+def _error_scale(N: int, s: int, rel_tol: float) -> float:
+    """rel_tol relative to N^s, the trivial bound on |S_f|^s (at least rel_tol)."""
+    return rel_tol * max(1.0, float(N) ** s)
+
+
 @dataclass(frozen=True)
 class MajorArc:
     q: int
     a: int
     center: Fraction
-    halfwidth: float
 
 
 @dataclass(frozen=True)
@@ -75,6 +91,7 @@ class ArcDissection:
     N: int
     delta: Fraction
     P: float
+    halfwidth: float
     arcs: tuple[MajorArc, ...]
 
 
@@ -97,14 +114,13 @@ def dissect(N: int, delta) -> ArcDissection:
     # disjointness: 2qq' < N^(4-delta) for all q, q' <= qmax, exactly
     if (2 * qmax * qmax) ** den >= N ** (4 * den - num):
         raise ArithmeticError("arc disjointness failed the exact power check")
-    halfwidth = float(N) ** (float(delta) - 4.0)
     arcs = tuple(
-        MajorArc(q, a, Fraction(a, q), halfwidth)
+        MajorArc(q, a, Fraction(a, q))
         for q in range(1, qmax + 1)
         for a in range(1, q + 1)
         if gcd(a, q) == 1
     )
-    return ArcDissection(N, delta, float(N) ** float(delta), arcs)
+    return ArcDissection(N, delta, float(N) ** float(delta), _halfwidth(N, delta), arcs)
 
 
 def _arc_integrand(spec, s, m, q, a, fv):
@@ -113,23 +129,64 @@ def _arc_integrand(spec, s, m, q, a, fv):
 
     The rational part of each phase is exact modular arithmetic on
     r = f(n) mod q, so a * r < q^2 never wraps; only the small-theta part
-    goes through floating point.
+    goes through floating point.  At q = 1 the rational part vanishes and
+    theta is alpha itself, which is how the minor gaps are integrated.
     """
     rat = ((a * residues(spec, len(fv), q)) % q) / q
     phase_m = np.exp(-2j * np.pi * ((a * m) % q) / q)
 
     def fn(thetas: np.ndarray) -> np.ndarray:
-        frac = (fv[None, :] * thetas[:, None]) % 1.0
-        S = np.exp(2j * np.pi * ((rat[None, :] + frac) % 1.0)).sum(axis=1)
+        ph = (fv[None, :] * thetas[:, None]) % 1.0
+        if q > 1:  # at q = 1 the rational part is 0, and (0 + ph) % 1 is ph
+            ph = (rat[None, :] + ph) % 1.0
+        S = np.exp(2j * np.pi * ph).sum(axis=1)
         return S**s * phase_m * np.exp(-2j * np.pi * ((m * thetas) % 1.0))
 
     return fn
 
 
-def _bandwidth(fvals: list[int], s: int, m: int) -> int:
-    """Largest |k| among the frequencies k = f(n_1) + ... + f(n_s) - m of
-    S_f(alpha)^s e(-alpha m)."""
-    return max(abs(s * min(fvals) - m), abs(s * max(fvals) - m))
+def _integrate_pieces(
+    spec: FigurateSpec,
+    s: int,
+    m: int,
+    N: int,
+    pieces: list[tuple[int, int, float, float]],
+    rel_tol: float,
+    threads: int,
+) -> tuple[complex, float]:
+    """Sum over pieces (q, a, lo, hi) of the Gauss-Legendre quadrature of
+    theta -> S_f(a/q + theta)^s e(-(a/q + theta) m) over (lo, hi).
+
+    The tolerance rel_tol * max(1, N^s) is shared equally among the pieces.
+    Each piece takes the panel count quadrature.size_panels derives from the
+    integrand's bandwidth and the piece's length.  Every piece is sized
+    before any evaluation, so a panel count above quadrature.PANEL_CAP is
+    refused with BudgetError first.  Pieces may integrate in parallel; the
+    sum is taken in piece order either way.  Returns (value, sum of the
+    proven truncation bounds), rounding excluded.
+    """
+    if s < 1:
+        raise ValueError("exponent must be >= 1")
+    fvals = values(spec, N)
+    # the bandwidth: largest |k| among the frequencies k = f(n_1) + ... + f(n_s) - m
+    K = max(abs(s * min(fvals) - m), abs(s * max(fvals) - m))
+    abs_tol = _error_scale(N, s, rel_tol) / max(1, len(pieces))
+    sized = [
+        (q, a, lo, hi, *size_panels(hi - lo, K, s * math.log(N), abs_tol))
+        for q, a, lo, hi in pieces
+    ]
+    fv = np.array(fvals, dtype=float)
+
+    def one_piece(piece: tuple[int, int, float, float, int, float]) -> complex:
+        q, a, lo, hi, panels, _bound = piece
+        return integrate(_arc_integrand(spec, s, m, q, a, fv), lo, hi, panels)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(one_piece, sized))
+    else:
+        results = [one_piece(piece) for piece in sized]
+    return complex(sum(results)), math.fsum(piece[5] for piece in sized)
 
 
 def major_arc_integral(
@@ -137,37 +194,18 @@ def major_arc_integral(
     s: int,
     m: int,
     dissection: ArcDissection,
-    rel_tol: float = 1e-12,
+    rel_tol: float = REL_TOL,
     threads: int = 1,
 ) -> tuple[complex, float]:
-    """Sum over arcs of the Gauss-Legendre quadrature of S_f(alpha)^s e(-alpha m).
+    """Sum over arcs of the quadrature of S_f(alpha)^s e(-alpha m) over
+    |alpha - a/q| < halfwidth.
 
-    Returns (value, error bound).  The tolerance is distributed over arcs
-    relative to the trivial magnitude N^s; every arc takes the panel count
-    quadrature.size_panels derives from the integrand's bandwidth, and the
-    bound is the sum of the proven truncation bounds (rounding excluded).  A
-    panel count above quadrature.PANEL_CAP is refused with BudgetError
-    before any evaluation.  Arcs may integrate in parallel; the final
-    accumulation is in fixed arc order either way.
+    Returns (value, sum of the proven truncation bounds); _integrate_pieces
+    states the tolerance and the BudgetError refusal.
     """
-    if s < 1:
-        raise ValueError("exponent must be >= 1")
-    N = dissection.N
-    fvals = values(spec, N)
-    hw = float(N) ** (float(dissection.delta) - 4.0)
-    abs_tol = rel_tol * max(1.0, float(N) ** s) / max(1, len(dissection.arcs))
-    panels, bound = size_panels(2.0 * hw, _bandwidth(fvals, s, m), s * math.log(N), abs_tol)
-    fv = np.array(fvals, dtype=float)
-
-    def one_arc(arc: MajorArc) -> complex:
-        return integrate(_arc_integrand(spec, s, m, arc.q, arc.a, fv), -hw, hw, panels)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_arc, dissection.arcs))
-    else:
-        results = [one_arc(arc) for arc in dissection.arcs]
-    return complex(sum(results)), bound * len(results)
+    hw = dissection.halfwidth
+    arcs = [(arc.q, arc.a, -hw, hw) for arc in dissection.arcs]
+    return _integrate_pieces(spec, s, m, dissection.N, arcs, rel_tol, threads)
 
 
 def minor_arc_integral(
@@ -175,55 +213,28 @@ def minor_arc_integral(
     s: int,
     m: int,
     dissection: ArcDissection,
-    rel_tol: float = 1e-12,
+    rel_tol: float = REL_TOL,
     threads: int = 1,
 ) -> tuple[complex, float]:
     """Quadrature over the complement of the major arcs in one unit period.
 
     The period is (hw, 1 + hw]; with centers sorted (and the arc at 1 wrapping
     to cover the period ends) the minor set is the union of the open gaps
-    between consecutive arcs.  Each gap takes the panel count
-    quadrature.size_panels derives from the integrand's bandwidth and the
-    gap's length.  All gaps are sized before any evaluation, and a panel
-    count above quadrature.PANEL_CAP is refused with BudgetError.
-    Returns (value, sum of the proven truncation bounds).
+    between consecutive arcs, each integrated as a q = 1 piece.  Returns
+    (value, sum of the proven truncation bounds) as major_arc_integral does.
     """
-    if s < 1:
-        raise ValueError("exponent must be >= 1")
-    N = dissection.N
-    fvals = values(spec, N)
-    hw = float(N) ** (float(dissection.delta) - 4.0)
+    hw = dissection.halfwidth
     centers = sorted(float(arc.center) for arc in dissection.arcs)
     if not centers or centers[-1] != 1.0:
         raise ValueError("dissection must include the arc centered at 1")
-    fv = np.array(fvals, dtype=float)
-
-    def fn(alphas: np.ndarray) -> np.ndarray:
-        ph = (fv[None, :] * alphas[:, None]) % 1.0
-        S = np.exp(2j * np.pi * ph).sum(axis=1)
-        return S**s * np.exp(-2j * np.pi * ((m * alphas) % 1.0))
-
-    segments = []
+    gaps = []
     prev = 0.0
     for c in centers:
         lo, hi = prev + hw, c - hw
         if hi > lo:
-            segments.append((lo, hi))
+            gaps.append((1, 1, lo, hi))
         prev = c
-    K = _bandwidth(fvals, s, m)
-    abs_tol = rel_tol * max(1.0, float(N) ** s) / max(1, len(segments))
-    sized = [(lo, hi, *size_panels(hi - lo, K, s * math.log(N), abs_tol)) for lo, hi in segments]
-
-    def one_segment(seg: tuple[float, float, int, float]) -> complex:
-        lo, hi, panels, _bound = seg
-        return integrate(fn, lo, hi, panels)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_segment, sized))
-    else:
-        results = [one_segment(seg) for seg in sized]
-    return complex(sum(results)), math.fsum(seg[3] for seg in sized)
+    return _integrate_pieces(spec, s, m, dissection.N, gaps, rel_tol, threads)
 
 
 def approx_chain_check(
@@ -232,7 +243,6 @@ def approx_chain_check(
     a: int,
     theta: float,
     N: int,
-    delta=FALLBACK_DELTA,
 ) -> BoundCheckReport:
     """Major-arc approximation chain:
 
@@ -242,33 +252,31 @@ def approx_chain_check(
     plus the partial-sum step |M(t) - (V(q,a)/(24q)) t| <= 24q at sampled t.
     The literal hypothesis N >= 6A + 4|B| is far above desk scale for the
     catalog, and interesting theta often sit outside the nominal arc
-    halfwidth N^(delta-4); both conditions are flagged in the context rather
-    than refused.  Only |theta| > 1/2 (outside the fundamental domain) is an
-    error.
+    halfwidth N^(delta-4), delta = FALLBACK_DELTA; both conditions are
+    flagged in the context rather than refused.  Only |theta| > 1/2 (outside
+    the fundamental domain) is an error.
     """
     from .expsums import complete_sum_V, partial_sum_M
     from .singularintegral import v_theta
 
-    delta = Fraction(delta)
     if q < 1 or not (1 <= a <= q) or gcd(a, q) != 1:
         raise ValueError("need 1 <= a <= q with gcd(a, q) = 1")
     if abs(theta) > 0.5:
         raise ValueError("theta must lie in [-1/2, 1/2]")
-    theta_within_arc = abs(theta) <= float(N) ** (float(delta) - 4.0)
+    theta_within_arc = abs(theta) <= _halfwidth(N, FALLBACK_DELTA)
     A, B = spec.A, spec.B
     V = complete_sum_V(spec, q, a)
     ratio = V / (24.0 * q)
-    # evaluate S_f at the split point with the rational part exact
-    rat = ((a * residues(spec, N, q)) % q) / q
-    frac = (np.array(values(spec, N), dtype=float) * theta) % 1.0
-    S = complex(np.exp(2j * np.pi * ((rat + frac) % 1.0)).sum())
+    # S_f(a/q + theta) is the arc integrand at s = 1, m = 0
+    fv = np.array(values(spec, N), dtype=float)
+    S = complex(_arc_integrand(spec, 1, 0, q, a, fv)(np.array([theta]))[0])
     v = v_theta(A, N, theta)
     lhs = abs(S - ratio * v)
     rhs = (
         24.0 * q
         + 1.0
         + (2.0 * A + 8.0 * abs(B)) * q * math.pi * abs(theta) * N**4
-        + (3.0 * A + 2.0 * abs(B)) / 3.0 * math.pi * float(N) ** float(delta)
+        + (3.0 * A + 2.0 * abs(B)) / 3.0 * math.pi * float(N) ** float(FALLBACK_DELTA)
     )
     m_ok = True
     for t in sorted({1, N // 4, N // 2, (3 * N) // 4, N} - {0}):
@@ -340,8 +348,6 @@ def asymptotic_report(
     s: int,
     m: int,
     prime_limit: int = 50,
-    rel_tol: float = 1e-12,
-    delta=None,
     count_budget: int = 8_000_000_000,
     threads: int = 1,
 ) -> ComparisonReport:
@@ -351,9 +357,10 @@ def asymptotic_report(
     unit period splits exactly into major + minor, so the residual IS the
     minor-arc integral up to quadrature error.  Component failures (budget
     refusals) leave the corresponding fields None; the report is still built.
+    The dissection exponent is dissection_delta(s) and the quadrature
+    tolerance REL_TOL.
     """
-    if delta is None:
-        delta = optimal_delta(s) if s >= 9 else FALLBACK_DELTA
+    delta = dissection_delta(s)
     N = choose_N(spec.A, m)
     dissection = dissect(N, delta)
     series = euler_product(spec, s, m, prime_limit=prime_limit)
@@ -366,15 +373,14 @@ def asymptotic_report(
     major: float | None
     checks: list[BoundCheckReport] = []
     try:
-        value, err = major_arc_integral(
-            spec, s, m, dissection, rel_tol=rel_tol, threads=threads
-        )
+        value, err = major_arc_integral(spec, s, m, dissection, threads=threads)
         major = value.real
+        tol = max(err, _error_scale(N, s, REL_TOL))
         checks.append(
             BoundCheckReport(
                 abs(value.imag),
-                max(err, rel_tol * max(1.0, float(N) ** s)),
-                abs(value.imag) <= max(err, rel_tol * max(1.0, float(N) ** s)),
+                tol,
+                abs(value.imag) <= tol,
                 "imaginary part of the major-arc total vs quadrature error",
             )
         )

@@ -47,10 +47,8 @@ class RunConfig:
     m_values: tuple[int, ...]
     Q: int
     prime_limit: int
-    output: str | None
     fmt: str
     seed: int
-    threads: int
     budget: int
 
     def echo(self) -> str:
@@ -357,7 +355,7 @@ def _build_parser() -> _Parser:
     p_local.add_argument("--s", type=int, required=True)
     p_local.add_argument("--m", required=True)
     p_local.add_argument("--p", type=int, required=True)
-    p_local.add_argument("--k-max", type=int, default=None)
+    p_local.add_argument("--k-max", type=_int_at_least(1, "k-max"), default=None)
 
     p_integral = sub.add_parser(
         "integral", help="J1 vs Gamma main-term check", parents=[common]
@@ -395,10 +393,8 @@ def _config_from_args(args) -> RunConfig:
         m_values=m_values,
         Q=getattr(args, "Q", 0),
         prime_limit=getattr(args, "prime_limit", 50),
-        output=args.output,
         fmt=args.format,
         seed=args.seed,
-        threads=args.threads,
         budget=args.budget,
     )
 
@@ -441,12 +437,7 @@ def _run(args) -> int:
         spec = parse_spec(args.spec)
         for m in config.m_values:
             N = arcs_mod.choose_N(spec.A, m)
-            delta = (
-                arcs_mod.optimal_delta(args.s)
-                if args.s >= 9
-                else arcs_mod.FALLBACK_DELTA
-            )
-            d = arcs_mod.dissect(N, delta)
+            d = arcs_mod.dissect(N, arcs_mod.dissection_delta(args.s))
             qmax = max(arc.q for arc in d.arcs)
             out.append(
                 f"N={d.N} delta={d.delta} P={d.P!r} q_max={qmax} arcs={len(d.arcs)}"

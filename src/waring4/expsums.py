@@ -20,10 +20,11 @@ mean_value(spec, N, j) is the exact number of solutions of
 i.e. the 2^j-th power moment of |S_N| integrated over the circle: the sum of
 the squared counts of the h-fold sums.  Those counts come from grouping, in
 exact int64 arithmetic, never from Monte Carlo.  The values are shifted by
-their minimum and grouped into distinct values with counts.  Each pass then
-turns the distinct k-fold sums with their counts into the 2k-fold ones, in
-one sort of packed (sum, weight) keys.  j = 4 adds the values into a dense
-table of octuple-sum counts instead.
+their midpoint, so the h-fold sums use both signs of int64, and grouped into
+distinct values with counts.  Each pass then turns the distinct k-fold sums
+with their counts into the 2k-fold ones, in one sort of signed packed
+(sum, weight) keys.  j = 4 adds the values, shifted by their minimum because
+they index it, into a dense table of octuple-sum counts instead.
 """
 
 from __future__ import annotations
@@ -137,17 +138,20 @@ def v_of_q(spec: FigurateSpec, q: int, s: int, m: int) -> complex:
 
 
 def _shifted_values(spec: FigurateSpec, N: int, j: int) -> np.ndarray:
-    """f(1..N) minus their minimum, as int64.
+    """f(1..N) minus their midpoint (their minimum at j = 4), as int64.
 
     The moment does not change under the shift, because both sides of
     sum f(u_i) = sum f(v_i) have h = 2^(j-1) terms.  Every h-fold sum of the
-    shifted values is below 2^63, or BudgetError is raised.
+    shifted values is below 2^63 in absolute value, or BudgetError is
+    raised.  j = 4 indexes a dense table by the shifted values, so it shifts
+    by the minimum.
     """
     vals = values(spec, N)
-    lo = min(vals)
-    if (max(vals) - lo) << (j - 1) >= 1 << 63:
+    lo, hi = min(vals), max(vals)
+    shift = lo if j == 4 else lo + (hi - lo) // 2
+    if (hi - shift) << (j - 1) >= 1 << 63:
         raise BudgetError("values spread too wide for 64-bit moment computation")
-    return np.array([v - lo for v in vals], dtype=np.int64)
+    return np.array([v - shift for v in vals], dtype=np.int64)
 
 
 def _sum_of_squares_int64(arr: np.ndarray) -> int:
@@ -171,19 +175,20 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
     each with its summed weight wts[i] * wts[k].
 
-    vals must be nonempty, distinct, ascending and >= 0, and wts >= 1, both
-    int64; every group's weight sum is at most sum(wts)^2, which must stay
-    below 2^63.  Only the upper triangle i <= k is enumerated, a pair with
-    i < k counting twice, so every weight is at most 2 * max(wts)^2, which
-    has b bits.  When 2 * max(vals) << b fits below 2^63, each pair becomes
-    one int64 key sum << b | weight, written row by row into one array,
-    and one in-place sort brings equal sums together.  Otherwise sums and
-    weights stay apart and are ordered by an argsort of the sums.
+    vals must be nonempty, distinct and ascending, and wts >= 1, both int64;
+    every pair sum must fit int64, and every group's weight sum is at most
+    sum(wts)^2, which must stay below 2^63.  Only the upper triangle i <= k
+    is enumerated, a pair with i < k counting twice, so every weight is at
+    most 2 * max(wts)^2, which has b bits.  When 2 * max|vals| << b fits
+    below 2^63, each pair becomes one signed int64 key sum << b | weight,
+    written row by row into one array, and one in-place sort brings equal
+    sums together.  Otherwise sums and weights stay apart and are ordered by
+    an argsort of the sums.
     """
     n = len(vals)
     top = int(wts.max())
     bits = (2 * top * top).bit_length()
-    packed = (2 * int(vals[-1])) << bits < 1 << 63
+    packed = (2 * max(-int(vals[0]), int(vals[-1]))) << bits < 1 << 63
     size = n * (n + 1) // 2
     sums = np.empty(size, dtype=np.int64)
     weights = None if packed else np.empty(size, dtype=np.int64)

@@ -217,6 +217,8 @@ def local_density_limit(
         raise ValueError("modulus must be prime")
     if k_max is None:
         k_max = max(1, int(math.log(EXACT_MODULUS_CAP) / math.log(p)))
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
     levels = []
     for k in range(1, k_max + 1):
         levels.append((k, local_density(spec, s, m, p, k)))

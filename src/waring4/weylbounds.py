@@ -87,19 +87,6 @@ def _phase_sum(phase: QuarticPhase, X: int) -> complex:
     return complex(np.exp(2j * np.pi * (ps % 1.0)).sum())
 
 
-def _difference_interval(shifts, X: int) -> tuple[int, int]:
-    """The set T_j(h) = T_{j-1} inter (T_{j-1} - h_j), starting from [1, X].
-
-    Each intersection keeps the set an integer interval: the lower end grows
-    by max(0, -h) and the upper end shrinks by max(0, h).
-    """
-    lo, hi = 1, X
-    for h in shifts:
-        lo = max(lo, lo - h)
-        hi = min(hi, hi - h)
-    return lo, hi
-
-
 def check_weyl_differencing(phase: QuarticPhase, X: int, j: int) -> BoundCheckReport:
     """Weyl-differencing inequality
 

@@ -175,11 +175,27 @@ def test_local_command(capsys):
     assert "stabilized=True" in out and "bound_holds=True" in out
 
 
-def test_arcs_command(capsys):
-    code = cli.main(["arcs", "--spec", "{3,4,3}", "--s", "17", "--m", "1000000"])
+@pytest.mark.parametrize("k_max", ["0", "-3", "two"])
+def test_bad_k_max_exits_one(k_max, capsys):
+    code = cli.main(
+        ["local", "--spec", "{3,4,3}", "--s", "17", "--m", "3", "--p", "2", "--k-max", k_max]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "k-max" in captured.err
+
+
+@pytest.mark.parametrize(
+    "s, delta, q_max",
+    [(3, "73/372", 1), (9, "73/300", 2), (17, "73/372", 1)],
+    ids=["s3", "s9", "s17"],
+)
+def test_arcs_command(s, delta, q_max, capsys):
+    code = cli.main(["arcs", "--spec", "{3,4,3}", "--s", str(s), "--m", "1000000"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "N=26" in out and "q_max=1" in out
+    assert "N=26" in out and f"delta={delta} " in out and f"q_max={q_max} " in out
 
 
 def test_integral_command_reports_failure_without_crashing(capsys):

@@ -219,7 +219,9 @@ def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
     spec = figurate.make_spec(A, B, C)
     vals = [spec.value(n) for n in range(1, N + 1)]
     spread = max(vals) - min(vals)
-    if spread << (j - 1) >= 1 << 63 or (j == 4 and 8 * spread > 12_000_000):
+    # j <= 3 shifts by the midpoint, j = 4 by the minimum
+    reach = spread if j == 4 else spread - spread // 2
+    if reach << (j - 1) >= 1 << 63 or (j == 4 and 8 * spread > 12_000_000):
         with pytest.raises(BudgetError):
             expsums.mean_value(spec, N, j)
         return
@@ -236,6 +238,9 @@ def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
         # 2 * max(vals) << b passes 2^63: grouped by argsort
         ([0, 5, 1 << 57, (1 << 58) + 3], [1, 4, 2, 1]),
         ([0, 2, 1 << 61, (1 << 62) - 1], [1, 1, 1, 1]),
+        # midpoint-shifted values: signed packed keys, then a signed argsort
+        ([-7, -2, 0, 5], [2, 1, 3, 1]),
+        ([-(1 << 61), -3, 1], [1, 2, 1]),
     ],
 )
 def test_pair_sums_match_counter(vals, wts):
@@ -250,14 +255,16 @@ def test_pair_sums_match_counter(vals, wts):
 
 def test_mean_value_refuses_sums_past_int64():
     # quadruple sums of these values span more than 2^64; the unshifted int64
-    # sums wrapped and the eighth moment read 2718 instead of 2716
+    # sums wrapped and the eighth moment read 2718 instead of 2716.  The pair
+    # sums span 1.17 * 2^63: they fit int64 only once shifted by the midpoint
     spec = figurate.make_spec(3, 2305843009213693961, -768614336404564661)
     vals = [spec.value(n) for n in range(1, 5)]
     assert sum(c * c for c in sum_counter(vals, 4).values()) == 2716
     assert expsums.mean_value(spec, 4, 1) == sum(c * c for c in sum_counter(vals, 1).values())
-    for j in (2, 3):
-        with pytest.raises(BudgetError):
-            expsums.mean_value(spec, 4, j)
+    assert sum(c * c for c in sum_counter(vals, 2).values()) == 28
+    assert expsums.mean_value(spec, 4, 2) == 28
+    with pytest.raises(BudgetError):
+        expsums.mean_value(spec, 4, 3)
 
 
 @pytest.mark.parametrize(

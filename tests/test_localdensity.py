@@ -182,6 +182,12 @@ def test_local_density_limit_odd_primes():
         localdensity.local_density_limit(F1, 17, 1, 4)
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_local_density_limit_rejects_k_max_below_one(k_max):
+    with pytest.raises(ValueError):
+        localdensity.local_density_limit(F1, 17, 1, 2, k_max=k_max)
+
+
 def test_valuation_tau_frozen_values():
     assert [localdensity.valuation_tau(F1, p) for p in (2, 3, 5, 7)] == [2, 0, 0, 0]
     assert [localdensity.valuation_tau(F3, p) for p in (2, 3, 5)] == [0, 0, 0]
