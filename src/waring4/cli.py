@@ -337,14 +337,14 @@ def _build_parser() -> _Parser:
         "count", help="representation count R_{f,s}(m)", parents=[common]
     )
     p_count.add_argument("--spec", required=True)
-    p_count.add_argument("--s", type=int, required=True)
+    p_count.add_argument("--s", type=_int_at_least(1, "s"), required=True)
     p_count.add_argument("--m", required=True)
 
     p_series = sub.add_parser(
         "series", help="truncated singular series", parents=[common]
     )
     p_series.add_argument("--spec", required=True)
-    p_series.add_argument("--s", type=int, required=True)
+    p_series.add_argument("--s", type=_int_at_least(1, "s"), required=True)
     p_series.add_argument("--m", required=True)
     p_series.add_argument("--Q", type=int, default=30)
 
@@ -352,7 +352,7 @@ def _build_parser() -> _Parser:
         "local", help="local density ladder at a prime", parents=[common]
     )
     p_local.add_argument("--spec", required=True)
-    p_local.add_argument("--s", type=int, required=True)
+    p_local.add_argument("--s", type=_int_at_least(1, "s"), required=True)
     p_local.add_argument("--m", required=True)
     p_local.add_argument("--p", type=int, required=True)
     p_local.add_argument("--k-max", type=_int_at_least(1, "k-max"), default=None)
@@ -360,19 +360,19 @@ def _build_parser() -> _Parser:
     p_integral = sub.add_parser(
         "integral", help="J1 vs Gamma main-term check", parents=[common]
     )
-    p_integral.add_argument("--s", type=int, required=True)
+    p_integral.add_argument("--s", type=_int_at_least(1, "s"), required=True)
     p_integral.add_argument("--m", required=True)
 
     p_arcs = sub.add_parser("arcs", help="arc dissection summary", parents=[common])
     p_arcs.add_argument("--spec", required=True)
-    p_arcs.add_argument("--s", type=int, default=17)
+    p_arcs.add_argument("--s", type=_int_at_least(1, "s"), default=17)
     p_arcs.add_argument("--m", required=True)
 
     p_report = sub.add_parser(
         "report", help="full asymptotic comparison", parents=[common]
     )
     p_report.add_argument("--spec", required=True)
-    p_report.add_argument("--s", type=int, required=True)
+    p_report.add_argument("--s", type=_int_at_least(1, "s"), required=True)
     p_report.add_argument("--m", required=True, help="target m or comma ladder")
     p_report.add_argument("--prime-limit", type=int, default=50)
 

@@ -1,10 +1,17 @@
-"""Exact integer sequence convolution via block-packed big integers.
+"""Exact integer convolution kernels.
 
-Nonnegative integer sequences are packed into one Python int with a fixed
-block width, so that big-int multiplication performs the full convolution in
-C.  Each product is packed at a width sized from an upper bound on every
-coefficient it can hold, which guarantees no carry ever crosses a block
-boundary.  All results are exact.
+Cyclic self-powers (congruence counts) pack a nonnegative sequence into one
+Python int with a fixed block width, so that big-int multiplication performs
+the full convolution in C.  Each product is packed at a width sized from an
+upper bound on every coefficient it can hold, which guarantees no carry ever
+crosses a block boundary.
+
+Truncated linear powers of a sparse 0/1 polynomial (representation counts)
+are shift-add passes on numpy arrays: each pass adds in place into an
+unsigned array whose dtype holds that pass's coefficient bound, so it never
+wraps, and coefficients past 2**64 are held as 32-bit digits with one carry
+sweep per pass.  A single entry is read as an int64 dot of byte planes.  All
+results are exact.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ import numpy as np
 DOT_ROWS = 1 << 16
 # a byte-plane dot over more rows than this could exceed an int64
 MAX_DOT_ROWS = ((1 << 63) - 1) // 255**2
+# a linear power past 2**64 holds each coefficient as digits of this many bits
+DIGIT_BITS = 32
+DIGIT_MASK = (1 << DIGIT_BITS) - 1
 
 
 def _width_for(bound: int) -> int:
@@ -114,57 +124,90 @@ def _exponents(values: Iterable[int], s: int, m_max: int) -> list[int]:
     return [v for v in vals if v <= m_max]
 
 
+def _power_array(bound: int, count: int) -> np.ndarray:
+    """Zeroed storage for count coefficients, each at most bound.
+
+    Below 2**64 it is one row of the narrowest little-endian unsigned dtype
+    that holds bound.  From 2**64 on, each coefficient is held as rows of
+    32-bit digits, low digit first, in uint64, so that a digit can take
+    fewer than 2**32 further digits before a carry sweep.
+    """
+    for dtype in ("<u1", "<u2", "<u4", "<u8"):
+        if bound <= np.iinfo(dtype).max:
+            return np.zeros((1, count), dtype)
+    return np.zeros((-(-bound.bit_length() // DIGIT_BITS), count), "<u8")
+
+
 def _truncated_powers(
     vals: list[int], keep: set[int], count: int
-) -> dict[int, tuple[int, int]]:
-    """(packed, width) of (sum_v x^v)^e truncated to its first count
-    coefficients, for every e in keep.
+) -> dict[int, tuple[np.ndarray, int]]:
+    """(array, bound) of (sum_v x^v)^e truncated to its first count
+    coefficients, for every e in keep; the array is laid out by _power_array.
 
     Step e is one shift-add pass over the values on step e - 1.  Its
     coefficient at x^k counts ordered e-tuples of values summing to k; the
     values are distinct, so the last term is fixed by the others and the
-    count is at most len(vals)**(e - 1).  Step e is packed at the width of
-    that bound: the early steps move narrow blocks, and no carry crosses a
-    block.  Memory stays at O(count * width).
+    count is at most bound = len(vals)**(e - 1).  Every partial sum of the
+    pass is at most the final coefficient, so the array _power_array makes
+    for that bound never wraps: the early steps add narrow rows.  Past
+    2**64, each of the len(vals) adds puts a digit below 2**32 on every
+    digit, which fits in uint64 while len(vals) < 2**32 (the values are
+    distinct and held in memory), until the one carry sweep that ends the
+    pass.  Memory stays at O(count * width).
     """
-    packed, width = 1, 1  # the zeroth power
-    kept = {}
-    for e in range(max(keep) + 1):
-        if e > 0:
-            new_width = _width_for(len(vals) ** (e - 1))
-            cur = _widen(packed, width, new_width, count)
-            bits = 8 * new_width
-            acc = 0
-            for v in vals:
-                acc += cur << (bits * v)
-            packed, width = acc & ((1 << (bits * count)) - 1), new_width
+    cur = np.zeros((1, count), "<u1")
+    cur[0, 0] = 1  # the zeroth power
+    kept = {0: (cur, 1)} if 0 in keep else {}
+    for e in range(1, max(keep) + 1):
+        bound = len(vals) ** (e - 1)
+        out = _power_array(bound, count)
+        # a one-row uint64 coefficient can pass 2**32: split it into digits
+        if len(out) > 1 and cur.dtype.itemsize == 8 and len(cur) == 1:
+            cur = np.concatenate((cur & DIGIT_MASK, cur >> DIGIT_BITS))
+        for v in vals:
+            out[: len(cur), v:] += cur[:, : count - v]
+        for r in range(len(out) - 1):  # the carry sweep, low digit first
+            out[r + 1] += out[r] >> DIGIT_BITS
+            out[r] &= DIGIT_MASK
+        cur = out
         if e in keep:
-            kept[e] = packed, width
+            kept[e] = cur, bound
     return kept
+
+
+def _byte_rows(power: np.ndarray, bound: int) -> np.ndarray:
+    """The (count, width) little-endian byte matrix of a _power_array
+    layout, trimmed to the _width_for(bound) low byte planes."""
+    # after the carry sweep every digit is below 2**32
+    dtype = "<u4" if len(power) > 1 else power.dtype
+    return np.ascontiguousarray(power.T, dtype).view(np.uint8)[:, : _width_for(bound)]
 
 
 def sparse_power_profile(values: Iterable[int], s: int, m_max: int) -> list[int]:
     """Coefficients of (sum_v x^v)^s up to x^m_max, exact.
 
     values are distinct nonnegative integers (x-exponents).  s shift-add
-    passes, each truncated above m_max and packed at the width of its own
+    passes, each truncated above m_max and held at the width of its own
     bound (see _truncated_powers).
     """
     vals = _exponents(values, s, m_max)
-    packed, width = _truncated_powers(vals, {s}, m_max + 1)[s]
-    return unpack(packed, width, m_max + 1)
+    power, bound = _truncated_powers(vals, {s}, m_max + 1)[s]
+    if len(power) == 1:
+        return power[0].tolist()
+    rows = _byte_rows(power, bound)
+    data, width = rows.tobytes(), rows.shape[1]
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
-def _reversed_dot(a: int, wa: int, b: int, wb: int, count: int) -> int:
-    """sum_k a[k] * b[count - 1 - k] for two packings of count blocks.
+def _reversed_dot(rows_a: np.ndarray, rows_b: np.ndarray) -> int:
+    """sum_k a[k] * b[count - 1 - k] for two (count, width) byte matrices.
 
-    Each packing is read as a count x width matrix of bytes.  Byte plane i
-    of a and plane j of b contribute 256**(i + j) times their int64 dot,
-    taken DOT_ROWS rows at a time so that no int64 copy of a whole matrix
-    is made.
+    Byte plane i of a and plane j of b contribute 256**(i + j) times their
+    int64 dot, taken DOT_ROWS rows at a time so that no int64 copy of a
+    whole matrix is made.
     """
-    rows_a = np.frombuffer(a.to_bytes(count * wa, "little"), np.uint8).reshape(count, wa)
-    rows_b = np.frombuffer(b.to_bytes(count * wb, "little"), np.uint8).reshape(count, wb)
+    count, wa = rows_a.shape
+    wb = rows_b.shape[1]
     rows_b = rows_b[::-1]  # row k holds b[count - 1 - k]
     planes = np.zeros((wa, wb), np.int64)
     for lo in range(0, count, DOT_ROWS):
@@ -194,4 +237,4 @@ def sparse_power_entry(values: Iterable[int], s: int, m: int) -> int:
         raise OverflowError(f"target {m} is past the int64 guard of the entry dot")
     half = s // 2
     steps = _truncated_powers(vals, {half, s - half}, m + 1)
-    return _reversed_dot(*steps[half], *steps[s - half], m + 1)
+    return _reversed_dot(_byte_rows(*steps[half]), _byte_rows(*steps[s - half]))

@@ -2,9 +2,11 @@
 
 R_s(m) is the number of ordered s-tuples (n_1, ..., n_s), all n_i >= 1, with
 f(n_1) + ... + f(n_s) = m.  Counts are plain Python integers (arbitrary
-precision); the workhorse is a truncated value-domain convolution done in
-block-packed big-int arithmetic, so no modular wraparound can occur.  A
-single count is read from the two half powers, never from a full profile.
+precision); the workhorse is a truncated power of the value polynomial made
+of shift-add passes on numpy arrays, each in an unsigned dtype that holds the
+pass's coefficient bound (32-bit digit rows past 2**64), so no wraparound can
+occur.  A single count is read from the two half powers, never from a full
+profile.
 
 count_via_dft is an independent floating cross-check: with more sample
 points than the degree of S(alpha)^s, the inverse transform recovers every

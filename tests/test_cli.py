@@ -175,6 +175,12 @@ def test_local_command(capsys):
     assert "stabilized=True" in out and "bound_holds=True" in out
 
 
+def test_local_command_reports_a_local_obstruction(capsys):
+    code = cli.main(["local", "--spec", "{3,4,3}", "--s", "2", "--m", "3", "--p", "2"])
+    assert code == 0
+    assert "stabilized=True estimate=0.0 " in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("k_max", ["0", "-3", "two"])
 def test_bad_k_max_exits_one(k_max, capsys):
     code = cli.main(
@@ -196,6 +202,26 @@ def test_arcs_command(s, delta, q_max, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "N=26" in out and f"delta={delta} " in out and f"q_max={q_max} " in out
+
+
+@pytest.mark.parametrize("s", ["0", "-4"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["count", "--spec", "{3,4,3}"],
+        ["series", "--spec", "{3,4,3}"],
+        ["local", "--spec", "{3,4,3}", "--p", "2"],
+        ["integral"],
+        ["arcs", "--spec", "{3,4,3}"],
+        ["report", "--spec", "{3,4,3}"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_s_below_one_exits_one(command, s, capsys):
+    assert cli.main([*command, "--s", s, "--m", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "s must be an integer >= 1" in captured.err
 
 
 def test_integral_command_reports_failure_without_crashing(capsys):

@@ -1,6 +1,6 @@
-"""Packed big-int kernels against naive loops: cyclic powers, split entries,
-truncated sparse powers and their single entries, and block widths at their
-carry boundaries."""
+"""Exact kernels against naive loops: packed big-int cyclic powers and split
+entries, numpy truncated sparse powers and their single entries, and block
+widths, dtypes and 32-bit digit rows at their boundaries."""
 
 import itertools
 
@@ -144,12 +144,17 @@ def test_sparse_power_profile_matches_naive(values, s, m_max):
 
 
 def test_sparse_power_profile_at_a_width_boundary():
-    # 256 values at s = 2 size the blocks from the bound 256**(2 - 1) = 256,
-    # just past one byte, and the coefficient of x^255 reaches it exactly
+    # n values at s = 2 size the blocks from the bound n**(2 - 1) = n, just
+    # past one (two) bytes, and the coefficient of x^(n - 1) reaches it
+    # exactly: the square of 1 + x + ... + x^(n - 1) has min(k, 2n - 2 - k) + 1
+    # at x^k
     values = list(range(256))
     want = naive_sparse_power(values, 2, 510)
-    assert max(want) == 256
+    assert want == [min(k, 510 - k) + 1 for k in range(511)]
     assert exactconv.sparse_power_profile(values, 2, 510) == want
+    n = 2**16
+    want = list(range(1, n + 1))
+    assert exactconv.sparse_power_profile(range(n), 2, n - 1) == want
 
 
 def dp_sparse_power(values, s, m_max):
@@ -194,19 +199,26 @@ def test_sparse_power_entry_matches_naive(values, s, m):
 
 @pytest.mark.parametrize(
     "n,s",
-    # step e is packed from the bound len(values)**(e - 1); each case has a
-    # half, e = s // 2 or s - s // 2, whose bound is 256 (16**2, 4**4, 2**8,
-    # 256**1) or whose next step's bound is
+    # step e is held at the bound len(values)**(e - 1); each case has a half,
+    # e = s // 2 or s - s // 2, whose bound is 256 (16**2, 4**4, 2**8,
+    # 256**1) or whose next step's bound is.  16 values at s = 9, 17 and 33
+    # put a half and the full profile on the bounds 2**16, 2**32 and 2**64,
+    # where the dtype widens or the digit rows start; the s = 33 profile's
+    # coefficients pass 2**64
     [(16, 3), (16, 4), (16, 5), (16, 6), (16, 7),
      (4, 7), (4, 8), (4, 9), (4, 10), (4, 11),
      (2, 15), (2, 16), (2, 17), (2, 18), (2, 19),
-     (256, 1), (256, 2), (256, 3), (256, 4), (256, 5)],
+     (256, 1), (256, 2), (256, 3), (256, 4), (256, 5),
+     (16, 9), (16, 17), (16, 33)],
 )
 def test_sparse_power_entry_at_a_half_width_boundary(n, s):
     values = list(range(n))
     top = s * (n - 1)
     want = dp_sparse_power(values, s, top)
-    assert any(256 in (n ** max(e - 1, 0), n**e) for e in (s // 2, s - s // 2))
+    boundaries = {2**8, 2**16, 2**32, 2**64}
+    assert any(
+        {n ** max(e - 1, 0), n**e} & boundaries for e in (s // 2, s - s // 2)
+    )
     for m in sorted({0, 1, top // 2, top - 1, top}):
         assert exactconv.sparse_power_entry(values, s, m) == want[m]
     assert exactconv.sparse_power_profile(values, s, top) == want

@@ -182,6 +182,16 @@ def test_local_density_limit_odd_primes():
         localdensity.local_density_limit(F1, 17, 1, 4)
 
 
+def test_local_density_limit_allows_a_local_obstruction():
+    # the {3,4,3} values are 0 or 1 mod 4, so a sum of two is never 3 mod 4:
+    # every level from k = 2 on is 0, a genuine limit of 0
+    rep = localdensity.local_density_limit(F1, 2, 3, 2)
+    assert rep.levels[0] == (1, 1.0)
+    assert all(v == 0.0 for k, v in rep.levels[1:])
+    assert rep.stabilized and rep.estimate == 0.0
+    assert not rep.bound_holds
+
+
 @pytest.mark.parametrize("k_max", [0, -1])
 def test_local_density_limit_rejects_k_max_below_one(k_max):
     with pytest.raises(ValueError):
