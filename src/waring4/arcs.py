@@ -349,7 +349,6 @@ def asymptotic_report(
     m: int,
     prime_limit: int = 50,
     count_budget: int = 8_000_000_000,
-    threads: int = 1,
 ) -> ComparisonReport:
     """Exact count vs circle-method prediction at one (s, m).
 
@@ -373,7 +372,7 @@ def asymptotic_report(
     major: float | None
     checks: list[BoundCheckReport] = []
     try:
-        value, err = major_arc_integral(spec, s, m, dissection, threads=threads)
+        value, err = major_arc_integral(spec, s, m, dissection)
         major = value.real
         tol = max(err, _error_scale(N, s, REL_TOL))
         checks.append(

@@ -321,6 +321,7 @@ def _build_parser() -> _Parser:
         "--threads",
         type=_int_at_least(1, "thread count (--threads or WARING4_THREADS)"),
         default=os.environ.get("WARING4_THREADS", "1"),  # parsed by type too
+        help="check-suite workers; the other commands accept and ignore it",
     )
     common.add_argument(
         "--budget", type=_int_at_least(0, "budget"), default=repcount.DEFAULT_OP_BUDGET
@@ -451,7 +452,6 @@ def _run(args) -> int:
                 m,
                 prime_limit=args.prime_limit,
                 count_budget=args.budget,
-                threads=args.threads,
             )
             for m in config.m_values
         ]

@@ -30,7 +30,6 @@ they index it, into a dense table of octuple-sum counts instead.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -41,14 +40,6 @@ from .errors import BudgetError
 from .figurate import FigurateSpec, residues, values
 
 TWO_PI = 2.0 * cmath.pi
-
-
-@dataclass(frozen=True)
-class PhaseSum:
-    """A finite sum of unit-modulus phases; |value| can never exceed terms."""
-
-    value: complex
-    terms: int
 
 
 def _kahan_complex(parts) -> complex:
@@ -76,8 +67,8 @@ def _complete_sum_table(spec: FigurateSpec, q: int) -> tuple[complex, ...]:
     return tuple(table)
 
 
-def weyl_phase_sum(spec: FigurateSpec, N: int, alpha: float) -> PhaseSum:
-    """S_N(alpha) together with its term count.
+def weyl_sum(spec: FigurateSpec, N: int, alpha: float) -> complex:
+    """S_N(alpha) = sum_{n<=N} e(alpha * f(n)).
 
     alpha is taken at face value as an exact rational (floats are dyadic
     rationals), and alpha * f(n) is reduced mod 1 in integer arithmetic
@@ -87,15 +78,9 @@ def weyl_phase_sum(spec: FigurateSpec, N: int, alpha: float) -> PhaseSum:
         raise ValueError("length must be >= 0")
     frac = Fraction(alpha)
     num, den = frac.numerator, frac.denominator
-    parts = [
+    return _kahan_complex(
         cmath.exp(TWO_PI * 1j * (((num * fn) % den) / den)) for fn in values(spec, N)
-    ]
-    return PhaseSum(_kahan_complex(parts), N)
-
-
-def weyl_sum(spec: FigurateSpec, N: int, alpha: float) -> complex:
-    """S_N(alpha) = sum_{n<=N} e(alpha * f(n))."""
-    return weyl_phase_sum(spec, N, alpha).value
+    )
 
 
 def partial_sum_M(spec: FigurateSpec, q: int, a: int, t: int) -> complex:

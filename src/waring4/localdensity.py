@@ -28,6 +28,8 @@ from .weylbounds import BoundCheckReport, bound_report
 
 EXACT_MODULUS_CAP = 5000
 FLOAT_PERIOD_CAP = 10_000_000
+# the relative change between the last two levels that counts as stabilized
+STABILITY_TOL = 1e-9
 
 
 def is_prime(n: int) -> bool:
@@ -206,7 +208,6 @@ def local_density_limit(
     m: int,
     p: int,
     k_max: int | None = None,
-    tol: float = 1e-9,
 ) -> DensityReport:
     """Densities rho_1..rho_k_max with a stabilization verdict.
 
@@ -226,7 +227,7 @@ def local_density_limit(
     stabilized = False
     if len(levels) >= 2:
         prev, last = levels[-2][1], levels[-1][1]
-        stabilized = abs(last - prev) <= tol * abs(prev)
+        stabilized = abs(last - prev) <= STABILITY_TOL * abs(prev)
     estimate = levels[-1][1]
     bound_value = 2.0 ** (5 * (1 - s)) if p == 2 else float(p) ** (1 - s)
     return DensityReport(
@@ -239,29 +240,17 @@ def local_density_limit(
     )
 
 
-def valuation_tau(spec: FigurateSpec, p: int, search_bound: int | None = None) -> int:
-    """min over 1 <= y <= search_bound of v_p(f'(y)).
+def valuation_tau(spec: FigurateSpec, p: int) -> int:
+    """min over 1 <= y <= max(p^3, 24p) of v_p(f'(y)).
 
-    The valuation of f'(y) depends only on y mod p^(tau+1), so a scan up to
-    max(p^3, 24p) sees every class that matters; the bound doubles if every
-    sampled derivative vanishes outright.
+    The valuation of f'(y) depends only on y mod p^(tau+1), so the scan sees
+    every class that matters.  12 f' is a cubic with leading coefficient
+    2A != 0, so it vanishes at no more than 3 of the >= 48 scanned points.
     """
     if not is_prime(p):
         raise ValueError("modulus must be prime")
-    bound = search_bound if search_bound is not None else max(p**3, 24 * p)
-    if bound < 1:
-        raise ValueError("search bound must be >= 1")
-    while True:
-        best: int | None = None
-        for y in range(1, bound + 1):
-            v = _derivative_valuation(spec, y, p)
-            if v is not None and (best is None or v < best):
-                best = v
-        if best is not None:
-            return best
-        if bound > 10**6:
-            raise ValueError("derivative vanished at every sampled point")
-        bound *= 2
+    scan = range(1, max(p**3, 24 * p) + 1)
+    return min(v for y in scan if (v := _derivative_valuation(spec, y, p)) is not None)
 
 
 def hensel_lift(

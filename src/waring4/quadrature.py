@@ -146,22 +146,21 @@ def integrate_adaptive(
     b: float,
     abs_tol: float,
     base_panels: int = 1,
-    max_panels: int = PANEL_CAP,
 ) -> tuple[complex, float, int]:
     """Doubling refinement; returns (value, error_estimate, panels_used).
 
     The error estimate is the difference between the last two refinements,
     the standard proxy for rules whose error shrinks much faster than the
-    panel count grows.  A base panel count above max_panels is refused with
+    panel count grows.  A base panel count above PANEL_CAP is refused with
     BudgetError before fn is evaluated.
     """
     panels = max(1, base_panels)
-    if panels > max_panels:
+    if panels > PANEL_CAP:
         raise BudgetError(
-            f"quadrature needs more than {max_panels} panels to start"
+            f"quadrature needs more than {PANEL_CAP} panels to start"
         )
     prev = integrate(fn, a, b, panels)
-    while panels <= max_panels:
+    while panels <= PANEL_CAP:
         panels *= 2
         cur = integrate(fn, a, b, panels)
         err = abs(cur - prev)
@@ -169,5 +168,5 @@ def integrate_adaptive(
             return cur, err, panels
         prev = cur
     raise ArithmeticError(
-        f"quadrature did not reach tolerance {abs_tol:g} within {max_panels} panels"
+        f"quadrature did not reach tolerance {abs_tol:g} within {PANEL_CAP} panels"
     )

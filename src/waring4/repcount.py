@@ -31,26 +31,18 @@ DFT_COUNT_LIMIT = 1 << 53  # every integer below this is a float
 
 @dataclass(frozen=True)
 class CountVector:
-    """Counts R_s(m) for m = base, base+1, ..., base+len(counts)-1."""
+    """Counts R_s(m) for m = 0, 1, ..., len(counts)-1."""
 
-    base: int
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be nonnegative")
 
-    def __len__(self) -> int:
-        return len(self.counts)
-
     def entry(self, m: int) -> int:
-        i = m - self.base
-        if 0 <= i < len(self.counts):
-            return self.counts[i]
+        if 0 <= m < len(self.counts):
+            return self.counts[m]
         return 0
-
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 def _check_budget(s: int, m_max: int, vals: list[int], budget: int) -> None:
@@ -77,7 +69,7 @@ def count_profile(
     vals = values_upto(spec, m_max)
     _check_budget(s, m_max, vals, budget)
     counts = sparse_power_profile(vals, s, m_max)
-    return CountVector(0, tuple(counts))
+    return CountVector(tuple(counts))
 
 
 def count_representations(
@@ -136,7 +128,7 @@ def count_profile_via_dft(spec: FigurateSpec, s: int, m_max: int) -> CountVector
         raise BudgetError(
             f"counts up to {len(vals)}^{s} exceed the exact float range 2^53"
         )
-    return CountVector(0, tuple(_dft_profile(vals, s, m_max)))
+    return CountVector(tuple(_dft_profile(vals, s, m_max)))
 
 
 def count_via_dft(spec: FigurateSpec, s: int, m: int) -> int:

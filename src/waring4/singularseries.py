@@ -15,12 +15,18 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import BudgetError
 from .expsums import v_of_q
 from .figurate import FigurateSpec
 from .localdensity import count_congruence, is_prime, local_density_limit
 from .weylbounds import BoundCheckReport, bound_report
 
 IMAG_TOLERANCE = 1e-8
+# the relative gap between the q-series and the Euler product that still
+# counts as agreement in the positivity verdict
+AGREEMENT = 0.10
+# the complete-sum tables behind V(q) cost about sum_{q <= Q} q^2 steps
+MAX_SERIES_Q = 1000
 
 
 @dataclass(frozen=True)
@@ -46,10 +52,13 @@ def truncated_series(spec: FigurateSpec, s: int, m: int, Q: int) -> SeriesEstima
     """sum_{q <= Q} V(q), accumulated in ascending q.
 
     Each V(q) is itself real up to rounding (terms at a and q-a conjugate),
-    so the real part is returned and the imaginary residue recorded.
+    so the real part is returned and the imaginary residue recorded.  Q above
+    MAX_SERIES_Q is refused with BudgetError before any V(q) is computed.
     """
     if Q < 1:
         raise ValueError("truncation point must be >= 1")
+    if Q > MAX_SERIES_Q:
+        raise BudgetError(f"series truncation is capped at Q = {MAX_SERIES_Q}, got {Q}")
     terms = [v_of_q(spec, q, s, m) for q in range(1, Q + 1)]
     total_re = math.fsum(t.real for t in terms)
     total_im = math.fsum(t.imag for t in terms)
@@ -80,39 +89,37 @@ def euler_product(
     s: int,
     m: int,
     prime_limit: int = 50,
-    k_max: int | None = None,
-    tol: float = 1e-9,
-    agreement: float = 0.10,
 ) -> SeriesEstimate:
     """prod_{p <= prime_limit} T_m(p) with a dual-route positivity verdict.
 
     Each factor is a stabilized local-density estimate.  The verdict is
     "certified-heuristic" only when every factor is positive and stabilized
     AND the truncated q-series at Q = prime_limit agrees with the product to
-    `agreement` relative; anything less is "indeterminate".  The tail-bound
+    AGREEMENT relative; anything less is "indeterminate".  The tail-bound
     log is attached for s >= 17 so the reader can see why the heuristic label
-    cannot be upgraded at desk scale.
+    cannot be upgraded at desk scale.  The series is taken first, so a
+    prime_limit above MAX_SERIES_Q is refused before any density is computed.
     """
     if s < 17:
         warnings.warn(
             "Euler product outside the proven convergence regime (s < 17)",
             stacklevel=2,
         )
+    series = truncated_series(spec, s, m, prime_limit)
     product = 1.0
     per_prime = []
     all_good = True
     for p in range(2, prime_limit + 1):
         if not is_prime(p):
             continue
-        report = local_density_limit(spec, s, m, p, k_max=k_max, tol=tol)
+        report = local_density_limit(spec, s, m, p)
         per_prime.append((p, report.estimate))
         product *= report.estimate
         if not (report.stabilized and report.estimate > 0.0):
             all_good = False
-    series = truncated_series(spec, s, m, prime_limit)
     agrees = (
         product > 0.0
-        and abs(series.truncated - product) <= agreement * abs(product)
+        and abs(series.truncated - product) <= AGREEMENT * abs(product)
     )
     verdict = "certified-heuristic" if (all_good and agrees) else "indeterminate"
     tail = tail_bound_log(spec.A, s, prime_limit) if s >= 17 else float("nan")

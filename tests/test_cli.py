@@ -131,6 +131,20 @@ def test_check_suite_passes_and_is_thread_invariant(capsys):
     assert "suite: pass" in out
 
 
+def test_report_is_thread_invariant(monkeypatch, capsys):
+    argv = ["report", "--spec", "{3,4,3}", "--s", "17", "--m", "10000,30000",
+            "--format", "json"]
+    outs = []
+    for threads in ("1", "4"):
+        assert cli.main(argv + ["--threads", threads]) == 0
+        outs.append(capsys.readouterr().out)
+    monkeypatch.setenv("WARING4_THREADS", "4")
+    assert cli.main(argv) == 0
+    outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert len(json.loads(outs[0])["reports"]) == 2
+
+
 def test_threads_default_comes_from_environment(monkeypatch):
     monkeypatch.setenv("WARING4_THREADS", "3")
     parser = cli._build_parser()
@@ -163,6 +177,22 @@ def test_series_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "imag residue" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "--spec", "{3,4,3}", "--s", "17", "--m", "3", "--Q", "1001"],
+        ["report", "--spec", "{3,4,3}", "--s", "17", "--m", "17",
+         "--prime-limit", "1001"],
+    ],
+    ids=["series-Q", "report-prime-limit"],
+)
+def test_series_truncation_above_the_cap_exits_two(argv, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget refusal: ")
 
 
 def test_local_command(capsys):

@@ -79,7 +79,6 @@ def test_weyl_sum_conjugate_symmetry_and_periodicity():
 
 def test_weyl_sum_at_zero():
     assert expsums.weyl_sum(F1, 37, 0.0) == pytest.approx(37.0)
-    assert expsums.weyl_phase_sum(F1, 37, 0.0).terms == 37
 
 
 def test_v_of_q_against_naive_expansion():

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from waring4 import expsums, figurate, singularseries
+from waring4.errors import BudgetError
 
 F1 = figurate.catalog("{3,4,3}").spec
 F2 = figurate.catalog("{3,3,5}").spec
@@ -30,6 +31,26 @@ def test_truncated_series_first_terms():
     assert abs(expsums.complete_sum_V(F1, 2, 1)) < 1e-12
     with pytest.raises(ValueError):
         singularseries.truncated_series(F1, 5, 3, 0)
+
+
+def test_truncated_series_refuses_q_above_the_cap(monkeypatch):
+    def no_terms(*args):
+        raise AssertionError("a V(q) was computed before the refusal")
+
+    monkeypatch.setattr(singularseries, "v_of_q", no_terms)
+    with pytest.raises(BudgetError):
+        singularseries.truncated_series(F1, 17, 3, singularseries.MAX_SERIES_Q + 1)
+
+
+def test_euler_product_refuses_before_any_density(monkeypatch):
+    def no_density(*args):
+        raise AssertionError("a density was computed before the refusal")
+
+    monkeypatch.setattr(singularseries, "local_density_limit", no_density)
+    with pytest.raises(BudgetError):
+        singularseries.euler_product(
+            F1, 17, 3, prime_limit=singularseries.MAX_SERIES_Q + 1
+        )
 
 
 def test_divisor_sum_identity_spot_checks():
@@ -58,6 +79,23 @@ def test_euler_product_frozen_reference_point():
     for p, value in est.per_prime[1:]:
         assert value == pytest.approx(1.0, abs=0.35), p
     assert est.tail_log == pytest.approx(87.31639802012438, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "factor, verdict", [(1.09, "certified-heuristic"), (1.11, "indeterminate")]
+)
+def test_euler_product_agreement_threshold(factor, verdict, monkeypatch):
+    """The verdict needs the q-series within AGREEMENT = 10% of the product."""
+    product = singularseries.euler_product(F1, 17, 10_000).euler_estimate
+
+    def scaled_series(spec, s, m, Q):
+        return singularseries.SeriesEstimate(truncated=product * factor, Q=Q)
+
+    monkeypatch.setattr(singularseries, "truncated_series", scaled_series)
+    est = singularseries.euler_product(F1, 17, 10_000)
+    assert est.euler_estimate == product
+    assert est.truncated == product * factor
+    assert est.positivity == verdict
 
 
 def test_euler_product_warns_below_proven_range():
