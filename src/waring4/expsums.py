@@ -6,12 +6,17 @@ e(x) denotes exp(2*pi*i*x) throughout.  The three sums of interest:
 * partial_sum_M:  M_t(a/q)   = sum_{n=1}^{t} e((a/q) * f(n))
 * complete_sum_V: V(q, a)    = sum_{n=1}^{24q} e((a/q) * f(n))
 
-Rational phases are computed exactly: f(n) mod q comes from
-figurate.residues, which reduces the integer polynomial 24*f(n) mod 24q and
-divides by 24, so no precision is lost no matter how large f(n) grows.
+Rational phases are computed exactly: the histogram of f(n) mod q comes from
+figurate.residue_counts, which reduces the integer polynomial 24*f(n) mod 24q
+and divides by 24, so no precision is lost no matter how large f(n) grows.
 Arbitrary real alpha goes through the exact integer ratio of the float, which
 keeps alpha * f(n) mod 1 correct to one rounding even when f(n) has 60-bit
 magnitude.
+
+M and V are both read off root_sums, sum_r c[r] * e(a*r/q) for every a at
+once, which is one conjugated FFT of the histogram c; the float path of the
+local densities reads it too.  Sums of complex terms go through fsum_complex,
+which is correctly rounded and so does not depend on the order of the terms.
 
 mean_value(spec, N, j) is the exact number of solutions of
 
@@ -32,39 +37,34 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import fsum, gcd
 
 import numpy as np
 
 from .errors import BudgetError
-from .figurate import FigurateSpec, residues, values
+from .figurate import FigurateSpec, residue_counts, values
 
 TWO_PI = 2.0 * cmath.pi
 
 
-def _kahan_complex(parts) -> complex:
-    """Compensated sequential sum; deterministic for a fixed iteration order."""
-    total = 0.0 + 0.0j
-    carry = 0.0 + 0.0j
-    for x in parts:
-        y = x - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total
+def fsum_complex(parts) -> complex:
+    """Correctly rounded sum of complex numbers, independent of their order."""
+    parts = list(parts)
+    return complex(fsum(z.real for z in parts), fsum(z.imag for z in parts))
+
+
+def root_sums(counts) -> np.ndarray:
+    """sum_r counts[r] * e(a*r/q) for a = 0..q-1, q = len(counts).
+
+    The counts are real, so this is the conjugate of one FFT of them.
+    """
+    return np.conj(np.fft.fft(np.asarray(counts, dtype=float)))
 
 
 @lru_cache(maxsize=4096)
 def _complete_sum_table(spec: FigurateSpec, q: int) -> tuple[complex, ...]:
-    """V(q, a) for a = 0..q-1, via the residue histogram of one full period."""
-    hist = np.bincount(residues(spec, 24 * q, q), minlength=q).tolist()
-    roots = [cmath.exp(TWO_PI * 1j * (r / q)) for r in range(q)]
-    table = []
-    for a in range(q):
-        table.append(
-            _kahan_complex(hist[r] * roots[(a * r) % q] for r in range(q) if hist[r])
-        )
-    return tuple(table)
+    """V(q, a) for a = 0..q-1: the root sums of one full period's histogram."""
+    return tuple(root_sums(residue_counts(spec, 24 * q, q)).tolist())
 
 
 def weyl_sum(spec: FigurateSpec, N: int, alpha: float) -> complex:
@@ -78,19 +78,16 @@ def weyl_sum(spec: FigurateSpec, N: int, alpha: float) -> complex:
         raise ValueError("length must be >= 0")
     frac = Fraction(alpha)
     num, den = frac.numerator, frac.denominator
-    return _kahan_complex(
+    return fsum_complex(
         cmath.exp(TWO_PI * 1j * (((num * fn) % den) / den)) for fn in values(spec, N)
     )
 
 
 def partial_sum_M(spec: FigurateSpec, q: int, a: int, t: int) -> complex:
-    """M_t(a/q) = sum_{n<=t} e((a/q) * f(n)), with exact rational phases."""
+    """M_t(a/q) = sum_{n<=t} e((a/q) * f(n)), a root sum of f(1..t) mod q."""
     if q < 1:
         raise ValueError("denominator must be >= 1")
-    if t < 0:
-        raise ValueError("length must be >= 0")
-    roots = [cmath.exp(TWO_PI * 1j * (r / q)) for r in range(q)]
-    return _kahan_complex(roots[(a * r) % q] for r in residues(spec, t, q).tolist())
+    return complex(root_sums(residue_counts(spec, t, q))[a % q])
 
 
 def complete_sum_V(spec: FigurateSpec, q: int, a: int) -> complex:
@@ -119,7 +116,7 @@ def v_of_q(spec: FigurateSpec, q: int, s: int, m: int) -> complex:
             continue
         va = table[a % q] * scale
         parts.append(va**s * cmath.exp(-TWO_PI * 1j * ((a * m) % q) / q))
-    return _kahan_complex(parts)
+    return fsum_complex(parts)
 
 
 def _shifted_values(spec: FigurateSpec, N: int, j: int) -> np.ndarray:

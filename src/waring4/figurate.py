@@ -17,8 +17,8 @@ The derivative also clears denominators at 12:
 
     12*f'(t) = 2A*t^3 + (6B-9A)*t^2 + (11A-12B+12C)*t + (-3A+4B-6C+12).
 
-Value tables (values, values_upto) and residues f(n) mod q (residues) are
-built here and nowhere else.
+Value tables (values, values_upto), residues f(n) mod q (residues) and
+their histogram (residue_counts) are built here and nowhere else.
 """
 
 from __future__ import annotations
@@ -175,3 +175,19 @@ def residues(spec: FigurateSpec, count: int, q: int) -> np.ndarray:
     for coeff in spec.poly24[1:]:
         acc = (acc * n + coeff % modulus) % modulus
     return (acc * n % modulus) // 24
+
+
+def residue_counts(spec: FigurateSpec, t: int, q: int) -> list[int]:
+    """Histogram of f(n) mod q over 1 <= n <= t, as exact Python ints.
+
+    f(n) mod q has period 24q in n, so at most one period is scanned: the
+    range is full periods plus a prefix, and the two histograms are combined
+    in Python ints, which stay exact for any t.
+    """
+    if t < 0:
+        raise ValueError("length must be >= 0")
+    res = residues(spec, min(t, 24 * q), q)
+    full, rem = divmod(t, 24 * q)
+    period = np.bincount(res, minlength=q).tolist()
+    prefix = np.bincount(res[:rem], minlength=q).tolist()
+    return [full * c + pc for c, pc in zip(period, prefix)]

@@ -4,11 +4,11 @@ M_m(t, q) counts s-tuples (n_1, ..., n_s) in [1, t]^s whose value sum is
 congruent to m mod q; M_m(q) abbreviates M_m(q, q).  The local density at a
 prime p is rho_k = p^(k(1-s)) * M_m(p^k), with limit T_m(p) as k grows.
 
-Everything on the exact path is integer arithmetic: residues of f come from
-figurate.residues, through the identity f(n) mod q = (24 f(n) mod 24q) / 24,
-and tuple counts come from exact cyclic convolution.
-Moduli above the exact-path cap use a unit-magnitude DFT of the residue
-histogram, which evaluates the same count in floating point.
+Everything on the exact path is integer arithmetic: the histogram of f mod q
+comes from figurate.residue_counts, through f(n) mod q = (24 f(n) mod 24q) / 24,
+and tuple counts come from its exact cyclic convolution.  Moduli above the
+exact-path cap take its root sums (expsums.root_sums, one FFT) instead,
+which evaluate the same count in floating point.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import BudgetError
 from .exactconv import cyclic_self_power
-from .figurate import FigurateSpec, residues
+from .expsums import root_sums
+from .figurate import FigurateSpec, residue_counts, residues
 from .weylbounds import BoundCheckReport, bound_report
 
 EXACT_MODULUS_CAP = 5000
@@ -76,24 +77,11 @@ class DensityReport:
 
 
 def residue_distribution(spec: FigurateSpec, t: int, q: int) -> ResidueDistribution:
-    """Exact histogram of f(n) mod q over 1 <= n <= t.
-
-    The residue sequence has period 24q in n, so only one period is ever
-    scanned; longer ranges are full periods plus a prefix.
-    """
+    """Exact histogram of f(n) mod q over 1 <= n <= t (figurate.residue_counts),
+    checked for length and mass."""
     if t < 1 or q < 1:
         raise ValueError("range and modulus must be >= 1")
-    period = 24 * q
-    full, rem = divmod(t, period)
-    scan = period if full > 0 else rem
-    res = residues(spec, scan, q)
-    counts = np.bincount(res, minlength=q)
-    if full > 0:
-        prefix = np.bincount(res[:rem], minlength=q) if rem else np.zeros(q, np.int64)
-        total = [full * int(c) + int(pc) for c, pc in zip(counts, prefix)]
-    else:
-        total = [int(c) for c in counts]
-    return ResidueDistribution(q, t, tuple(total))
+    return ResidueDistribution(q, t, tuple(residue_counts(spec, t, q)))
 
 
 @lru_cache(maxsize=128)
@@ -173,20 +161,17 @@ def nonsingular_count(spec: FigurateSpec, s: int, m: int, p: int) -> int:
 
 
 def _density_float(spec: FigurateSpec, s: int, m: int, q: int) -> float:
-    """rho = sum over t mod q of (S(q,t)/q)^s e(-tm/q) via one dense DFT.
+    """rho = sum over t mod q of (S(q,t)/q)^s e(-tm/q), with S(q,t) the root
+    sums of the histogram of f(1..q) mod q (expsums.root_sums, one FFT).
 
-    S(q,t) is the complete sum over a full period; the histogram's FFT gives
-    its conjugate, so the real part of the conjugated assembly below is the
-    density.  Roundoff is of order q * s * machine-eps.
+    Roundoff is of order q * s * machine-eps.
     """
     if 24 * q > FLOAT_PERIOD_CAP:
         raise BudgetError("modulus exceeds the float-path budget")
-    res = residues(spec, q, q)
-    hist = np.bincount(res, minlength=q).astype(float)
-    F = np.fft.fft(hist) / q
+    F = root_sums(residue_counts(spec, q, q)) / q
     t = np.arange(q, dtype=float)
     phases = np.exp(2j * np.pi * ((m % q) * t / q))
-    return float(np.real(np.conj(F**s) * np.conj(phases)).sum())
+    return float(np.real(F**s * np.conj(phases)).sum())
 
 
 def local_density(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> float:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError
+from .expsums import fsum_complex
 from .quadrature import integrate_adaptive
 from .weylbounds import BoundCheckReport, bound_report
 
@@ -52,15 +53,13 @@ def v1_theta(N0: int, theta: float) -> complex:
         raise ValueError("theta must lie in [-1/2, 1/2]")
     if N0 < 1:
         raise ValueError("length must be >= 1")
-    re_parts: list[float] = []
-    im_parts: list[float] = []
+    parts: list[complex] = []
     chunk = 4_000_000
     for start in range(1, N0 + 1, chunk):
         n = np.arange(start, min(N0, start + chunk - 1) + 1, dtype=float)
         terms = n**-0.75 * np.exp(2j * np.pi * ((theta * n) % 1.0))
-        re_parts.append(float(terms.real.sum()))
-        im_parts.append(float(terms.imag.sum()))
-    return complex(0.25 * math.fsum(re_parts), 0.25 * math.fsum(im_parts))
+        parts.append(complex(terms.real.sum(), terms.imag.sum()))
+    return 0.25 * fsum_complex(parts)
 
 
 def j1_exact(s: int, m: int) -> float:

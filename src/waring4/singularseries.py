@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError
-from .expsums import v_of_q
+from .expsums import fsum_complex, v_of_q
 from .figurate import FigurateSpec
 from .localdensity import count_congruence, is_prime, local_density_limit
 from .weylbounds import BoundCheckReport, bound_report
@@ -25,7 +25,8 @@ IMAG_TOLERANCE = 1e-8
 # the relative gap between the q-series and the Euler product that still
 # counts as agreement in the positivity verdict
 AGREEMENT = 0.10
-# the complete-sum tables behind V(q) cost about sum_{q <= Q} q^2 steps
+# each V(q) scans 24q residues, one FFT of length q and a loop over the q
+# classes a, so the series costs about 12 Q^2 steps; Q = 1000 takes about 2 s
 MAX_SERIES_Q = 1000
 
 
@@ -59,10 +60,8 @@ def truncated_series(spec: FigurateSpec, s: int, m: int, Q: int) -> SeriesEstima
         raise ValueError("truncation point must be >= 1")
     if Q > MAX_SERIES_Q:
         raise BudgetError(f"series truncation is capped at Q = {MAX_SERIES_Q}, got {Q}")
-    terms = [v_of_q(spec, q, s, m) for q in range(1, Q + 1)]
-    total_re = math.fsum(t.real for t in terms)
-    total_im = math.fsum(t.imag for t in terms)
-    return SeriesEstimate(truncated=total_re, Q=Q, imag_residue=abs(total_im))
+    total = fsum_complex(v_of_q(spec, q, s, m) for q in range(1, Q + 1))
+    return SeriesEstimate(truncated=total.real, Q=Q, imag_residue=abs(total.imag))
 
 
 def divisor_sum_identity_check(
@@ -76,12 +75,11 @@ def divisor_sum_identity_check(
     if q < 1 or q > 30:
         raise ValueError("identity check is sized for 1 <= q <= 30")
     divisors = [d for d in range(1, q + 1) if q % d == 0]
-    vsum_re = math.fsum(v_of_q(spec, d, s, m).real for d in divisors)
-    vsum_im = math.fsum(v_of_q(spec, d, s, m).imag for d in divisors)
+    vsum = fsum_complex(v_of_q(spec, d, s, m) for d in divisors)
     count = count_congruence(spec, s, m, 24 * q, q)
     exact = float(Fraction(count, q ** (s - 1) * 24**s))
-    lhs = abs(complex(vsum_re - exact, vsum_im))
-    return bound_report(lhs, 1e-8, f"q={q} V-sum={vsum_re!r} scaled-count={exact!r}")
+    lhs = abs(complex(vsum.real - exact, vsum.imag))
+    return bound_report(lhs, 1e-8, f"q={q} V-sum={vsum.real!r} scaled-count={exact!r}")
 
 
 def euler_product(
@@ -93,12 +91,13 @@ def euler_product(
     """prod_{p <= prime_limit} T_m(p) with a dual-route positivity verdict.
 
     Each factor is a stabilized local-density estimate.  The verdict is
-    "certified-heuristic" only when every factor is positive and stabilized
-    AND the truncated q-series at Q = prime_limit agrees with the product to
-    AGREEMENT relative; anything less is "indeterminate".  The tail-bound
-    log is attached for s >= 17 so the reader can see why the heuristic label
-    cannot be upgraded at desk scale.  The series is taken first, so a
-    prime_limit above MAX_SERIES_Q is refused before any density is computed.
+    "certified-heuristic" only when there is a factor, every factor is
+    positive and stabilized AND the truncated q-series at Q = prime_limit
+    agrees with the product to AGREEMENT relative; anything less is
+    "indeterminate".  The tail-bound log is attached for s >= 17 so the
+    reader can see why the heuristic label cannot be upgraded at desk scale.
+    The series is taken first, so a prime_limit above MAX_SERIES_Q is refused
+    before any density is computed.
     """
     if s < 17:
         warnings.warn(
@@ -108,7 +107,7 @@ def euler_product(
     series = truncated_series(spec, s, m, prime_limit)
     product = 1.0
     per_prime = []
-    all_good = True
+    all_good = prime_limit >= 2  # an empty product certifies nothing
     for p in range(2, prime_limit + 1):
         if not is_prime(p):
             continue

@@ -118,6 +118,18 @@ def test_report_json_output(tmp_path):
     assert payload["reports"][0]["exact"] == "1"
 
 
+def test_report_with_no_primes_is_indeterminate(capsys):
+    code = cli.main(
+        ["report", "--spec", "{3,4,3}", "--s", "17", "--m", "10000",
+         "--prime-limit", "1", "--format", "json"]
+    )
+    assert code == 0
+    series = json.loads(capsys.readouterr().out)["reports"][0]["series"]
+    assert series["per_prime"] == []
+    assert series["euler_estimate"] == 1.0
+    assert series["positivity"] == "indeterminate"
+
+
 def test_check_suite_passes_and_is_thread_invariant(capsys):
     text1, ok1 = cli.run_check_suite(seed=0, threads=1)
     text4, ok4 = cli.run_check_suite(seed=0, threads=4)

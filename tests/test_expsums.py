@@ -29,7 +29,8 @@ def naive_complete_sum(spec, q, a):
 
 def test_complete_sum_matches_naive():
     for sp in (F1, F2):
-        for q in (1, 2, 3, 4, 5, 7, 9, 12):
+        # 64, 81 and 97 are FFT lengths that are a power of 2, of 3 and a prime
+        for q in (1, 2, 3, 4, 5, 7, 9, 12, 64, 81, 97):
             for a in range(1, q + 1):
                 got = expsums.complete_sum_V(sp, q, a)
                 want = naive_complete_sum(sp, q, a)

@@ -22,16 +22,26 @@ def test_is_prime_small_table():
     assert not localdensity.is_prime(1001)  # 7 * 11 * 13
 
 
+def _direct_counts(spec, t, q):
+    """Histogram of f(n) mod q over 1 <= n <= t by a direct scan; past 10^4,
+    full periods of 24q times one period's Counter plus the prefix's."""
+    full, rem = divmod(t, 24 * q) if t > 10**4 else (0, t)
+    period = Counter(spec.value(n) % q for n in range(1, 24 * q + 1))
+    prefix = Counter(spec.value(n) % q for n in range(1, rem + 1))
+    return [full * period[r] + prefix[r] for r in range(q)]
+
+
 def test_residue_distribution_matches_direct_scan():
     rng = random.Random(31)
     for sp in (F1, F2, F3):
         for _ in range(12):
             q = rng.randrange(1, 30)
-            t = rng.randrange(1, 24 * q + 60)  # crosses the period boundary
-            dist = localdensity.residue_distribution(sp, t, q)
-            brute = Counter(sp.value(n) % q for n in range(1, t + 1))
-            assert dist.q == q and dist.t == t
-            assert list(dist.counts) == [brute.get(r, 0) for r in range(q)]
+            period = 24 * q
+            drawn = rng.randrange(1, period + 60)  # crosses the period boundary
+            for t in (drawn, period - 1, period, period + 1, 3 * period + 5, 2**70 + 5):
+                dist = localdensity.residue_distribution(sp, t, q)
+                assert dist.q == q and dist.t == t
+                assert list(dist.counts) == _direct_counts(sp, t, q)
 
 
 def test_residue_distribution_rejects_bad_args():

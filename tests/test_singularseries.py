@@ -68,6 +68,19 @@ def test_divisor_sum_identity_range_guard():
         singularseries.divisor_sum_identity_check(F1, 5, 3, 0)
 
 
+def test_euler_product_with_no_primes_is_indeterminate():
+    # prime_limit = 1 leaves the product empty: 1.0 agrees with the series
+    # term V(1) = 1, but no factor was checked, so nothing is certified
+    est = singularseries.euler_product(F1, 17, 10_000, prime_limit=1)
+    assert est.per_prime == ()
+    assert est.euler_estimate == 1.0
+    assert est.positivity == "indeterminate"
+    # one prime is enough: {3,3,5} is certified from p = 2 on
+    one = singularseries.euler_product(F2, 17, 10_000, prime_limit=2)
+    assert one.per_prime == ((2, 1.0000152587890625),)
+    assert one.positivity == "certified-heuristic"
+
+
 def test_euler_product_frozen_reference_point():
     est = singularseries.euler_product(F1, 17, 10_000)
     assert est.euler_estimate == pytest.approx(1.4851197827531222, rel=1e-9)
