@@ -9,13 +9,15 @@ crosses a block boundary.
 Truncated linear powers of a sparse 0/1 polynomial (representation counts)
 are shift-add passes on numpy arrays: each pass adds in place into an
 unsigned array whose dtype holds that pass's coefficient bound, so it never
-wraps, and coefficients past 2**64 are held as 32-bit digits with one carry
-sweep per pass.  A single entry is read as an int64 dot of byte planes.  All
-results are exact.
+wraps, and reads only the live prefix of the previous power, the entries
+up to its degree; coefficients past 2**64 are held as 32-bit digits with
+one carry sweep per pass.  A single entry is read as an int64 dot of byte
+planes.  All results are exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -143,29 +145,36 @@ def _truncated_powers(
 ) -> dict[int, tuple[np.ndarray, int]]:
     """(array, bound) of (sum_v x^v)^e truncated to its first count
     coefficients, for every e in keep; the array is laid out by _power_array.
+    Every value must be below count, and a value may repeat.
 
     Step e is one shift-add pass over the values on step e - 1.  Its
     coefficient at x^k counts ordered e-tuples of values summing to k; the
-    values are distinct, so the last term is fixed by the others and the
-    count is at most bound = len(vals)**(e - 1).  Every partial sum of the
+    last term is fixed by the others, up to the multiplicity of its value
+    (1 when the values are distinct), so the count is at most
+    bound = len(vals)**(e - 1) * multiplicity.  Every partial sum of the
     pass is at most the final coefficient, so the array _power_array makes
-    for that bound never wraps: the early steps add narrow rows.  Past
-    2**64, each of the len(vals) adds puts a digit below 2**32 on every
-    digit, which fits in uint64 while len(vals) < 2**32 (the values are
-    distinct and held in memory), until the one carry sweep that ends the
-    pass.  Memory stays at O(count * width).
+    for that bound never wraps: the early steps add narrow rows.  Step e - 1
+    is zero past x^((e - 1) * max(vals)), so the pass adds only that live
+    prefix of it.  Past 2**64, each of the len(vals) adds puts a digit
+    below 2**32 on every digit, which fits in uint64 while len(vals) < 2**32
+    (the values are held in memory), until the one carry sweep that ends
+    the pass.  Memory stays at O(count * width).
     """
+    multiplicity = max(Counter(vals).values(), default=1)
+    top = max(vals, default=0)
     cur = np.zeros((1, count), "<u1")
     cur[0, 0] = 1  # the zeroth power
     kept = {0: (cur, 1)} if 0 in keep else {}
     for e in range(1, max(keep) + 1):
-        bound = len(vals) ** (e - 1)
+        bound = len(vals) ** (e - 1) * multiplicity
         out = _power_array(bound, count)
         # a one-row uint64 coefficient can pass 2**32: split it into digits
         if len(out) > 1 and cur.dtype.itemsize == 8 and len(cur) == 1:
             cur = np.concatenate((cur & DIGIT_MASK, cur >> DIGIT_BITS))
+        live = (e - 1) * top + 1
         for v in vals:
-            out[: len(cur), v:] += cur[:, : count - v]
+            n = min(live, count - v)
+            out[: len(cur), v : v + n] += cur[:, :n]
         for r in range(len(out) - 1):  # the carry sweep, low digit first
             out[r + 1] += out[r] >> DIGIT_BITS
             out[r] &= DIGIT_MASK

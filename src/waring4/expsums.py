@@ -28,8 +28,12 @@ exact int64 arithmetic, never from Monte Carlo.  The values are shifted by
 their midpoint, so the h-fold sums use both signs of int64, and grouped into
 distinct values with counts.  Each pass then turns the distinct k-fold sums
 with their counts into the 2k-fold ones, in one sort of signed packed
-(sum, weight) keys.  j = 4 adds the values, shifted by their minimum because
-they index it, into a dense table of octuple-sum counts instead.
+(sum, weight) keys walked BLOCK keys at a time; the last pass squares each
+block's group counts as it goes instead of storing them.  j = 4 shifts the
+values by their minimum, builds the septuple-sum counts by the shift-add
+passes of exactconv, and forms the octuple-sum counts BLOCK entries at a
+time, squaring each block as it is made.  No table of the final sums is
+stored.
 """
 
 from __future__ import annotations
@@ -42,9 +46,12 @@ from math import fsum, gcd
 import numpy as np
 
 from .errors import BudgetError
+from .exactconv import _truncated_powers
 from .figurate import FigurateSpec, residue_counts, values
 
 TWO_PI = 2.0 * cmath.pi
+# entries of a moment's last pass unpacked, grouped or summed at a time
+BLOCK = 1 << 16
 
 
 def fsum_complex(parts) -> complex:
@@ -125,8 +132,8 @@ def _shifted_values(spec: FigurateSpec, N: int, j: int) -> np.ndarray:
     The moment does not change under the shift, because both sides of
     sum f(u_i) = sum f(v_i) have h = 2^(j-1) terms.  Every h-fold sum of the
     shifted values is below 2^63 in absolute value, or BudgetError is
-    raised.  j = 4 indexes a dense table by the shifted values, so it shifts
-    by the minimum.
+    raised.  j = 4 uses the shifted values as exponents of a power series,
+    so it shifts by the minimum.
     """
     vals = values(spec, N)
     lo, hi = min(vals), max(vals)
@@ -153,9 +160,10 @@ def _sum_of_squares_int64(arr: np.ndarray) -> int:
     return (s_hh << 38) + (s_hl << 20) + s_ll
 
 
-def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_groups(vals: np.ndarray, wts: np.ndarray):
     """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
-    each with its summed weight wts[i] * wts[k].
+    each with its summed weight wts[i] * wts[k], yielded as (sums, weights)
+    arrays of at most BLOCK + 1 groups each.
 
     vals must be nonempty, distinct and ascending, and wts >= 1, both int64;
     every pair sum must fit int64, and every group's weight sum is at most
@@ -165,14 +173,18 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     below 2^63, each pair becomes one signed int64 key sum << b | weight,
     written row by row into one array, and one in-place sort brings equal
     sums together.  Otherwise sums and weights stay apart and are ordered by
-    an argsort of the sums.
+    an argsort of the sums.  Either way the sorted pairs are then walked
+    BLOCK at a time: a block is unpacked, each run of equal sums is totalled
+    by a cumsum read at the run ends, and the run still open at the block
+    edge is carried into the next block.  No other array of the size of the
+    pair list is made.
     """
     n = len(vals)
     top = int(wts.max())
     bits = (2 * top * top).bit_length()
     packed = (2 * max(-int(vals[0]), int(vals[-1]))) << bits < 1 << 63
     size = n * (n + 1) // 2
-    sums = np.empty(size, dtype=np.int64)
+    keys = np.empty(size, dtype=np.int64)
     weights = None if packed else np.empty(size, dtype=np.int64)
     row_w = np.empty(n, dtype=np.int64)
     pos = 0
@@ -181,7 +193,7 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
         w = row_w[: n - i]
         np.multiply(wts[i:], 2 * wts[i], out=w)
         w[0] = wts[i] * wts[i]
-        row = sums[pos:end]
+        row = keys[pos:end]
         np.add(vals[i:], vals[i], out=row)
         if packed:
             row <<= bits
@@ -190,17 +202,34 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
             weights[pos:end] = w
         pos = end
     if packed:
-        sums.sort()
-        weights = sums & ((1 << bits) - 1)
-        sums >>= bits
+        keys.sort()
     else:
-        order = np.argsort(sums)
-        sums, weights = sums[order], weights[order]
-    new = np.empty(size, dtype=bool)
-    new[0] = True
-    np.not_equal(sums[1:], sums[:-1], out=new[1:])
-    starts = np.flatnonzero(new)
-    return sums[starts], np.add.reduceat(weights, starts)
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    mask = (1 << bits) - 1
+    # the open run: its sum and its weight so far
+    run_sum = run_w = np.empty(0, dtype=np.int64)
+    for lo in range(0, size, BLOCK):
+        block = keys[lo : lo + BLOCK]
+        if packed:
+            sums, w = block >> bits, block & mask
+        else:
+            sums, w = block, weights[lo : lo + BLOCK]
+        sums = np.concatenate((run_sum, sums))
+        w = np.concatenate((run_w, w))
+        ends = np.flatnonzero(sums[1:] != sums[:-1])  # last entry of each closed run
+        cum = np.cumsum(w)
+        closed = cum[ends]
+        yield sums[ends], np.diff(closed, prepend=0)
+        run_sum = sums[-1:]
+        run_w = cum[-1:] - (closed[-1] if len(closed) else 0)
+    yield run_sum, run_w
+
+
+def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All the groups of _pair_groups as one (sums, weights) pair of arrays."""
+    sums, weights = zip(*_pair_groups(vals, wts))
+    return np.concatenate(sums), np.concatenate(weights)
 
 
 _DENSE_REFUSAL = (
@@ -226,22 +255,33 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
         raise BudgetError(_DENSE_REFUSAL)
 
     fv = _shifted_values(spec, N, j)
-    vals, cnts = np.unique(fv, return_counts=True)
     if j < 4:
-        # h-fold sums with their counts, doubling h on every pass
-        for _ in range(j - 1):
+        # h-fold sums with their counts, doubling h on every pass; the last
+        # pass is squared group block by group block
+        vals, cnts = np.unique(fv, return_counts=True)
+        if j == 1:
+            return _sum_of_squares_int64(cnts)
+        for _ in range(j - 2):
             vals, cnts = _pair_sums(vals, cnts)
-        return _sum_of_squares_int64(cnts)
-    # j == 4: dense octuple-sum table by repeated shifted adds of the base
-    # values; every intermediate count is bounded by N^8 <= 24^8 < 2^37
-    top = int(vals[-1])
+        return sum(_sum_of_squares_int64(w) for _, w in _pair_groups(vals, cnts))
+    # j == 4: the septuple-sum counts c7 by shift-add passes, then the
+    # octuple-sum counts c8[k] = sum_v c7[k - v] BLOCK entries at a time,
+    # squared as they are formed.  Every c8 entry is at most N^8 <= 24^8
+    # < 2^37, and a degree-4 f takes a value at most 4 times, so c7 is at
+    # most 4 * 24^6 < 2^32: one row of at most u4
+    top = int(fv.max())
     if 8 * top > 12_000_000:
         raise BudgetError(_DENSE_REFUSAL)
-    dense = np.zeros(top + 1, dtype=np.int64)
-    dense[vals] = cnts
-    for level in range(2, 9):
-        out = np.zeros(level * top + 1, dtype=np.int64)
-        for v in fv.tolist():
-            out[v : v + len(dense)] += dense
-        dense = out
-    return _sum_of_squares_int64(dense)
+    shifts = fv.tolist()
+    power, _ = _truncated_powers(shifts, {7}, 7 * top + 1)[7]
+    c7 = power[0]
+    total = 0
+    for lo in range(0, 8 * top + 1, BLOCK):
+        hi = min(lo + BLOCK, 8 * top + 1)
+        block = np.zeros(hi - lo, dtype=np.int64)
+        for v in shifts:
+            a, b = max(lo - v, 0), min(hi - v, len(c7))
+            if a < b:
+                block[a + v - lo : b + v - lo] += c7[a:b]
+        total += _sum_of_squares_int64(block)
+    return total

@@ -157,6 +157,35 @@ def test_sparse_power_profile_at_a_width_boundary():
     assert exactconv.sparse_power_profile(range(n), 2, n - 1) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=5),
+    st.integers(1, 5),
+    st.integers(0, 4),
+)
+@example([0], 3, 0)
+@example([4], 3, 0)  # one value: x^12 is the only nonzero coefficient
+@example([1, 5], 4, 0)
+@example([2, 3, 11], 5, 4)
+def test_sparse_power_past_the_live_prefix(values, s, extra):
+    # m_max >= s * max(values): every pass reads the whole live prefix of
+    # step e - 1, its (e - 1) * max(values) + 1 low entries, up to its last
+    # nonzero entry at x^((e - 1) * max(values)); one entry short drops it
+    m_max = s * max(values) + extra
+    want = naive_sparse_power(values, s, m_max)
+    assert exactconv.sparse_power_profile(values, s, m_max) == want
+    for m in range(m_max + 1):
+        assert exactconv.sparse_power_entry(values, s, m) == want[m]
+
+
+def test_truncated_powers_with_repeated_values():
+    # a value taken 300 times puts 300 on x^3 at step 1, past a u1 row, and
+    # 300^2 on x^6 at step 2; the bound carries the multiplicity
+    steps = exactconv._truncated_powers([3] * 300 + [1], {1, 2}, 7)
+    assert steps[1][0][0].tolist() == [0, 1, 0, 300, 0, 0, 0]
+    assert steps[2][0][0].tolist() == [0, 0, 1, 0, 600, 0, 90000]
+
+
 def dp_sparse_power(values, s, m_max):
     """Repeated truncated convolution of plain lists; for sizes where tuple
     enumeration is too slow."""

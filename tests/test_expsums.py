@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -241,16 +242,59 @@ def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
         # midpoint-shifted values: signed packed keys, then a signed argsort
         ([-7, -2, 0, 5], [2, 1, 3, 1]),
         ([-(1 << 61), -3, 1], [1, 2, 1]),
+        # sum 8 is five keys of the upper triangle, (0, 8) .. (4, 4)
+        (list(range(9)), [1, 2, 1, 3, 1, 1, 2, 1, 4]),
     ],
 )
-def test_pair_sums_match_counter(vals, wts):
-    got_v, got_w = expsums._pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+def test_pair_sums_match_counter(monkeypatch, vals, wts):
     want = Counter()
     for x, cx in zip(vals, wts):
         for y, cy in zip(vals, wts):
             want[x + y] += cx * cy
-    assert got_v.tolist() == sorted(want)
-    assert got_w.tolist() == [want[v] for v in sorted(want)]
+    # short blocks split runs of equal sums across block edges
+    for block in (1, 2, 3, 5, expsums.BLOCK):
+        monkeypatch.setattr(expsums, "BLOCK", block)
+        got_v, got_w = expsums._pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+        assert got_v.tolist() == sorted(want)
+        assert got_w.tolist() == [want[v] for v in sorted(want)]
+
+
+WIDE = figurate.make_spec(1, 1 << 58, 0)  # pair sums too wide for a packed key
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+def test_mean_value_block_edges_match_tuple_oracle(monkeypatch, block):
+    # blocks this short put edges inside runs of equal pair sums, packed and
+    # argsorted (WIDE), and split the octuple-sum range of j = 4 many times
+    monkeypatch.setattr(expsums, "BLOCK", block)
+    cases = [
+        (F1, 6, 2),
+        (F1, 5, 3),
+        (F1, 4, 4),
+        (figurate.make_spec(3, -4, 1), 8, 2),
+        (figurate.make_spec(3, -4, 1), 6, 3),
+        (figurate.make_spec(3, -4, 1), 8, 4),
+        (WIDE, 4, 2),  # argsort fallback
+        (WIDE, 4, 3),
+    ]
+    for spec, N, j in cases:
+        vals = [spec.value(n) for n in range(1, N + 1)]
+        want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
+        assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
+
+
+@pytest.mark.parametrize("N, j, cap_mib", [(3996, 2, 96), (90, 3, 96), (24, 4, 64)])
+def test_mean_value_peak_memory(N, j, cap_mib):
+    # the last pass is streamed: no array of its groups (j = 2, 3) or of the
+    # octuple-sum counts (j = 4) is held, only the sorted pair keys or the
+    # septuple-sum rows
+    tracemalloc.start()
+    try:
+        expsums.mean_value(F1, N, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap_mib << 20
 
 
 def test_mean_value_refuses_sums_past_int64():
