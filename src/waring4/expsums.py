@@ -232,10 +232,7 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(sums), np.concatenate(weights)
 
 
-_DENSE_REFUSAL = (
-    "sixteenth moment needs a dense table of 8*(max f - min f) entries; "
-    "this spec exceeds the memory budget at the requested N"
-)
+_DENSE_REFUSAL = "sixteenth moment is limited to N <= 24 and 8*(max f - min f) <= 12000000"
 
 
 def mean_value(spec: FigurateSpec, N: int, j: int) -> int:

@@ -160,7 +160,7 @@ def integrate_adaptive(
             f"quadrature needs more than {PANEL_CAP} panels to start"
         )
     prev = integrate(fn, a, b, panels)
-    while panels <= PANEL_CAP:
+    while 2 * panels <= PANEL_CAP:
         panels *= 2
         cur = integrate(fn, a, b, panels)
         err = abs(cur - prev)

@@ -13,6 +13,7 @@ psi(x) = a1*x + a2*x^2 + a3*x^3 + a4*x^4 has no constant term.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,8 +21,12 @@ from math import gcd
 
 import numpy as np
 
+from .errors import BudgetError
+
 TWO_PI = 2.0 * math.pi
 REL_SLACK = 1e-9
+# entries (2X-1)^(j-1) * X of the differencing check's inner-term matrix
+WEYL_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -81,10 +86,11 @@ def forward_difference(coeffs, shifts, x) -> float:
     )
 
 
-def _phase_sum(phase: QuarticPhase, X: int) -> complex:
+def _phase_table(phase: QuarticPhase, X: int) -> np.ndarray:
+    """e(psi(x)) for x = 1..X."""
     x = np.arange(1, X + 1, dtype=float)
     ps = ((phase.a4 * x + phase.a3) * x + phase.a2) * x * x + phase.a1 * x
-    return complex(np.exp(2j * np.pi * (ps % 1.0)).sum())
+    return np.exp(2j * np.pi * (ps % 1.0))
 
 
 def check_weyl_differencing(phase: QuarticPhase, X: int, j: int) -> BoundCheckReport:
@@ -94,79 +100,47 @@ def check_weyl_differencing(phase: QuarticPhase, X: int, j: int) -> BoundCheckRe
                      sum over |h_1|,..,|h_j| < X  sum over x in T_j(h)
                      of e(D_j(psi(x); h)),
 
-    where F = sum_{x<=X} e(psi(x)).  The right-hand side is real up to
-    rounding (the h <-> -h pairing conjugates terms); its real part is used
-    and the imaginary residue is recorded in the context.
+    where F = sum_{x<=X} e(psi(x)).  Squaring the inner sum over T_{j-1}(h)
+    and collecting its terms by h_j = x - y gives the double sum as
+
+        sum over |h_1|,..,|h_{j-1}| < X of
+            |sum over x in T_{j-1}(h) of e(D_{j-1}(psi(x); h))|^2,
+
+    which is how it is evaluated, so the right-hand side is real and
+    nonnegative.  Raises BudgetError, before any array is made, when the
+    (2X-1)^(j-1) x X matrix of inner terms exceeds WEYL_CAP entries.
     """
     if X < 1:
         raise ValueError("range must be >= 1")
     if j not in (1, 2, 3):
         raise ValueError("differencing depth must be 1, 2, or 3")
-    lhs = abs(_phase_sum(phase, X)) ** (2**j)
+    rows = (2 * X - 1) ** (j - 1)
+    if rows * X > WEYL_CAP:
+        raise BudgetError(
+            f"differencing check needs {rows * X} inner terms, more than {WEYL_CAP}"
+        )
+    table = _phase_table(phase, X)
+    lhs = abs(table.sum()) ** (2**j)
 
-    hs = np.arange(-(X - 1), X, dtype=np.int64)
-    grids = np.meshgrid(*([hs] * j), indexing="ij")
-    H = [g.ravel() for g in grids]
-    lo = np.ones_like(H[0])
-    hi = np.full_like(H[0], X)
-    for h in H:
-        lo = np.maximum(lo, lo - h)
-        hi = np.minimum(hi, hi - h)
-    length = np.maximum(hi - lo + 1, 0)
-    nonempty = length > 0
+    # e(D_{j-1}(psi(x); h)) = prod over subsets S of e(psi(x + sum_S h))^(+-1),
+    # each factor taken from the table rather than by differencing the raw
+    # polynomial values (whose cancellation would cost ~10 digits).  Zeros
+    # padded around the table drop every x outside T_{j-1}(h): those x send
+    # some x + sum_S h outside 1..X.
+    pad = np.zeros((j - 1) * (X - 1), dtype=complex)
+    padded = np.concatenate([pad, table, pad])
+    xs = np.arange(len(pad), len(pad) + X)
+    hs = np.arange(-(X - 1), X)
+    shifts = [g.ravel() for g in np.meshgrid(*[hs] * (j - 1), indexing="ij")]
+    inner = np.ones((rows, X), dtype=complex)
+    for picks in itertools.product((False, True), repeat=j - 1):
+        offset = sum((h for h, p in zip(shifts, picks) if p), np.zeros(rows, dtype=np.int64))
+        factor = padded[offset[:, None] + xs]
+        inner *= factor if (j - 1 - sum(picks)) % 2 == 0 else np.conj(factor)
+    total = float(np.sum(np.abs(inner.sum(axis=1)) ** 2))
 
-    if j <= 2:
-        # inner sums via inclusion-exclusion,
-        # e(D_j(psi(x); h)) = prod over subsets S of e(psi(x + sum_S h))^(+-1),
-        # taking each e(psi(t)) once from a table instead of differencing the
-        # raw polynomial values (whose cancellation would cost ~10 digits and
-        # break the j=1 equality case at the report tolerance)
-        xs = np.arange(1, X + 1, dtype=np.int64)
-        t_lo, t_hi = 1 - j * (X - 1), X + j * (X - 1)
-        ts = np.arange(t_lo, t_hi + 1, dtype=float)
-        ps = ((phase.a4 * ts + phase.a3) * ts + phase.a2) * ts * ts + phase.a1 * ts
-        table = np.exp(2j * np.pi * (ps % 1.0))
-        subsets = [(tuple(), 1)]
-        for idx in range(j):
-            subsets = [(s, sg) for (s, sg) in subsets] + [
-                (s + (idx,), -sg) for (s, sg) in subsets
-            ]
-        prod = np.ones((len(H[0]), X), dtype=complex)
-        for subset, sign in subsets:
-            shift = sum(H[i] for i in subset) if subset else np.zeros_like(H[0])
-            idx = xs[None, :] + shift[:, None] - t_lo
-            factor = table[idx]
-            prod *= factor if sign * (-1) ** j > 0 else np.conj(factor)
-        inside = (xs[None, :] >= lo[:, None]) & (xs[None, :] <= hi[:, None])
-        total = complex(np.sum(prod * inside))
-    else:
-        # j = 3: the triple difference of a quartic is linear in x, so every
-        # inner sum is a geometric series with ratio e(24 * a4 * h1*h2*h3)
-        H1, H2, H3 = H
-        prod = (H1 * H2 * H3).astype(float)
-        slope = 24.0 * phase.a4 * prod
-        intercept = prod * (12.0 * phase.a4 * (H1 + H2 + H3).astype(float) + 6.0 * phase.a3)
-        slope_m = slope % 1.0
-        dist = np.minimum(slope_m, 1.0 - slope_m)
-        L = length.astype(float)
-        start = np.exp(2j * np.pi * ((intercept + slope * lo.astype(float)) % 1.0))
-        ratio = np.exp(2j * np.pi * slope_m)
-        flat = dist < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            geom = np.where(
-                flat,
-                L,
-                (np.exp(2j * np.pi * ((slope_m * L) % 1.0)) - 1.0)
-                / np.where(flat, 1.0, ratio - 1.0),
-            )
-        total = complex(np.sum(np.where(nonempty, start * geom, 0.0)))
-
-    rhs_sum = total.real
-    rhs = (2.0 * X) ** (2**j - j - 1) * rhs_sum
-    ctx = (
-        f"j={j} X={X} imag_residue={abs(total.imag):.3e} "
-        f"phase=({phase.a1},{phase.a2},{phase.a3},{phase.a4})"
-    )
+    rhs = (2.0 * X) ** (2**j - j - 1) * total
+    ctx = f"j={j} X={X} phase=({phase.a1},{phase.a2},{phase.a3},{phase.a4})"
     return bound_report(lhs, rhs, ctx)
 
 
@@ -268,7 +242,7 @@ def check_F_alpha_bound(
         raise ValueError("eta must be positive")
     if abs(phase.a4 - a / q) > eta / q**2 * (1 + REL_SLACK):
         raise ValueError("leading coefficient is not within eta/q^2 of a/q")
-    lhs = abs(_phase_sum(phase, X))
+    lhs = abs(_phase_table(phase, X).sum())
     rhs = 2.0 * X ** (7.0 / 8.0) + 5.0 * eta ** 0.125 * X ** (
         1.0 + 3.1983 / (4.0 * math.log(3.0 * math.log(X)))
     ) * (1.0 / q + 1.0 / X + q / X**4) ** 0.125 * math.log(q) ** 0.125

@@ -297,6 +297,16 @@ def test_mean_value_peak_memory(N, j, cap_mib):
     assert peak < cap_mib << 20
 
 
+@pytest.mark.parametrize("spec, N", [(F1, 25), (F2, 17), (F3, 11)])
+def test_sixteenth_moment_refusal_states_its_limits(spec, N):
+    # {3,4,3} passes N <= 24; {3,3,5} and {5,3,3} pass the value spread first
+    with pytest.raises(BudgetError) as info:
+        expsums.mean_value(spec, N, 4)
+    assert str(info.value) == (
+        "sixteenth moment is limited to N <= 24 and 8*(max f - min f) <= 12000000"
+    )
+
+
 def test_mean_value_refuses_sums_past_int64():
     # quadruple sums of these values span more than 2^64; the unshifted int64
     # sums wrapped and the eighth moment read 2718 instead of 2716.  The pair

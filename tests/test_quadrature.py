@@ -151,3 +151,22 @@ def test_adaptive_start_past_the_cap_is_refused_before_evaluation():
     # v(theta) at 2.09e6 phase turns: the approximation chain refuses at once
     with pytest.raises(BudgetError):
         arcs.approx_chain_check(figurate.catalog("{5,3,3}").spec, 7, 3, 1e-5, 200)
+
+
+def test_adaptive_refinement_stops_at_the_cap(monkeypatch):
+    # an integrand that never settles: refinement must give up at PANEL_CAP
+    # panels, not evaluate twice that many first
+    seen = []
+
+    def never_settles(fn, a, b, panels):
+        seen.append(panels)
+        return complex(panels)
+
+    monkeypatch.setattr(quadrature, "integrate", never_settles)
+    with pytest.raises(ArithmeticError):
+        quadrature.integrate_adaptive(_no_evaluation, 0.0, 1.0, 1e-9, base_panels=quadrature.PANEL_CAP)
+    assert seen == [quadrature.PANEL_CAP]
+    seen.clear()
+    with pytest.raises(ArithmeticError):
+        quadrature.integrate_adaptive(_no_evaluation, 0.0, 1.0, 1e-9)
+    assert seen == [1 << k for k in range(quadrature.PANEL_CAP.bit_length())]

@@ -1,12 +1,16 @@
 """Phase-sum inequalities: differencing, geometric sums, divisor bounds."""
 
+import cmath
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from waring4 import weylbounds
+from waring4.errors import BudgetError
 from waring4.weylbounds import QuarticPhase
 
 
@@ -112,6 +116,50 @@ def test_weyl_differencing_rational_leading_coefficient():
                 QuarticPhase(0.3, 0.0, 0.1, a4), 12, j
             )
             assert rep.holds
+
+
+def _differencing_sum_by_definition(phase, X, j):
+    """sum over |h_1|,..,|h_j| < X, x in T_j(h) of e(D_j(psi(x); h)), term by
+    term; T_j(h) is the x with x + sum_S h in 1..X for every subset S."""
+    total = 0j
+    for hs in itertools.product(range(1 - X, X), repeat=j):
+        sums = [sum(c) for r in range(j + 1) for c in itertools.combinations(hs, r)]
+        for x in range(1, X + 1):
+            if all(1 <= x + t <= X for t in sums):
+                d = weylbounds.forward_difference(phase.coeffs, hs, x)
+                total += cmath.exp(2j * math.pi * (d % 1.0))
+    return total
+
+
+def test_weyl_differencing_matches_the_definition():
+    # the check evaluates the double sum as a sum of squared inner sums over
+    # T_{j-1}; summed straight from the definition it must agree
+    rng = random.Random(30)
+    for _ in range(100):
+        phase = QuarticPhase(
+            rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1)
+        )
+        X = rng.randrange(1, 7)
+        for j in (1, 2, 3):
+            want = _differencing_sum_by_definition(phase, X, j)
+            rep = weylbounds.check_weyl_differencing(phase, X, j)
+            got = rep.rhs / (2.0 * X) ** (2**j - j - 1)
+            assert abs(got - want) <= 1e-9 * abs(want), (phase, X, j, got, want)
+
+
+@pytest.mark.parametrize("j, X", [(1, (1 << 22) + 1), (2, 1449), (3, 102)])
+def test_weyl_differencing_past_the_cap_is_refused_before_any_array(j, X):
+    # X is the first range whose (2X-1)^(j-1) x X inner-term matrix passes the cap
+    assert (2 * X - 3) ** (j - 1) * (X - 1) <= weylbounds.WEYL_CAP
+    assert (2 * X - 1) ** (j - 1) * X > weylbounds.WEYL_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError):
+            weylbounds.check_weyl_differencing(QuarticPhase(0.1, 0.2, 0.3, 0.4), X, j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_weyl_differencing_rejects_bad_args():
