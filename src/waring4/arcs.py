@@ -124,23 +124,37 @@ def dissect(N: int, delta) -> ArcDissection:
 
 
 def _arc_integrand(spec, s, m, q, a, fv):
-    """Integrand theta -> S_f(a/q + theta)^s e(-(a/q + theta) m), where fv
-    holds f(1..N) as floats.
+    """Integrand (mid, offsets) -> S_f(a/q + theta)^s e(-(a/q + theta) m) at
+    theta = mid[:, None] + offsets[None, :] (the contract of
+    quadrature.integrate), where fv holds f(1..N) as floats.
 
-    The rational part of each phase is exact modular arithmetic on
-    r = f(n) mod q, so a * r < q^2 never wraps; only the small-theta part
-    goes through floating point.  At q = 1 the rational part vanishes and
-    theta is alpha itself, which is how the minor gaps are integrated.
+    Each phase separates: e(f(n) (a/q + mid + x)) = e(a f(n)/q + f(n) mid)
+    e(f(n) x), so one exponential per (mid, n) and one per (n, offset) give
+    every term, and S is accumulated over n in a fixed order with elementwise
+    products, whose bits do not depend on a BLAS build or its threads.  The
+    rational part of each phase is exact modular arithmetic on
+    r = f(n) mod q, so a * r < q^2 never wraps; only the theta part goes
+    through floating point.  At q = 1 the rational part vanishes and theta
+    is alpha itself, which is how the minor gaps are integrated.
     """
     rat = ((a * residues(spec, len(fv), q)) % q) / q
-    phase_m = np.exp(-2j * np.pi * ((a * m) % q) / q)
+    rat_m = ((a * m) % q) / q
 
-    def fn(thetas: np.ndarray) -> np.ndarray:
-        ph = (fv[None, :] * thetas[:, None]) % 1.0
+    def fn(mid: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        # rows[n, p] = e(a f(n)/q + f(n) mid_p), cols[n, j] = e(f(n) offsets_j)
+        ph = (fv[:, None] * mid[None, :]) % 1.0
         if q > 1:  # at q = 1 the rational part is 0, and (0 + ph) % 1 is ph
-            ph = (rat[None, :] + ph) % 1.0
-        S = np.exp(2j * np.pi * ph).sum(axis=1)
-        return S**s * phase_m * np.exp(-2j * np.pi * ((m * thetas) % 1.0))
+            ph = (rat[:, None] + ph) % 1.0
+        rows = np.exp(2j * np.pi * ph)
+        cols = np.exp(2j * np.pi * ((fv[:, None] * offsets[None, :]) % 1.0))
+        S = np.zeros((len(mid), len(offsets)), dtype=complex)
+        term = np.empty_like(S)
+        for n in range(len(fv)):
+            np.multiply(rows[n, :, None], cols[n], out=term)
+            S += term
+        row_m = np.exp(-2j * np.pi * ((rat_m + (m * mid) % 1.0) % 1.0))
+        col_m = np.exp(-2j * np.pi * ((m * offsets) % 1.0))
+        return S**s * row_m[:, None] * col_m
 
     return fn
 
@@ -269,7 +283,8 @@ def approx_chain_check(
     ratio = V / (24.0 * q)
     # S_f(a/q + theta) is the arc integrand at s = 1, m = 0
     fv = np.array(values(spec, N), dtype=float)
-    S = complex(_arc_integrand(spec, 1, 0, q, a, fv)(np.array([theta]))[0])
+    fn = _arc_integrand(spec, 1, 0, q, a, fv)
+    S = complex(fn(np.array([theta]), np.zeros(1))[0, 0])
     v = v_theta(A, N, theta)
     lhs = abs(S - ratio * v)
     rhs = (

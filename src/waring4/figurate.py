@@ -180,14 +180,24 @@ def residues(spec: FigurateSpec, count: int, q: int) -> np.ndarray:
 def residue_counts(spec: FigurateSpec, t: int, q: int) -> list[int]:
     """Histogram of f(n) mod q over 1 <= n <= t, as exact Python ints.
 
-    f(n) mod q has period 24q in n, so at most one period is scanned: the
-    range is full periods plus a prefix, and the two histograms are combined
-    in Python ints, which stay exact for any t.
+    f(n) mod q has period T = q * (8 if 2 | q) * (3 if 3 | q) in n, a divisor
+    of 24q.  Proof: P = 24 f is an integer polynomial, so P(n + k) = P(n)
+    mod k for every k.  Write q = 2^a 3^b r with gcd(r, 6) = 1 and use the
+    Chinese remainder theorem:
+      - mod r, 24 is invertible, so f(n) = 24^(-1) P(n) has period r;
+      - mod 2^a (a >= 1), 8 f(n) = 3^(-1) P(n) mod 2^(a+3) fixes f(n) mod
+        2^a, so 2^(a+3) is a period;
+      - mod 3^b (b >= 1), 3 f(n) = 8^(-1) P(n) mod 3^(b+1) fixes f(n) mod
+        3^b, so 3^(b+1) is a period.
+    T is the least common multiple of the three.  So one period is scanned at
+    most: the range is full periods plus a prefix, and the two histograms are
+    combined in Python ints, which stay exact for any t.
     """
     if t < 0:
         raise ValueError("length must be >= 0")
-    res = residues(spec, min(t, 24 * q), q)
-    full, rem = divmod(t, 24 * q)
-    period = np.bincount(res, minlength=q).tolist()
+    period = q * (8 if q % 2 == 0 else 1) * (3 if q % 3 == 0 else 1)
+    res = residues(spec, min(t, period), q)
+    full, rem = divmod(t, period)
+    whole = np.bincount(res, minlength=q).tolist()
     prefix = np.bincount(res[:rem], minlength=q).tolist()
-    return [full * c + pc for c, pc in zip(period, prefix)]
+    return [full * c + pc for c, pc in zip(whole, prefix)]

@@ -35,17 +35,23 @@ _DECAY = 2 * len(_NODES) - 1
 
 
 def integrate(fn, a: float, b: float, panels: int) -> complex:
-    """Fixed composite rule; fn must map an ndarray of points to values."""
-    edges = np.linspace(a, b, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
+    """Fixed composite rule on `panels` equal panels of halfwidth
+    h = (b - a) / (2 panels), panel p centred at a + (2p + 1) h.
+
+    fn(mid, offsets) must return the integrand at mid[:, None] + offsets[None, :]
+    as a (len(mid), len(offsets)) array, where offsets = h * _NODES is the same
+    for every panel; an integrand whose phases separate over that sum can then
+    exponentiate once per panel and once per node instead of once per point.
+    """
+    h = (b - a) / (2 * panels)
+    offsets = h * _NODES
     sums = np.empty(panels, dtype=complex)
     for lo in range(0, panels, _BLOCK_PANELS):
         hi = min(panels, lo + _BLOCK_PANELS)
-        pts = (mid[lo:hi, None] + half[lo:hi, None] * _NODES[None, :]).ravel()
-        vals = np.asarray(fn(pts)).reshape(hi - lo, len(_NODES))
-        sums[lo:hi] = (vals * _WEIGHTS[None, :]).sum(axis=1)
-    return complex(sums @ half)
+        mid = a + (2 * np.arange(lo, hi) + 1) * h
+        vals = np.asarray(fn(mid, offsets))
+        sums[lo:hi] = (vals * _WEIGHTS).sum(axis=1)
+    return complex(sums.sum() * h)
 
 
 def _log_2sinh(u: float) -> float:

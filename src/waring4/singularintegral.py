@@ -37,7 +37,8 @@ def v_theta(A: int, N: int, theta: float) -> complex:
     if N == 1:
         return 0.0 + 0.0j
 
-    def fn(t: np.ndarray) -> np.ndarray:
+    def fn(mid: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        t = mid[:, None] + offsets[None, :]
         return np.exp(2j * np.pi * ((A * theta / 24.0) * t**4 % 1.0))
 
     cycles = abs(A * theta) * (N**4 - 1) / 24.0
@@ -48,16 +49,30 @@ def v_theta(A: int, N: int, theta: float) -> complex:
 
 
 def v1_theta(N0: int, theta: float) -> complex:
-    """(1/4) * sum_{1 <= n <= N0} n^(-3/4) e(theta*n), |theta| <= 1/2."""
+    """(1/4) * sum_{1 <= n <= N0} n^(-3/4) e(theta*n), |theta| <= 1/2.
+
+    Each chunk of terms is laid out as rows of C = 4096: with
+    n = start + r C + j, e(theta n) = e(theta (start + r C)) e(theta j), so a
+    chunk takes one exponential per row and one per column instead of one
+    per term.
+    """
     if abs(theta) > 0.5:
         raise ValueError("theta must lie in [-1/2, 1/2]")
     if N0 < 1:
         raise ValueError("length must be >= 1")
+    C = 4096
+    cols = np.exp(2j * np.pi * ((theta * np.arange(C, dtype=float)) % 1.0))
     parts: list[complex] = []
     chunk = 4_000_000
     for start in range(1, N0 + 1, chunk):
-        n = np.arange(start, min(N0, start + chunk - 1) + 1, dtype=float)
-        terms = n**-0.75 * np.exp(2j * np.pi * ((theta * n) % 1.0))
+        length = min(chunk, N0 - start + 1)
+        rows = -(-length // C)
+        weights = np.zeros(rows * C)
+        weights[:length] = np.arange(start, start + length, dtype=float) ** -0.75
+        heads = start + C * np.arange(rows, dtype=float)
+        row_phase = np.exp(2j * np.pi * ((theta * heads) % 1.0))
+        row_sums = (weights.reshape(rows, C) * cols).sum(axis=1)
+        terms = row_sums * row_phase
         parts.append(complex(terms.real.sum(), terms.imag.sum()))
     return 0.25 * fsum_complex(parts)
 

@@ -174,11 +174,41 @@ def test_rational_phases_do_not_wrap_int64():
     V = sum(e((a * F3.value(n)) % q) for n in range(1, 24 * q + 1))
     # at theta = 0 with s = 1, m = 0 the integrand is sum_n e(rational phase)
     fn = arcs._arc_integrand(F3, 1, 0, q, a, np.array(fvals, dtype=float))
-    assert complex(fn(np.zeros(1))[0]) == pytest.approx(S, abs=1e-9)
+    assert complex(fn(np.zeros(1), np.zeros(1))[0, 0]) == pytest.approx(S, abs=1e-9)
     want = abs(S - V / (24 * q) * (N - 1))  # v(0) = N - 1
     assert want == pytest.approx(8.3483, abs=1e-4)
     lhs = arcs.approx_chain_check(F3, q, a, 0.0, N).lhs
     assert lhs == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "spec, q, a, N, s",
+    [(F1, 1, 1, 9, 3), (F2, 3, 2, 8, 4), (F1, 7, 3, 9, 3), (F3, 7, 5, 6, 5), (F3, 1009, 1008, 3000, 2)],
+)
+def test_arc_integrand_matches_term_by_term_sums(spec, q, a, N, s):
+    """The separated phases give S(a/q + theta)^s e(-(a/q + theta) m) at
+    theta = mid + offset, summed term by term with exact phases mod 1.  theta
+    is drawn up to 500 / f(N), where the floating phases f(n) theta carry
+    under 10^-13 absolute error, inside 1e-12 max(1, N^s)."""
+    rng = random.Random(q * 1000 + N)
+    fvals = [spec.value(n) for n in range(1, N + 1)]
+    m = rng.randrange(s * fvals[-1] + 1)
+    width = min(0.5, 500.0 / fvals[-1])
+    mid = np.array([rng.uniform(-width, width) for _ in range(4)])
+    offsets = np.array([rng.uniform(-width, width) / 50 for _ in range(3)])
+    got = arcs._arc_integrand(spec, s, m, q, a, np.array(fvals, dtype=float))(mid, offsets)
+    assert got.shape == (len(mid), len(offsets))
+
+    def e(x: Fraction) -> complex:
+        return cmath.exp(2j * math.pi * float(x % 1))
+
+    tol = 1e-12 * max(1.0, float(N) ** s)
+    for i, x in enumerate(mid):
+        for j, y in enumerate(offsets):
+            theta = Fraction(float(x)) + Fraction(float(y))
+            S = sum(e(Fraction(a * f % q, q) + f * theta) for f in fvals)
+            want = S**s * e(-Fraction(a * m % q, q) - m * theta)
+            assert abs(complex(got[i, j]) - want) <= tol, (i, j)
 
 
 def test_approx_chain_rejects_bad_fraction():

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waring4 import figurate
@@ -139,6 +139,44 @@ def test_residues_past_one_period():
             count = 2 * 24 * q + 17
             want = [sp.value(n) % q for n in range(1, count + 1)]
             assert figurate.residues(sp, count, q).tolist() == want
+
+
+def _full_scan_counts(spec, t, q):
+    """The histogram from whole 24q periods plus a prefix, 24q being a period
+    of f(n) mod q for every spec."""
+    res = [spec.value(n) % q for n in range(1, 24 * q + 1)]
+    full, rem = divmod(t, 24 * q)
+    counts = [0] * q
+    for i, r in enumerate(res):
+        counts[r] += full + (i < rem)
+    return counts
+
+
+FIVE_CELL = figurate.make_spec(1, 3, 3)  # C(n+3, 4): period 16 mod 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(figurate.catalog_specs() + [FIVE_CELL]),
+        st.builds(
+            figurate.make_spec,
+            st.integers(1, 10**4),
+            st.integers(-(10**4), 10**4),
+            st.integers(-(10**4), 10**4),
+        ),
+    ),
+    st.integers(1, 72),
+    st.integers(0, 3),
+    st.integers(0, 24 * 72),
+)
+# {3,3,5} mod 3 has period 9 and the 5-cell mod 2 period 16: dropping the
+# 3-adic or the 2-adic factor of the scanned period breaks these
+@example(figurate.catalog("{3,3,5}").spec, 3, 2, 31)
+@example(FIVE_CELL, 2, 1, 29)
+def test_residue_counts_match_the_full_period_scan(spec, q, periods, prefix):
+    t = periods * 24 * q + prefix % (24 * q)
+    assert figurate.residue_counts(spec, t, q) == _full_scan_counts(spec, t, q)
 
 
 def test_residues_modulus_guard():
