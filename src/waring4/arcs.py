@@ -173,11 +173,14 @@ def _integrate_pieces(
 
     The tolerance rel_tol * max(1, N^s) is shared equally among the pieces.
     Each piece takes the panel count quadrature.size_panels derives from the
-    integrand's bandwidth and the piece's length.  Every piece is sized
-    before any evaluation, so a panel count above quadrature.PANEL_CAP is
-    refused with BudgetError first.  Pieces may integrate in parallel; the
-    sum is taken in piece order either way.  Returns (value, sum of the
-    proven truncation bounds), rounding excluded.
+    piece's length and the integrand's bound on a panel's Bernstein ellipse
+    E_(e^u): the integrand is a sum of at most N^s unimodular terms e(k x)
+    with integer |k| <= K (the bandwidth), and |e(k x)| <= e^(2 pi K h sinh u)
+    where |Im x| <= h sinh u, so log_sup(h, u) = s log N + 2 pi K h sinh u.
+    Every piece is sized before any evaluation, so a panel count above
+    quadrature.PANEL_CAP is refused with BudgetError first.  Pieces may
+    integrate in parallel; the sum is taken in piece order either way.
+    Returns (value, sum of the proven truncation bounds), rounding excluded.
     """
     if s < 1:
         raise ValueError("exponent must be >= 1")
@@ -185,10 +188,12 @@ def _integrate_pieces(
     # the bandwidth: largest |k| among the frequencies k = f(n_1) + ... + f(n_s) - m
     K = max(abs(s * min(fvals) - m), abs(s * max(fvals) - m))
     abs_tol = _error_scale(N, s, rel_tol) / max(1, len(pieces))
-    sized = [
-        (q, a, lo, hi, *size_panels(hi - lo, K, s * math.log(N), abs_tol))
-        for q, a, lo, hi in pieces
-    ]
+    log_terms = s * math.log(N)
+
+    def log_sup(h: float, u: float) -> float:
+        return log_terms + 2.0 * math.pi * K * h * math.sinh(u)
+
+    sized = [(q, a, lo, hi, *size_panels(hi - lo, log_sup, abs_tol)) for q, a, lo, hi in pieces]
     fv = np.array(fvals, dtype=float)
 
     def one_piece(piece: tuple[int, int, float, float, int, float]) -> complex:

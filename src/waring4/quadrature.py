@@ -1,21 +1,22 @@
-"""Composite Gauss-Legendre quadrature for smooth (oscillatory) integrands.
+"""Composite Gauss-Legendre quadrature with a proven panel count.
 
-The arc integrands are trigonometric polynomials: sums of `terms`
-unimodular multiples of e(k x) with integer |k| <= K (the bandwidth).  On a
-panel of width w such a sum is bounded on the Bernstein ellipse E_rho of the
-panel by terms * exp(pi K w (rho - 1/rho) / 2), and the n-point Gauss rule on
-[-1, 1], exact through degree 2n - 1, errs by at most
-(64/15) M rho^(2 - 2n) / (rho^2 - 1) for an integrand bounded by M on E_rho
-(Trefethen, Approximation Theory and Approximation Practice, Thm 19.3, which
-counts n + 1 points).  Summed over P panels of an interval of length L:
+Theorem (Trefethen, Approximation Theory and Approximation Practice,
+Thm 19.3, which counts n + 1 points): if g is analytic in the Bernstein
+ellipse E_rho of [-1, 1] and bounded there by M, the n-point Gauss rule
+errs by at most (64/15) M rho^(2 - 2n) / (rho^2 - 1).  With rho = e^u the
+last factor is exp(-(2n - 1) u) / (2 sinh u).  An interval of length L cut
+into P panels of halfwidth h = L / (2P) maps each panel onto [-1, 1] with
+Jacobian h, so the composite rule errs by at most
 
-    E(P) = (L/2) (64/15) terms min_{rho > 1} exp(pi K (L/P) (rho - 1/rho) / 2)
-                                             rho^(2 - 2n) / (rho^2 - 1).
+    E(P) = min over u > 0 of (L/2) (64/15) exp(log_sup(h, u) - (2n - 1) u) / (2 sinh u),
 
-size_panels returns the smallest P with E(P) <= abs_tol together with E(P),
-so one pass of the fixed rule carries a proven truncation bound; the bound
-excludes floating-point rounding.  integrate_adaptive keeps doubling
-refinement for integrands of unknown bandwidth (v(theta)).
+where the caller's log_sup(h, u) bounds log max |integrand| on the image
+t0 + h E_(e^u) of every panel, and increases with h; E(P) then decreases
+with P.  Any u gives a valid bound, so the minimum is taken by a
+golden-section search over log u, and rounding in its argument only
+loosens the bound.  size_panels returns the least P with E(P) <= abs_tol
+together with E(P), so one pass of the fixed rule carries a proven
+truncation bound; the bound excludes floating-point rounding.
 """
 
 from __future__ import annotations
@@ -32,6 +33,10 @@ PANEL_CAP = 1 << 20
 _BLOCK_PANELS = 4096
 # with rho = e^u: rho^(2 - 2n) / (rho^2 - 1) = exp(-(2n - 1) u) / (2 sinh u)
 _DECAY = 2 * len(_NODES) - 1
+# the search bracket for log u: sinh, cosh and every term stay finite on it
+_LOG_U = (math.log(1e-8), math.log(60.0))
+_GOLDEN_STEPS = 50
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def integrate(fn, a: float, b: float, panels: int) -> complex:
@@ -54,125 +59,56 @@ def integrate(fn, a: float, b: float, panels: int) -> complex:
     return complex(sums.sum() * h)
 
 
-def _log_2sinh(u: float) -> float:
-    return u + math.log(-math.expm1(-2.0 * u))
+def _log_error_bound(length: float, log_sup, panels: int) -> float:
+    """log E(P) at P = panels, minimised over u by golden section on log u."""
+    h = length / (2 * panels)
 
+    def excess(x: float) -> float:
+        u = math.exp(x)
+        # log(2 sinh u) = u + log(1 - e^(-2u))
+        return log_sup(h, u) - (_DECAY + 1) * u - math.log(-math.expm1(-2.0 * u))
 
-def _increasing_root(f, df) -> float:
-    """The root u > 0 of a strictly increasing f that runs from -inf to +inf;
-    bracketed Newton, falling back to bisection outside the bracket.  The
-    bracket stays inside [1e-300, 512], where sinh and cosh are finite."""
-    lo = hi = 1.0
-    while lo > 1e-300 and f(lo) > 0.0:
-        lo *= 0.5
-    while hi < 512.0 and f(hi) < 0.0:
-        hi *= 2.0
-    u = 0.5 * (lo + hi)
-    for _ in range(100):
-        fu = f(u)
-        if fu > 0.0:
-            hi = u
+    lo, hi = _LOG_U
+    x1 = hi - _INV_PHI * (hi - lo)
+    x2 = lo + _INV_PHI * (hi - lo)
+    g1, g2 = excess(x1), excess(x2)
+    for _ in range(_GOLDEN_STEPS):
+        if g1 <= g2:
+            hi, x2, g2 = x2, x1, g1
+            x1 = hi - _INV_PHI * (hi - lo)
+            g1 = excess(x1)
         else:
-            lo = u
-        nxt = u - fu / df(u)
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - u) <= 1e-14 * u:
-            break
-        u = nxt
-    return u
+            lo, x1, g1 = x1, x2, g2
+            x2 = lo + _INV_PHI * (hi - lo)
+            g2 = excess(x2)
+    return math.log(0.5 * length * 64.0 / 15.0) + min(g1, g2)
 
 
-def _log_excess(a: float) -> float:
-    """min over u > 0 of a sinh(u) - (2n - 1) u - log(2 sinh u), for a > 0.
+def size_panels(length: float, log_sup, abs_tol: float) -> tuple[int, float]:
+    """Least panel count P with E(P) <= abs_tol, and E(P).
 
-    The function is convex in u; its stationary point solves the increasing
-    equation a cosh(u) = 2n - 1 + coth(u).  Any u gives a valid bound, so
-    rounding in the root only loosens it.
-    """
-    u = _increasing_root(
-        lambda u: a * math.cosh(u) - _DECAY - 1.0 / math.tanh(u),
-        lambda u: a * math.sinh(u) + 1.0 / math.sinh(u) ** 2,
-    )
-    return a * math.sinh(u) - _DECAY * u - _log_2sinh(u)
-
-
-def _log_head(length: float, log_terms: float) -> float:
-    """log((L/2) (64/15) terms), the factor of E(P) that P does not change."""
-    return math.log(0.5 * length * 64.0 / 15.0) + log_terms
-
-
-def _log_error_bound(length: float, bandwidth: int, log_terms: float, panels: int) -> float:
-    """log E(P) for the sum described in size_panels."""
-    return _log_head(length, log_terms) + _log_excess(math.pi * abs(bandwidth) * length / panels)
-
-
-def size_panels(
-    length: float,
-    bandwidth: int,
-    log_terms: float,
-    abs_tol: float,
-) -> tuple[int, float]:
-    """Smallest panel count P with E(P) <= abs_tol, and E(P).
-
-    For a sum of exp(log_terms) unimodular terms e(k x), |k| <= bandwidth,
-    over an interval of the given length.  Raises BudgetError when P would
-    exceed PANEL_CAP, before anything is evaluated.  Works in log space:
-    E(P) overflows a double at small P.
+    log_sup(h, u) is the caller's bound on log max |integrand| over the
+    Bernstein ellipse E_(e^u) of every panel of halfwidth h, increasing in
+    h.  P is found by bisection in log P on [1, PANEL_CAP]; when E(PANEL_CAP)
+    exceeds abs_tol, BudgetError is raised, before anything is evaluated.
+    Works in log space: E(P) overflows a double at small P.
     """
     if not (length > 0.0 and abs_tol > 0.0):
         raise ValueError("need a positive length and tolerance")
-    if bandwidth == 0:
-        return 1, 0.0  # a constant: every rule is exact
-    # E(P) <= tol  <=>  a = pi K L / P <= max_u (T + (2n-1) u + log 2 sinh u) / sinh u
-    # with T = log tol - log((L/2)(64/15) terms); at the maximiser u*, which
-    # solves an increasing equation, the ratio is ((2n-1) tanh u* + 1) / sinh u*.
     log_tol = math.log(abs_tol)
-    T = log_tol - _log_head(length, log_terms)
-    u = _increasing_root(
-        lambda u: T + _DECAY * (u - math.tanh(u)) + _log_2sinh(u) - 1.0,
-        lambda u: _DECAY * math.tanh(u) ** 2 + 1.0 / math.tanh(u),
-    )
-    a_max = (_DECAY * math.tanh(u) + 1.0) / math.sinh(u)
-    panels = max(1, math.ceil(math.pi * abs(bandwidth) * length / a_max))
-    while True:
-        if panels > PANEL_CAP:
-            raise BudgetError(
-                f"quadrature needs more than {PANEL_CAP} panels for tolerance {abs_tol:g}"
-            )
-        log_err = _log_error_bound(length, bandwidth, log_terms, panels)
-        if log_err <= log_tol:  # rounding in u* can leave P one short
-            return panels, math.exp(log_err)
-        panels += 1
-
-
-def integrate_adaptive(
-    fn,
-    a: float,
-    b: float,
-    abs_tol: float,
-    base_panels: int = 1,
-) -> tuple[complex, float, int]:
-    """Doubling refinement; returns (value, error_estimate, panels_used).
-
-    The error estimate is the difference between the last two refinements,
-    the standard proxy for rules whose error shrinks much faster than the
-    panel count grows.  A base panel count above PANEL_CAP is refused with
-    BudgetError before fn is evaluated.
-    """
-    panels = max(1, base_panels)
-    if panels > PANEL_CAP:
+    log_err = _log_error_bound(length, log_sup, PANEL_CAP)
+    if log_err > log_tol:
         raise BudgetError(
-            f"quadrature needs more than {PANEL_CAP} panels to start"
+            f"quadrature needs more than {PANEL_CAP} panels for tolerance {abs_tol:g}"
         )
-    prev = integrate(fn, a, b, panels)
-    while 2 * panels <= PANEL_CAP:
-        panels *= 2
-        cur = integrate(fn, a, b, panels)
-        err = abs(cur - prev)
-        if err <= abs_tol:
-            return cur, err, panels
-        prev = cur
-    raise ArithmeticError(
-        f"quadrature did not reach tolerance {abs_tol:g} within {PANEL_CAP} panels"
-    )
+    # E(lo) > tol (lo = 0 stands for "no panels") and E(hi) <= tol; the
+    # geometric midpoint tries P = 1 first and takes about log2(20 P) steps
+    lo, hi = 0, PANEL_CAP
+    while hi - lo > 1:
+        mid = max(lo + 1, math.isqrt(lo * hi))
+        log_mid = _log_error_bound(length, log_sup, mid)
+        if log_mid <= log_tol:
+            hi, log_err = mid, log_mid
+        else:
+            lo = mid
+    return hi, math.exp(log_err)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetError
 from .expsums import fsum_complex
-from .quadrature import integrate_adaptive
+from .quadrature import integrate, size_panels
 from .weylbounds import BoundCheckReport, bound_report
 
 J1_OP_BUDGET = 3_000_000_000
@@ -24,11 +24,24 @@ GAMMA_5_4 = math.gamma(1.25)
 
 
 def v_theta(A: int, N: int, theta: float) -> complex:
-    """integral from 1 to N of e(A*theta*t^4/24) dt, |theta| <= 1/2.
+    """integral from 1 to N of e(c t^4) dt with c = A*theta/24, |theta| <= 1/2.
 
-    Adaptive Gauss-Legendre with absolute tolerance 1e-9*N; the initial panel
-    count matches the total phase turn A*|theta|*N^4/24, and one above
-    quadrature.PANEL_CAP is refused with BudgetError before any evaluation.
+    One Gauss-Legendre pass whose panel count quadrature.size_panels proves
+    enough for absolute tolerance 1e-9*N; one above quadrature.PANEL_CAP is
+    refused with BudgetError before any evaluation.  The bound it is given:
+
+    Lemma.  For real t0, h > 0 and z in the Bernstein ellipse E_(e^u),
+    |Im((t0 + h z)^4)| <= 4 (|t0| + h cosh u)^3 h sinh u.
+    Proof.  Write z = x + iy.  (t0 + h x)^4 is real, so Im((t0 + h z)^4) is
+    the imaginary part of the integral of 4 (t0 + h x + i h tau)^3 i h dtau
+    over tau from 0 to y, at most 4 h |y| max |t0 + h (x + i tau)|^3.  On
+    that segment |x + i tau| <= |z| <= cosh u, and |y| <= sinh u: the
+    semi-axes of E_(e^u).
+
+    Since |e(c w)| = exp(-2 pi c Im w) and every panel centre t0 of [1, N]
+    lies in [1 + h, N - h], the integrand is bounded on each panel's
+    ellipse by exp(8 pi |c| (N + h (cosh u - 1))^3 h sinh u), which
+    increases with h.
     """
     if abs(theta) > 0.5:
         raise ValueError("theta must lie in [-1/2, 1/2]")
@@ -36,16 +49,17 @@ def v_theta(A: int, N: int, theta: float) -> complex:
         raise ValueError("upper limit must be >= 1")
     if N == 1:
         return 0.0 + 0.0j
+    c = A * theta / 24.0
+
+    def log_sup(h: float, u: float) -> float:
+        return 8.0 * math.pi * abs(c) * (N + h * (math.cosh(u) - 1.0)) ** 3 * h * math.sinh(u)
 
     def fn(mid: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         t = mid[:, None] + offsets[None, :]
-        return np.exp(2j * np.pi * ((A * theta / 24.0) * t**4 % 1.0))
+        return np.exp(2j * np.pi * ((c * t**4) % 1.0))
 
-    cycles = abs(A * theta) * (N**4 - 1) / 24.0
-    value, _err, _panels = integrate_adaptive(
-        fn, 1.0, float(N), abs_tol=1e-9 * N, base_panels=int(cycles) + 4
-    )
-    return value
+    panels, _bound = size_panels(N - 1.0, log_sup, 1e-9 * N)
+    return integrate(fn, 1.0, float(N), panels)
 
 
 def v1_theta(N0: int, theta: float) -> complex:

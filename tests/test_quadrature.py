@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waring4 import arcs, figurate, quadrature
+from waring4 import arcs, figurate, quadrature, singularintegral
 from waring4.errors import BudgetError
 
 EPS = np.finfo(float).eps
@@ -87,6 +87,11 @@ def test_arc_integrals_stay_within_their_bound(case):
     assert major_bound + minor_bound <= 2 * rel_tol * float(N) ** s
 
 
+def bandwidth_log_sup(K: int, log_terms: float):
+    """The arcs' bound: exp(log_terms) unimodular terms e(k x), |k| <= K."""
+    return lambda h, u: log_terms + 2.0 * math.pi * K * h * math.sinh(u)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(1e-6, 1.0),
@@ -95,24 +100,25 @@ def test_arc_integrals_stay_within_their_bound(case):
     st.floats(1e-14, 1e-2),
 )
 def test_size_panels_is_smallest_within_tolerance(length, K, s, rel):
-    log_terms = s * math.log(7)
+    log_sup = bandwidth_log_sup(K, s * math.log(7))
     tol = rel * 7.0**s
-    panels, bound = quadrature.size_panels(length, K, log_terms, tol)
+    panels, bound = quadrature.size_panels(length, log_sup, tol)
     assert 0.0 < bound <= tol
-    assert math.log(bound) == pytest.approx(quadrature._log_error_bound(length, K, log_terms, panels))
+    assert math.log(bound) == pytest.approx(quadrature._log_error_bound(length, log_sup, panels))
     if panels > 1:
-        # one panel fewer misses the tolerance (up to rounding in the log)
-        assert quadrature._log_error_bound(length, K, log_terms, panels - 1) > math.log(tol) - 1e-9
+        # one panel fewer misses the tolerance
+        assert quadrature._log_error_bound(length, log_sup, panels - 1) > math.log(tol)
 
 
 def test_size_panels_cap_constant_integrand_and_bad_input():
     with pytest.raises(BudgetError):
-        quadrature.size_panels(1.0, 10**7, 0.0, 1e-12)
-    assert quadrature.size_panels(0.5, 0, 3.0, 1e-12) == (1, 0.0)
+        quadrature.size_panels(1.0, bandwidth_log_sup(10**7, 0.0), 1e-12)
+    # a bound that does not grow off the real line: an entire, bounded integrand
+    assert quadrature.size_panels(0.5, lambda h, u: 3.0, 1e-12) == (1, 0.0)
     with pytest.raises(ValueError):
-        quadrature.size_panels(0.0, 5, 3.0, 1e-12)
+        quadrature.size_panels(0.0, bandwidth_log_sup(5, 3.0), 1e-12)
     with pytest.raises(ValueError):
-        quadrature.size_panels(0.5, 5, 3.0, 0.0)
+        quadrature.size_panels(0.5, bandwidth_log_sup(5, 3.0), 0.0)
 
 
 def test_integrate_blocks_do_not_change_bits():
@@ -145,28 +151,11 @@ def test_minor_arc_refused_before_evaluation(monkeypatch):
         arcs.minor_arc_integral(spec, 17, m, d)
 
 
-def test_adaptive_start_past_the_cap_is_refused_before_evaluation():
+def test_v_theta_past_the_cap_is_refused_before_evaluation(monkeypatch):
+    monkeypatch.setattr(singularintegral, "integrate", _no_evaluation)
+    # 6.9e5 phase turns need more than 2^20 proven panels
     with pytest.raises(BudgetError):
-        quadrature.integrate_adaptive(_no_evaluation, 0.0, 1.0, 1e-9, base_panels=quadrature.PANEL_CAP + 1)
+        singularintegral.v_theta(72, 40, 0.09)
     # v(theta) at 2.09e6 phase turns: the approximation chain refuses at once
     with pytest.raises(BudgetError):
         arcs.approx_chain_check(figurate.catalog("{5,3,3}").spec, 7, 3, 1e-5, 200)
-
-
-def test_adaptive_refinement_stops_at_the_cap(monkeypatch):
-    # an integrand that never settles: refinement must give up at PANEL_CAP
-    # panels, not evaluate twice that many first
-    seen = []
-
-    def never_settles(fn, a, b, panels):
-        seen.append(panels)
-        return complex(panels)
-
-    monkeypatch.setattr(quadrature, "integrate", never_settles)
-    with pytest.raises(ArithmeticError):
-        quadrature.integrate_adaptive(_no_evaluation, 0.0, 1.0, 1e-9, base_panels=quadrature.PANEL_CAP)
-    assert seen == [quadrature.PANEL_CAP]
-    seen.clear()
-    with pytest.raises(ArithmeticError):
-        quadrature.integrate_adaptive(_no_evaluation, 0.0, 1.0, 1e-9)
-    assert seen == [1 << k for k in range(quadrature.PANEL_CAP.bit_length())]

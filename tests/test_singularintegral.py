@@ -1,13 +1,18 @@
 """Oscillatory integral v, lattice surrogate v1, exact J_1, main term."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from waring4 import figurate, singularintegral
+from waring4 import figurate, quadrature, singularintegral
 from waring4.errors import BudgetError
 from waring4.singularintegral import MainTermParams
+
+EPS = np.finfo(float).eps
 
 
 def test_v_theta_at_zero_is_interval_length():
@@ -38,6 +43,67 @@ def test_v_theta_domain():
         singularintegral.v_theta(24, 10, 0.6)
     with pytest.raises(ValueError):
         singularintegral.v_theta(24, 0, 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(1.0, 1e3),
+    st.floats(0.0, 10.0, exclude_min=True),
+    st.floats(0.0, 6.0, exclude_min=True),
+    st.floats(0.0, 2 * math.pi, exclude_max=True),
+)
+def test_quartic_imaginary_part_on_the_ellipse(t0, h, u, phi):
+    """The lemma in v_theta's docstring: for z = x + iy on the Bernstein
+    ellipse E_(e^u), |Im((t0 + h z)^4)| <= 4 (t0 + h cosh u)^3 h sinh u.
+    Both sides are exact in rationals from the float values of cos, sin,
+    cosh and sinh; the slack covers their rounding."""
+    ch, sh = Fraction(math.cosh(u)), Fraction(math.sinh(u))
+    t0, h = Fraction(t0), Fraction(h)
+    re = t0 + h * ch * Fraction(math.cos(phi))
+    im = h * sh * Fraction(math.sin(phi))
+    lhs = abs(4 * re**3 * im - 4 * re * im**3)
+    rhs = 4 * (t0 + h * ch) ** 3 * h * sh
+    assert lhs <= rhs * (1 + Fraction(1, 10**12))
+
+
+# (spec, N) and theta as fractions of the arc halfwidth N^(delta - 4),
+# delta = 73/372
+ARC_CASES = [
+    (figurate.catalog("{3,4,3}").spec, 26),
+    (figurate.catalog("{3,4,3}").spec, 50),
+    (figurate.catalog("{3,3,5}").spec, 26),
+    (figurate.catalog("{5,3,3}").spec, 16),
+]
+ARC_FRACS = (0.0, 0.31, -0.77, 1.0)
+V_CASES = [(72, 20, 0.02), (72, 20, -0.02)] + [
+    (sp.A, N, frac * float(N) ** (73.0 / 372.0 - 4.0)) for sp, N in ARC_CASES for frac in ARC_FRACS
+]
+
+
+def test_v_theta_meets_its_tolerance(monkeypatch):
+    """One pass at the proven panel count P is within 1e-9 N of the same
+    rule at 4P.  Rounding allowance: 64 eps N (1 + |c| N^4), the size of the
+    phase errors 2 pi eps |c t^4| summed over [1, N]."""
+    passes = []
+
+    def spy(fn, a, b, panels):
+        passes.append((fn, a, b, panels))
+        return quadrature.integrate(fn, a, b, panels)
+
+    monkeypatch.setattr(singularintegral, "integrate", spy)
+    for A, N, theta in V_CASES:
+        got = singularintegral.v_theta(A, N, theta)
+        fn, a, b, panels = passes.pop()
+        fine = quadrature.integrate(fn, a, b, 4 * panels)
+        allowance = 64 * EPS * N * (1 + abs(A * theta / 24.0) * N**4)
+        assert abs(got - fine) <= 1e-9 * N + allowance, (A, N, theta, panels)
+
+
+def test_v_theta_past_half_the_cap_in_turns():
+    """5.5e5 phase turns: more than 2^19 starting panels, still a value."""
+    v = singularintegral.v_theta(72, 40, 0.072)
+    assert math.isfinite(v.real) and math.isfinite(v.imag)
+    assert abs(v) <= 39.0
 
 
 def test_v1_theta_single_term():
@@ -75,16 +141,10 @@ def test_v1_approximates_scaled_v_inside_the_arc():
     """The lattice sum v1 at N0 = A N^4/24 tracks (A/24)^(1/4) v(theta)
     within A N^delta for arc-sized theta, delta = 73/372."""
     delta = 73.0 / 372.0
-    cases = [
-        (figurate.catalog("{3,4,3}").spec, 26),
-        (figurate.catalog("{3,4,3}").spec, 50),
-        (figurate.catalog("{3,3,5}").spec, 26),
-        (figurate.catalog("{5,3,3}").spec, 16),
-    ]
-    for sp, N in cases:
+    for sp, N in ARC_CASES:
         N0 = (sp.A * N**4) // 24
         width = float(N) ** (delta - 4.0)
-        for frac in (0.0, 0.31, -0.77, 1.0):
+        for frac in ARC_FRACS:
             theta = frac * width
             lhs = abs(
                 singularintegral.v1_theta(N0, theta)
