@@ -1,10 +1,10 @@
 """Exact integer convolution kernels.
 
-Cyclic self-powers (congruence counts) pack a nonnegative sequence into one
+Cyclic products (congruence counts) pack a nonnegative sequence into one
 Python int with a fixed block width, so that big-int multiplication performs
-the full convolution in C.  Each product is packed at a width sized from an
-upper bound on every coefficient it can hold, which guarantees no carry ever
-crosses a block boundary.
+the full convolution in C.  Each product is one cyclic_multiply, packed at a
+width sized from an upper bound on every coefficient it can hold, which
+guarantees no carry ever crosses a block boundary.
 
 Truncated linear powers of a sparse 0/1 polynomial (representation counts)
 are shift-add passes on numpy arrays: each pass adds in place into an
@@ -17,7 +17,7 @@ planes.  All results are exact.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -61,6 +61,45 @@ def _widen(packed: int, width: int, new_width: int, count: int) -> int:
     return int.from_bytes(buf, "little")
 
 
+# a nonnegative length-q vector packed into one int at width bytes per
+# block, with an upper bound on its entries and its exact sum
+PackedVector = namedtuple("PackedVector", "packed width bound total")
+
+# the unit of cyclic convolution, 1 at index 0, at any length
+UNIT = PackedVector(1, 1, 1, 1)
+
+
+def packed_vector(vec: Sequence[int]) -> PackedVector:
+    """vec packed at the width of its largest entry."""
+    top = max(vec)
+    width = _width_for(top)
+    return PackedVector(pack(vec, width), width, top, sum(vec))
+
+
+def cyclic_multiply(x: PackedVector, y: PackedVector, q: int) -> PackedVector:
+    """The cyclic convolution over Z_q of two packed length-q vectors.
+
+    Every entry of x*y is at most max(x) * sum(y), because
+    (x*y)[r] = sum_i x[r - i] * y[i] and each x[r - i] <= max(x); by
+    symmetry it is also at most max(y) * sum(x), and sum(x*y) =
+    sum(x) * sum(y).  The smaller bound sizes the width; both operands are
+    widened to it (never narrowed) and multiplied as big ints.  The linear
+    product has 2q - 1 blocks, each a sum of nonnegative terms of the
+    matching cyclic coefficient, so each is within the bound: the fold back
+    to length q is one mask, one shift and one add, and no carry crosses a
+    block.  A product with UNIT returns the other operand unchanged.
+    """
+    if x is UNIT or y is UNIT:
+        return y if x is UNIT else x
+    bound = min(x.bound * y.total, y.bound * x.total)
+    w = max(_width_for(bound), x.width, y.width)
+    a = _widen(x.packed, x.width, w, q)
+    b = a if y is x else _widen(y.packed, y.width, w, q)
+    prod = a * b
+    shift = 8 * w * q
+    return PackedVector((prod & ((1 << shift) - 1)) + (prod >> shift), w, bound, x.total * y.total)
+
+
 def cyclic_self_power(
     vec: Sequence[int], s: int, q: int
 ) -> tuple[list[int], list[int]]:
@@ -70,12 +109,10 @@ def cyclic_self_power(
     Entry r of the s-th power is sum_i A[i] * B[(r - i) % q], so a caller
     that needs few entries never forms the widest multiply.
 
-    Entries must be nonnegative.  Left-to-right binary powering; the e-th
-    power's coefficients are bounded by sum(vec)**e, which sizes the block
-    width of the step that forms it.  The linear product of two length-q
-    packings has 2q - 1 blocks, each at most the matching cyclic coefficient,
-    so the fold back to length q is one mask, one shift and one add on the
-    packed int, and no carry crosses a block.
+    Entries must be nonnegative.  Left-to-right binary powering, each step
+    one cyclic_multiply; by its bound, the e-th power (e >= 1) has entries at
+    most max(vec) * sum(vec)**(e-1), which sizes the block width of the step
+    that forms it.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
@@ -85,33 +122,21 @@ def cyclic_self_power(
         raise ValueError("power must be >= 0")
     if any(v < 0 for v in vec):
         raise ValueError("entries must be nonnegative")
-    total = sum(vec)
-    # a power is (packed int, block width, exponent)
-    w = _width_for(total)
-    base = (pack(vec, w), w, 1)
-
-    def times(x, y):
-        e = x[2] + y[2]
-        w = _width_for(total**e)
-        a = _widen(x[0], x[1], w, q)
-        b = a if y is x else _widen(y[0], y[1], w, q)
-        prod = a * b
-        shift = 8 * w * q
-        return (prod & ((1 << shift) - 1)) + (prod >> shift), w, e
+    base = packed_vector(vec)
 
     def power(e):
         if e == 0:
-            return 1, 1, 0  # the unit vector at 0
+            return UNIT
         result = base
         for bit in bin(e)[3:]:
-            result = times(result, result)
+            result = cyclic_multiply(result, result, q)
             if bit == "1":
-                result = times(result, base)
+                result = cyclic_multiply(result, base, q)
         return result
 
     half = power(s // 2)
-    other = times(half, base) if s % 2 else half
-    return unpack(half[0], half[1], q), unpack(other[0], other[1], q)
+    other = cyclic_multiply(half, base, q) if s % 2 else half
+    return unpack(half.packed, half.width, q), unpack(other.packed, other.width, q)
 
 
 def _exponents(values: Iterable[int], s: int, m_max: int) -> list[int]:

@@ -9,6 +9,27 @@ comes from figurate.residue_counts, through f(n) mod q = (24 f(n) mod 24q) / 24,
 and tuple counts come from its exact cyclic convolution.  Moduli above the
 exact-path cap take its root sums (expsums.root_sums, one FFT) instead,
 which evaluate the same count in floating point.
+
+The Hensel split.  Let p >= 5 be prime, so that 24 is a unit mod p and f has
+p-integral Taylor coefficients.  Call n singular when p | f'(n), a property
+of n mod p, and let N_m(p^k) count the solutions mod p^k whose coordinates
+are all singular.  Then for k >= 2
+
+    M_m(p^k) = p^((k-1)(s-1)) * (M_m(p) - N_m(p)) + N_m(p^k).
+
+Proof.  Each tuple mod p^k is x + p^(k-1) y with x fixed mod p^(k-1) and
+y in (Z/p)^s.  As 2(k-1) >= k, f(x_i + p^(k-1) y_i) = f(x_i) + p^(k-1) y_i
+f'(x_i) mod p^k.  So x + p^(k-1) y solves the congruence mod p^k only if x
+solves it mod p^(k-1), and then exactly when sum_i y_i f'(x_i) is one fixed
+residue mod p.  If some f'(x_i) is prime to p, that linear equation has
+p^(s-1) solutions y.  Hence the solutions with a nonsingular coordinate
+multiply by p^(s-1) per level, from M_m(p) - N_m(p) at level 1.
+
+N_m(p^k) is cheap (_singular_profile): a singular n is rho + p z with rho
+one of the at most 3 roots of 12 f' mod p, and f(rho + p z) = c_rho +
+p^2 F_rho(z), whose residue mod p^k depends only on z mod p^(k-2).  At
+p = 2 and 3, 24 is not a unit and the Taylor step fails, so those primes
+stay on the direct kernel (count_congruence).
 """
 
 from __future__ import annotations
@@ -22,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .exactconv import cyclic_self_power
+from .exactconv import UNIT, cyclic_multiply, cyclic_self_power, packed_vector, unpack
 from .expsums import root_sums
 from .figurate import FigurateSpec, residue_counts, residues
 from .weylbounds import BoundCheckReport, bound_report
@@ -174,17 +195,99 @@ def _density_float(spec: FigurateSpec, s: int, m: int, q: int) -> float:
     return float(np.real(F**s * np.conj(phases)).sum())
 
 
+def _compositions(s: int, parts: int) -> list[tuple[int, ...]]:
+    """Every tuple of parts nonnegative integers summing to s, parts >= 1."""
+    if parts == 1:
+        return [(s,)]
+    return [(a, *rest) for a in range(s + 1) for rest in _compositions(s - a, parts - 1)]
+
+
+@lru_cache(maxsize=128)
+def _singular_profile(spec: FigurateSpec, s: int, p: int, k: int) -> tuple[int, ...]:
+    """N_r(p^k) for every r mod p^k: the s-tuples mod p^k, every coordinate
+    singular (p | f'(n)), with value sum r; p >= 5 prime, k >= 1.
+
+    A singular n is rho + p z, with rho a root of 12 f' mod p (not the zero
+    polynomial, as f(1) - f(0) = 1 and deg f < p, so at most 3 roots) and z
+    mod p^(k-1).  Let d = min(k, 2) and L = p^(k-d).  Since p | f'(rho),
+    f(rho + p z) = c_rho + p^d F_rho(z) with c_rho = f(rho) mod p^d, and
+    F_rho mod L depends only on z mod L (when d = 2, a step of z by L moves
+    n by p^(k-1), which moves f by p^(k-1) f'(n) times an integer mod p^k,
+    and p | f'(n); when d = 1, L = 1).  Let H_rho be the histogram of F_rho mod
+    L over z mod L; each z mod L stands for p^(d-1) classes mod p^(k-1).
+    Grouping tuples by how many coordinates lie over each root (a
+    composition a of s),
+
+        N_r = p^((d-1)s) * sum_a multinomial(s; a) * V_a[(r - o_a) / p^d mod L],
+
+    over the a with offset o_a = sum a_rho c_rho = r mod p^d, where V_a is
+    the cyclic product over Z_L of the H_rho^(*a_rho) (exactconv.cyclic_multiply).
+    """
+    q = p**k
+    pd = p ** min(k, 2)
+    L = q // pd
+    roots = [rho for rho in range(p) if spec.deriv12_at(rho) % p == 0]
+    profile = [0] * q
+    if not roots:
+        return tuple(profile)
+    vals = residues(spec, p ** max(k - 1, 1), q)
+    offsets, powers = [], []
+    for rho in roots:
+        # f(n) mod q for n = rho + p z over one full period of z mod L
+        sel = vals[(rho - 1) % p :: p]
+        c = int(sel[0]) % pd
+        hist = packed_vector(np.bincount((sel - c) // pd, minlength=L).tolist())
+        row = [UNIT]  # H_rho^(*j) for j = 0..s
+        for _ in range(s):
+            row.append(cyclic_multiply(row[-1], hist, L))
+        offsets.append(c)
+        powers.append(row)
+    lift = (pd // p) ** s
+    for a in _compositions(s, len(roots)):
+        weight = lift * math.factorial(s) // math.prod(map(math.factorial, a))
+        vec = powers[0][a[0]]
+        for a_rho, row in zip(a[1:], powers[1:]):
+            vec = cyclic_multiply(vec, row[a_rho], L)
+        offset = sum(map(operator.mul, a, offsets))
+        u, shift = offset % pd, offset // pd % L
+        entries = unpack(vec.packed, vec.width, L)
+        rotated = entries[L - shift :] + entries[: L - shift]
+        profile[u::pd] = [n + weight * v for n, v in zip(profile[u::pd], rotated)]
+    return tuple(profile)
+
+
+def _hensel_count(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> int:
+    """M_m(p^k) = p^((k-1)(s-1)) * (M_m(p) - N_m(p)) + N_m(p^k) for prime
+    p >= 5 and k >= 2 (the Hensel split of the module docstring)."""
+    nonsingular = count_congruence(spec, s, m, p, p) - _singular_profile(spec, s, p, 1)[m % p]
+    return p ** ((k - 1) * (s - 1)) * nonsingular + _singular_profile(spec, s, p, k)[m % p**k]
+
+
 def local_density(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> float:
-    """rho_k = p^(k(1-s)) * M_m(p^k); exact rational for p^k <= 5000."""
+    """rho_k = p^(k(1-s)) * M_m(p^k); exact rational for p^k <= 5000.
+
+    For prime p >= 5 and k >= 2 the count comes from the Hensel split (see
+    the module docstring, _hensel_count): M_m(p^k) = p^((k-1)(s-1)) *
+    (M_m(p) - N_m(p)) + N_m(p^k), where N counts the all-singular tuples.  A
+    tuple with a coordinate n where p does not divide f'(n) lifts to exactly
+    p^(s-1) solutions at the next level, because f(n + p^(k-1) y) =
+    f(n) + p^(k-1) y f'(n) mod p^k.  That Taylor step needs f to have
+    p-integral coefficients, which holds only where 24 is a unit, so p = 2
+    and 3 use the direct kernel, as do level 1 and the float path past the
+    cap.
+    """
     if k < 0:
         raise ValueError("level must be >= 0")
     if k == 0:
         return 1.0
     q = p**k
-    if q <= EXACT_MODULUS_CAP:
+    if q > EXACT_MODULUS_CAP:
+        return _density_float(spec, s, m, q)
+    if p >= 5 and k >= 2 and is_prime(p):
+        count = _hensel_count(spec, s, m, p, k)
+    else:
         count = count_congruence(spec, s, m, q, q)
-        return float(Fraction(count, q ** (s - 1)))
-    return _density_float(spec, s, m, q)
+    return float(Fraction(count, q ** (s - 1)))
 
 
 def local_density_limit(

@@ -100,6 +100,39 @@ def test_cyclic_self_power_rejects_bad_input():
         exactconv.cyclic_self_power([1, -1], 2, 2)
 
 
+def naive_cyclic_product(x, y, q):
+    return [sum(x[i] * y[(r - i) % q] for i in range(q)) for r in range(q)]
+
+
+@st.composite
+def cyclic_pairs(draw):
+    q = draw(st.integers(1, 7))
+    x = draw(st.lists(st.integers(0, 2**70), min_size=q, max_size=q))
+    y = draw(st.lists(st.integers(0, 300), min_size=q, max_size=q))
+    return x, y, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(cyclic_pairs())
+@example(([0, 0], [0, 0], 2))
+@example(([2**64 - 1], [1], 1))
+@example(([255, 0, 0], [1, 1, 1], 3))
+def test_cyclic_multiply_matches_naive_within_its_bound(case):
+    x, y, q = case
+    px, py = exactconv.packed_vector(x), exactconv.packed_vector(y)
+    want = naive_cyclic_product(x, y, q)
+    for a, b in ((px, py), (py, px)):
+        got = exactconv.cyclic_multiply(a, b, q)
+        assert exactconv.unpack(got.packed, got.width, q) == want
+        # every entry is at most max(x) * sum(y) and max(y) * sum(x)
+        assert got.bound == min(max(x) * sum(y), max(y) * sum(x)) >= max(want)
+        assert got.total == sum(want)
+    square = exactconv.cyclic_multiply(px, px, q)
+    assert exactconv.unpack(square.packed, square.width, q) == naive_cyclic_product(x, x, q)
+    unit = exactconv.cyclic_multiply(exactconv.UNIT, py, q)
+    assert exactconv.unpack(unit.packed, unit.width, q) == y
+
+
 @st.composite
 def congruence_cases(draw):
     A = draw(st.integers(1, 30))

@@ -3,8 +3,11 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waring4 import figurate, localdensity
 from waring4.errors import BudgetError
@@ -200,6 +203,72 @@ def test_local_density_limit_allows_a_local_obstruction():
     assert all(v == 0.0 for k, v in rep.levels[1:])
     assert rep.stabilized and rep.estimate == 0.0
     assert not rep.bound_holds
+
+
+def _direct_profile(spec, s, q):
+    """M_r(q, q) for every r mod q, from the direct kernel's halves."""
+    A, B = localdensity._congruence_profile(spec, s, q, q)
+    return [sum(A[i] * B[(r - i) % q] for i in range(q)) for r in range(q)]
+
+
+@st.composite
+def split_cases(draw):
+    spec = figurate.make_spec(draw(st.integers(1, 60)), draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    k = draw(st.integers(2, 3))
+    s = draw(st.integers(1, 17))
+    ms = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=4))
+    return spec, p, k, s, ms
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_hensel_split_matches_the_direct_kernel(case):
+    spec, p, k, s, ms = case
+    q = p**k
+    for m in ms:
+        direct = localdensity.count_congruence(spec, s, m, q, q)
+        assert localdensity._hensel_count(spec, s, m, p, k) == direct
+        assert localdensity.local_density(spec, s, m, p, k) == float(Fraction(direct, q ** (s - 1)))
+
+
+@pytest.mark.parametrize(
+    "spec,p,roots,repeated",
+    [
+        (F2, 5, [1], None),  # p | A
+        (F2, 29, [6, 13], None),  # p | A
+        (F3, 29, [3, 8], None),  # p | A
+        (F2, 13, [], None),  # no singular class
+        (F2, 17, [], None),  # no singular class
+        (F3, 5, [1, 3, 4], None),  # three singular classes
+        (F1, 7, [0, 2, 6], None),
+        (F1, 13, [0, 6, 8], None),
+        (figurate.make_spec(1, -10, -8), 5, [1, 3], 3),  # a double root
+        (figurate.make_spec(1, -7, -7), 5, [1], 1),  # a triple root
+    ],
+)
+def test_hensel_split_every_residue(spec, p, roots, repeated):
+    assert [r for r in range(p) if spec.deriv12_at(r) % p == 0] == roots
+    if repeated is not None:  # (12 f')' vanishes there too
+        d3, d2, d1, _ = spec.deriv12
+        assert ((3 * d3 * repeated + 2 * d2) * repeated + d1) % p == 0
+    for k in (2, 3) if p**3 <= 400 else (2,):
+        q = p**k
+        for s in (1, 2, 17):
+            want = _direct_profile(spec, s, q)
+            assert [localdensity._hensel_count(spec, s, r, p, k) for r in range(q)] == want
+
+
+@pytest.mark.parametrize("spec", [F1, F2, F3], ids=["343", "335", "533"])
+def test_p_at_least_5_ladders_pinned_to_the_direct_kernel(spec):
+    for m in (10**4, 3 * 10**4, 10**5, 3 * 10**5):
+        for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            rep = localdensity.local_density_limit(spec, 17, m, p)
+            direct = [
+                (k, float(Fraction(localdensity.count_congruence(spec, 17, m, p**k, p**k), p ** (16 * k))))
+                for k, _ in rep.levels
+            ]
+            assert rep.levels == tuple(direct)
 
 
 @pytest.mark.parametrize("k_max", [0, -1])
