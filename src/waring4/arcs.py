@@ -21,10 +21,11 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import BudgetError
+from .expsums import complete_sum_V, partial_sum_M
 from .figurate import FigurateSpec, residues, values
 from .quadrature import integrate, size_panels
 from .repcount import count_representations
-from .singularintegral import MainTermParams, main_term
+from .singularintegral import MainTermParams, main_term, v_theta
 from .singularseries import SeriesEstimate, euler_product
 from .weylbounds import BoundCheckReport
 
@@ -275,9 +276,6 @@ def approx_chain_check(
     flagged in the context rather than refused.  Only |theta| > 1/2 (outside
     the fundamental domain) is an error.
     """
-    from .expsums import complete_sum_V, partial_sum_M
-    from .singularintegral import v_theta
-
     if q < 1 or not (1 <= a <= q) or gcd(a, q) != 1:
         raise ValueError("need 1 <= a <= q with gcd(a, q) = 1")
     if abs(theta) > 0.5:

@@ -70,19 +70,6 @@ def is_prime(n: int) -> bool:
 
 
 @dataclass(frozen=True)
-class ResidueDistribution:
-    q: int
-    t: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.q:
-            raise ValueError("histogram length must equal the modulus")
-        if sum(self.counts) != self.t:
-            raise ValueError("histogram mass must equal the sample length")
-
-
-@dataclass(frozen=True)
 class DensityReport:
     p: int
     levels: tuple[tuple[int, float], ...]
@@ -97,23 +84,20 @@ class DensityReport:
             raise ValueError("a density must be nonnegative")
 
 
-def residue_distribution(spec: FigurateSpec, t: int, q: int) -> ResidueDistribution:
-    """Exact histogram of f(n) mod q over 1 <= n <= t (figurate.residue_counts),
-    checked for length and mass."""
-    if t < 1 or q < 1:
-        raise ValueError("range and modulus must be >= 1")
-    return ResidueDistribution(q, t, tuple(residue_counts(spec, t, q)))
-
-
 @lru_cache(maxsize=128)
 def _congruence_profile(
     spec: FigurateSpec, s: int, t: int, q: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The half powers A, B of the residue histogram, whose cyclic product is
     the full profile M_r(t, q) over r mod q."""
-    dist = residue_distribution(spec, t, q)
-    A, B = cyclic_self_power(dist.counts, s, q)
+    A, B = cyclic_self_power(residue_counts(spec, t, q), s, q)
     return tuple(A), tuple(B)
+
+
+def _profile_entry(A: tuple[int, ...], B: tuple[int, ...], r: int) -> int:
+    """Entry r of the cyclic product of the halves, sum_i A[i] * B[(r - i) % q]
+    with q = len(A): one O(q) dot."""
+    return sum(map(operator.mul, A, B[r::-1] + B[:r:-1]))
 
 
 def count_congruence(spec: FigurateSpec, s: int, m: int, t: int, q: int) -> int:
@@ -127,8 +111,7 @@ def count_congruence(spec: FigurateSpec, s: int, m: int, t: int, q: int) -> int:
             f"exact congruence counting is capped at modulus {EXACT_MODULUS_CAP}"
         )
     A, B = _congruence_profile(spec, s, t, q)
-    r = m % q
-    return sum(map(operator.mul, A, B[r::-1] + B[:r:-1]))
+    return _profile_entry(A, B, m % q)
 
 
 def scaling_identity_check(
@@ -165,20 +148,26 @@ def _derivative_valuation(spec: FigurateSpec, y: int, p: int) -> int | None:
     return v - v12
 
 
+@lru_cache(maxsize=128)
+def _level_one_table(spec: FigurateSpec, s: int, p: int) -> tuple[int, ...]:
+    """M_r(p) for every r mod p, one dot of the cached halves per r; s >= 0,
+    and the 0-fold table is the unit vector."""
+    A, B = _congruence_profile(spec, s, p, p)
+    return tuple(_profile_entry(A, B, r) for r in range(p))
+
+
 def nonsingular_count(spec: FigurateSpec, s: int, m: int, p: int) -> int:
     """Solutions of the mod-p congruence whose first coordinate n_1 has both
-    f(n_1) and f'(n_1) prime to p."""
+    f(n_1) and f'(n_1) prime to p: the sum of M_(m - f(n_1))(p) over the
+    other s - 1 coordinates."""
     if not is_prime(p):
         raise ValueError("modulus must be prime")
-    total = 0
-    for n1, fn1 in enumerate(residues(spec, p, p).tolist(), 1):
-        if fn1 == 0 or _derivative_valuation(spec, n1, p) != 0:
-            continue
-        if s == 1:
-            total += 1 if fn1 == m % p else 0
-        else:
-            total += count_congruence(spec, s - 1, m - fn1, p, p)
-    return total
+    table = _level_one_table(spec, s - 1, p)
+    return sum(
+        table[(m - fn1) % p]
+        for n1, fn1 in enumerate(residues(spec, p, p).tolist(), 1)
+        if fn1 != 0 and _derivative_valuation(spec, n1, p) == 0
+    )
 
 
 def _density_float(spec: FigurateSpec, s: int, m: int, q: int) -> float:
@@ -266,15 +255,9 @@ def _hensel_count(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> int:
 def local_density(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> float:
     """rho_k = p^(k(1-s)) * M_m(p^k); exact rational for p^k <= 5000.
 
-    For prime p >= 5 and k >= 2 the count comes from the Hensel split (see
-    the module docstring, _hensel_count): M_m(p^k) = p^((k-1)(s-1)) *
-    (M_m(p) - N_m(p)) + N_m(p^k), where N counts the all-singular tuples.  A
-    tuple with a coordinate n where p does not divide f'(n) lifts to exactly
-    p^(s-1) solutions at the next level, because f(n + p^(k-1) y) =
-    f(n) + p^(k-1) y f'(n) mod p^k.  That Taylor step needs f to have
-    p-integral coefficients, which holds only where 24 is a unit, so p = 2
-    and 3 use the direct kernel, as do level 1 and the float path past the
-    cap.
+    Prime p >= 5 at k >= 2 takes the Hensel split (_hensel_count; proof in
+    the module docstring).  p = 2 and 3 and level 1 take the direct kernel,
+    and moduli past the cap the float path.
     """
     if k < 0:
         raise ValueError("level must be >= 0")

@@ -205,10 +205,16 @@ def divisor_count(n: int) -> int:
 
 
 def divisor_count_sieve(limit: int) -> np.ndarray:
-    """d(n) for 0 <= n <= limit (entry 0 unused)."""
+    """d(n) for 0 <= n <= limit (entry 0 unused).
+
+    Each divisor pair (i, n/i) with i <= n/i is counted once from its smaller
+    member: i adds 2 at every multiple n >= i^2, and 1 back at n = i^2, where
+    the pair is one divisor.
+    """
     d = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(1, limit + 1):
-        d[i::i] += 1
+    for i in range(1, math.isqrt(limit) + 1):
+        d[i * i :: i] += 2
+        d[i * i] -= 1
     return d
 
 

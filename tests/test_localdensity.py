@@ -1,5 +1,6 @@
 """Congruence counts, p-adic densities, Hensel lifting, valuations."""
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -34,7 +35,7 @@ def _direct_counts(spec, t, q):
     return [full * period[r] + prefix[r] for r in range(q)]
 
 
-def test_residue_distribution_matches_direct_scan():
+def test_residue_counts_matches_direct_scan():
     rng = random.Random(31)
     for sp in (F1, F2, F3):
         for _ in range(12):
@@ -42,16 +43,16 @@ def test_residue_distribution_matches_direct_scan():
             period = 24 * q
             drawn = rng.randrange(1, period + 60)  # crosses the period boundary
             for t in (drawn, period - 1, period, period + 1, 3 * period + 5, 2**70 + 5):
-                dist = localdensity.residue_distribution(sp, t, q)
-                assert dist.q == q and dist.t == t
-                assert list(dist.counts) == _direct_counts(sp, t, q)
+                counts = figurate.residue_counts(sp, t, q)
+                assert len(counts) == q and sum(counts) == t
+                assert counts == _direct_counts(sp, t, q)
 
 
-def test_residue_distribution_rejects_bad_args():
+def test_count_congruence_rejects_bad_args():
     with pytest.raises(ValueError):
-        localdensity.residue_distribution(F1, 0, 5)
+        localdensity.count_congruence(F1, 2, 0, 0, 5)
     with pytest.raises(ValueError):
-        localdensity.residue_distribution(F1, 10, 0)
+        localdensity.count_congruence(F1, 2, 0, 10, 0)
 
 
 def test_count_congruence_modulus_one():
@@ -155,6 +156,34 @@ def test_nonsingular_count_single_summand():
     assert got == brute
     with pytest.raises(ValueError):
         localdensity.nonsingular_count(F1, 2, 0, 6)
+
+
+def _enumerated_nonsingular(spec, s, p):
+    """nonsingular_count for every m mod p, by enumerating the s-tuples."""
+    vals = [spec.value(n) % p for n in range(1, p + 1)]
+    counts = [0] * p
+    for tup in itertools.product(range(p), repeat=s):
+        if vals[tup[0]] != 0 and spec.deriv12_at(tup[0] + 1) % p != 0:
+            counts[sum(vals[i] for i in tup) % p] += 1
+    return counts
+
+
+def _assert_nonsingular_every_residue(spec):
+    for p in (5, 7, 11):
+        for s in (1, 2, 3):
+            got = [localdensity.nonsingular_count(spec, s, m, p) for m in range(p)]
+            assert got == _enumerated_nonsingular(spec, s, p), (p, s)
+
+
+@pytest.mark.parametrize("spec", [F1, F2, F3], ids=["343", "335", "533"])
+def test_nonsingular_count_every_residue(spec):
+    _assert_nonsingular_every_residue(spec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 60), st.integers(-60, 60), st.integers(-60, 60))
+def test_nonsingular_count_every_residue_drawn_spec(A, B, C):
+    _assert_nonsingular_every_residue(figurate.make_spec(A, B, C))
 
 
 def test_local_density_level_zero_and_exact_path():
