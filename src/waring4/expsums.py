@@ -27,13 +27,17 @@ the squared counts of the h-fold sums.  Those counts come from grouping, in
 exact int64 arithmetic, never from Monte Carlo.  The values are shifted by
 their midpoint, so the h-fold sums use both signs of int64, and grouped into
 distinct values with counts.  Each pass then turns the distinct k-fold sums
-with their counts into the 2k-fold ones, in one sort of signed packed
-(sum, weight) keys walked BLOCK keys at a time; the last pass squares each
-block's group counts as it goes instead of storing them.  j = 4 shifts the
-values by their minimum, builds the septuple-sum counts by the shift-add
-passes of exactconv, and forms the octuple-sum counts BLOCK entries at a
-time, squaring each block as it is made.  No table of the final sums is
-stored.
+with their counts into the 2k-fold ones, enumerated in increasing order one
+window of sums at a time (_pair_groups): a window's pairs are packed
+relative to its lower edge as (sum, weight) int64 keys, sorted and
+totalled, and no run of equal sums crosses a window edge, so nothing is
+carried and only one window of keys is held.  The last pass squares each
+window's group counts as it goes instead of storing them.  j = 4 shifts the
+values by their minimum, builds the septuple-sum counts in one u4 array by
+seven shift-add passes, each run in place from the top block down through
+one BLOCK-sized scratch block, and forms the octuple-sum counts BLOCK
+entries at a time, squaring each block as it is made.  No table of the
+final sums is stored.
 """
 
 from __future__ import annotations
@@ -46,11 +50,11 @@ from math import fsum, gcd
 import numpy as np
 
 from .errors import BudgetError
-from .exactconv import _truncated_powers
 from .figurate import FigurateSpec, residue_counts, values
 
 TWO_PI = 2.0 * cmath.pi
-# entries of a moment's last pass unpacked, grouped or summed at a time
+# a moment's passes work on about this many entries at a time: windows of
+# at most about 2 * BLOCK pair keys (j = 2, 3), blocks of counts (j = 4)
 BLOCK = 1 << 16
 
 
@@ -163,73 +167,97 @@ def _sum_of_squares_int64(arr: np.ndarray) -> int:
 def _pair_groups(vals: np.ndarray, wts: np.ndarray):
     """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
     each with its summed weight wts[i] * wts[k], yielded as (sums, weights)
-    arrays of at most BLOCK + 1 groups each.
+    arrays one window of sums at a time.
 
     vals must be nonempty, distinct and ascending, and wts >= 1, both int64;
     every pair sum must fit int64, and every group's weight sum is at most
     sum(wts)^2, which must stay below 2^63.  Only the upper triangle i <= k
     is enumerated, a pair with i < k counting twice, so every weight is at
-    most 2 * max(wts)^2, which has b bits.  When 2 * max|vals| << b fits
-    below 2^63, each pair becomes one signed int64 key sum << b | weight,
-    written row by row into one array, and one in-place sort brings equal
-    sums together.  Otherwise sums and weights stay apart and are ordered by
-    an argsort of the sums.  Either way the sorted pairs are then walked
-    BLOCK at a time: a block is unpacked, each run of equal sums is totalled
-    by a cumsum read at the run ends, and the run still open at the block
-    edge is carried into the next block.  No other array of the size of the
-    pair list is made.
+    most 2 * max(wts)^2, which has b bits; b > 62 raises BudgetError.
+
+    As in Bernstein's enumeration of p(a) + q(b), the state is O(len(vals)):
+    row i keeps its first column k > i not yet given out.  A window [lo, hi)
+    takes each row's columns up to one searchsorted of hi - vals, plus the
+    diagonal sums 2 * vals[i] inside it, packs them as int64 keys
+    (sum - lo) << b | weight, which its span of at most 2^(62 - b) keeps
+    below 2^62, sorts them and totals each run of equal sums with
+    add.reduceat.  Windows split the sum range, so no run crosses an edge
+    and nothing is carried.  A window's span aims at BLOCK keys from the
+    last window's density and shrinks until it holds at most 2 * BLOCK,
+    unless one sum has more pairs; the next window starts at the next sum
+    that occurs.
     """
     n = len(vals)
     top = int(wts.max())
     bits = (2 * top * top).bit_length()
-    packed = (2 * max(-int(vals[0]), int(vals[-1]))) << bits < 1 << 63
-    size = n * (n + 1) // 2
-    keys = np.empty(size, dtype=np.int64)
-    weights = None if packed else np.empty(size, dtype=np.int64)
-    row_w = np.empty(n, dtype=np.int64)
-    pos = 0
-    for i in range(n):
-        end = pos + n - i
-        w = row_w[: n - i]
-        np.multiply(wts[i:], 2 * wts[i], out=w)
-        w[0] = wts[i] * wts[i]
-        row = keys[pos:end]
-        np.add(vals[i:], vals[i], out=row)
-        if packed:
-            row <<= bits
-            row |= w
-        else:
-            weights[pos:end] = w
-        pos = end
-    if packed:
-        keys.sort()
-    else:
-        order = np.argsort(keys)
-        keys, weights = keys[order], weights[order]
+    if bits > 62:
+        raise BudgetError("pair weights too wide to pack beside their sums")
+    cap = 1 << (62 - bits)
     mask = (1 << bits) - 1
-    # the open run: its sum and its weight so far
-    run_sum = run_w = np.empty(0, dtype=np.int64)
-    for lo in range(0, size, BLOCK):
-        block = keys[lo : lo + BLOCK]
-        if packed:
-            sums, w = block >> bits, block & mask
-        else:
-            sums, w = block, weights[lo : lo + BLOCK]
-        sums = np.concatenate((run_sum, sums))
-        w = np.concatenate((run_w, w))
-        ends = np.flatnonzero(sums[1:] != sums[:-1])  # last entry of each closed run
-        cum = np.cumsum(w)
-        closed = cum[ends]
-        yield sums[ends], np.diff(closed, prepend=0)
-        run_sum = sums[-1:]
-        run_w = cum[-1:] - (closed[-1] if len(closed) else 0)
-    yield run_sum, run_w
+    wide = 1 << 63
+    twice = 2 * vals  # the diagonal sums, ascending
+    last = int(twice[-1])
+    start = np.arange(1, n + 1)  # row i's first column k > i not yet given out
+    diag = 0  # the first diagonal sum not yet given out
+    lo, span = int(twice[0]), cap
+    while True:
+        while True:
+            hi = min(lo + span, last + 1)
+            # hi - v leaves int64 only where it also lies past every value,
+            # so v is clipped to where it fits
+            reach = hi - vals.clip(max(hi - wide + 1, -wide), min(hi + wide, wide - 1))
+            stop = np.maximum(np.searchsorted(vals, reach), start)
+            diag_stop = int(np.searchsorted(twice, hi))
+            counts = stop - start
+            pairs = int(counts.sum())
+            size = pairs + diag_stop - diag
+            if size <= 2 * BLOCK or span == 1:
+                break
+            span = max(1, span * BLOCK // size)
+        keys = np.empty(size, dtype=np.int64)
+        off, on = keys[:pairs], keys[pairs:]
+        # columns start[i] .. stop[i] - 1 of every row, as one ragged arange
+        cols = np.repeat(start - (np.cumsum(counts) - counts), counts)
+        cols += np.arange(pairs)
+        np.add(np.repeat(vals, counts), vals[cols], out=off)
+        off -= lo
+        off <<= bits
+        off |= np.repeat(2 * wts, counts) * wts[cols]
+        np.subtract(twice[diag:diag_stop], lo, out=on)
+        on <<= bits
+        on |= wts[diag:diag_stop] * wts[diag:diag_stop]
+        keys.sort()
+        sums = keys >> bits
+        new_run = np.empty(size, dtype=bool)
+        new_run[0] = True
+        np.not_equal(sums[1:], sums[:-1], out=new_run[1:])
+        first = np.flatnonzero(new_run)
+        keys &= mask
+        yield sums[first] + lo, np.add.reduceat(keys, first)
+        if hi > last:
+            return
+        start, diag = stop, diag_stop
+        rows = np.flatnonzero(start < n)
+        lo = int(twice[diag])
+        if len(rows):
+            lo = min(lo, int((vals[rows] + vals[start[rows]]).min()))
+        span = min(cap, max(1, span * BLOCK // size))
 
 
 def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All the groups of _pair_groups as one (sums, weights) pair of arrays."""
     sums, weights = zip(*_pair_groups(vals, wts))
     return np.concatenate(sums), np.concatenate(weights)
+
+
+def _shift_add(block: np.ndarray, lo: int, power: np.ndarray, shifts: list[int]) -> None:
+    """block[k - lo] += power[k - v] for every v in shifts, over the entries
+    lo <= k < lo + len(block); power is read only inside its length."""
+    hi = lo + len(block)
+    for v in shifts:
+        a, b = max(lo - v, 0), min(hi - v, len(power))
+        if a < b:
+            block[a + v - lo : b + v - lo] += power[a:b]
 
 
 _DENSE_REFUSAL = "sixteenth moment is limited to N <= 24 and 8*(max f - min f) <= 12000000"
@@ -254,31 +282,39 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
     fv = _shifted_values(spec, N, j)
     if j < 4:
         # h-fold sums with their counts, doubling h on every pass; the last
-        # pass is squared group block by group block
+        # pass is squared window by window
         vals, cnts = np.unique(fv, return_counts=True)
         if j == 1:
             return _sum_of_squares_int64(cnts)
         for _ in range(j - 2):
             vals, cnts = _pair_sums(vals, cnts)
         return sum(_sum_of_squares_int64(w) for _, w in _pair_groups(vals, cnts))
-    # j == 4: the septuple-sum counts c7 by shift-add passes, then the
-    # octuple-sum counts c8[k] = sum_v c7[k - v] BLOCK entries at a time,
-    # squared as they are formed.  Every c8 entry is at most N^8 <= 24^8
-    # < 2^37, and a degree-4 f takes a value at most 4 times, so c7 is at
-    # most 4 * 24^6 < 2^32: one row of at most u4
+    # j == 4: the septuple-sum counts c7 by seven shift-add passes in place,
+    # then the octuple-sum counts c8[k] = sum_v c7[k - v] BLOCK entries at a
+    # time, squared as they are formed.  Every c8 entry is at most N^8 <=
+    # 24^8 < 2^37, and a degree-4 f takes a value at most 4 times, so c7 is
+    # at most 4 * 24^6 < 2^32 and fits u4, as does every partial sum before
+    # it.  Pass e is zero past x^(e * top); it overwrites pass e - 1 from
+    # the top block down, through one scratch block, which is safe because
+    # entry k reads only entries <= k of pass e - 1
     top = int(fv.max())
     if 8 * top > 12_000_000:
         raise BudgetError(_DENSE_REFUSAL)
     shifts = fv.tolist()
-    power, _ = _truncated_powers(shifts, {7}, 7 * top + 1)[7]
-    c7 = power[0]
+    c7 = np.zeros(7 * top + 1, dtype=np.uint32)
+    c7[0] = 1  # the zeroth power
+    scratch = np.empty(BLOCK, dtype=np.uint32)
+    for e in range(1, 8):
+        prev = c7[: (e - 1) * top + 1]  # the live prefix of pass e - 1
+        for hi in range(e * top + 1, 0, -BLOCK):
+            lo = max(hi - BLOCK, 0)
+            block = scratch[: hi - lo]
+            block[:] = 0
+            _shift_add(block, lo, prev, shifts)
+            c7[lo:hi] = block
     total = 0
     for lo in range(0, 8 * top + 1, BLOCK):
-        hi = min(lo + BLOCK, 8 * top + 1)
-        block = np.zeros(hi - lo, dtype=np.int64)
-        for v in shifts:
-            a, b = max(lo - v, 0), min(hi - v, len(c7))
-            if a < b:
-                block[a + v - lo : b + v - lo] += c7[a:b]
+        block = np.zeros(min(BLOCK, 8 * top + 1 - lo), dtype=np.int64)
+        _shift_add(block, lo, c7, shifts)
         total += _sum_of_squares_int64(block)
     return total

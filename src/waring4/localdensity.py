@@ -156,6 +156,17 @@ def _level_one_table(spec: FigurateSpec, s: int, p: int) -> tuple[int, ...]:
     return tuple(_profile_entry(A, B, r) for r in range(p))
 
 
+@lru_cache(maxsize=128)
+def _admissible_residues(spec: FigurateSpec, p: int) -> tuple[int, ...]:
+    """f(n_1) mod p for every n_1 = 1..p with both f(n_1) and f'(n_1) prime
+    to p, one entry per n_1."""
+    return tuple(
+        fn1
+        for n1, fn1 in enumerate(residues(spec, p, p).tolist(), 1)
+        if fn1 != 0 and _derivative_valuation(spec, n1, p) == 0
+    )
+
+
 def nonsingular_count(spec: FigurateSpec, s: int, m: int, p: int) -> int:
     """Solutions of the mod-p congruence whose first coordinate n_1 has both
     f(n_1) and f'(n_1) prime to p: the sum of M_(m - f(n_1))(p) over the
@@ -163,11 +174,7 @@ def nonsingular_count(spec: FigurateSpec, s: int, m: int, p: int) -> int:
     if not is_prime(p):
         raise ValueError("modulus must be prime")
     table = _level_one_table(spec, s - 1, p)
-    return sum(
-        table[(m - fn1) % p]
-        for n1, fn1 in enumerate(residues(spec, p, p).tolist(), 1)
-        if fn1 != 0 and _derivative_valuation(spec, n1, p) == 0
-    )
+    return sum(table[(m - fn1) % p] for fn1 in _admissible_residues(spec, p))
 
 
 def _density_float(spec: FigurateSpec, s: int, m: int, q: int) -> float:

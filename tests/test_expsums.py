@@ -2,7 +2,10 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -211,7 +214,8 @@ def test_mean_value_j4_matches_dict_oracle():
     st.integers(1, 6),
     st.integers(1, 4),
 )
-# values 1, 2, 2^58 + 3, 2^60 + 5: pair sums too wide for a packed key
+# values 1, 2, 2^58 + 3, 2^60 + 5: pair sums so far apart that the window
+# span reaches its cap of 2^(62 - b)
 @example(1, 1 << 58, 0, 4, 2)
 @example(1, 1 << 58, 0, 4, 3)
 @example(1, 1 << 58, 0, 4, 4)
@@ -236,14 +240,24 @@ def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
         ([0], [1]),
         ([0, 3, 5, 8], [1, 1, 1, 1]),
         ([0, 1, 2, 7], [3, 1, 4, 1]),
-        # 2 * max(vals) << b passes 2^63: grouped by argsort
+        # pair sums spread wider than the window span's cap of 2^(62 - b),
+        # which binds at the full BLOCK, with wide gaps for windows to jump
         ([0, 5, 1 << 57, (1 << 58) + 3], [1, 4, 2, 1]),
         ([0, 2, 1 << 61, (1 << 62) - 1], [1, 1, 1, 1]),
-        # midpoint-shifted values: signed packed keys, then a signed argsort
+        # midpoint-shifted values: sums of both signs, packed relative to lo
         ([-7, -2, 0, 5], [2, 1, 3, 1]),
         ([-(1 << 61), -3, 1], [1, 2, 1]),
         # sum 8 is five keys of the upper triangle, (0, 8) .. (4, 4)
         (list(range(9)), [1, 2, 1, 3, 1, 1, 2, 1, 4]),
+        # sums from -2^63 to 2^63 - 2: hi - v leaves int64 on both sides and
+        # is clipped
+        ([-(1 << 62), 0, (1 << 62) - 1], [1, 1, 1]),
+        ([-(1 << 62), 1 << 61, (1 << 62) - 1], [1, 1, 1]),
+        # the widest weight that packs: b = 62, one sum per window
+        ([0, 1, 5], [1518500249, 1, 2]),
+        # 25 terms in arithmetic progression: sum 72 = 3 * 24 is 13 keys,
+        # (0, 72) .. (36, 36), more than 2 * BLOCK at the short blocks
+        (list(range(0, 75, 3)), [1] * 25),
     ],
 )
 def test_pair_sums_match_counter(monkeypatch, vals, wts):
@@ -251,21 +265,34 @@ def test_pair_sums_match_counter(monkeypatch, vals, wts):
     for x, cx in zip(vals, wts):
         for y, cy in zip(vals, wts):
             want[x + y] += cx * cy
-    # short blocks split runs of equal sums across block edges
+    vals, wts = np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64)
+    # short blocks make windows of a few keys, and a sum with more pairs than
+    # 2 * BLOCK fills a window alone
     for block in (1, 2, 3, 5, expsums.BLOCK):
         monkeypatch.setattr(expsums, "BLOCK", block)
-        got_v, got_w = expsums._pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+        # strictly ascending within and across blocks: no sum is split
+        flat = [v for sums, _ in expsums._pair_groups(vals, wts) for v in sums.tolist()]
+        assert flat == sorted(set(flat))
+        got_v, got_w = expsums._pair_sums(vals, wts)
         assert got_v.tolist() == sorted(want)
         assert got_w.tolist() == [want[v] for v in sorted(want)]
 
 
-WIDE = figurate.make_spec(1, 1 << 58, 0)  # pair sums too wide for a packed key
+def test_pair_groups_refuses_weights_too_wide_to_pack():
+    # 2 * 1518500250^2 >= 2^62, so a pair weight needs b = 63 bits.
+    # mean_value never gets here: its pair weights are at most N^2 <= 14400
+    with pytest.raises(BudgetError):
+        next(expsums._pair_groups(np.array([0, 1], dtype=np.int64), np.array([1518500250, 1], dtype=np.int64)))
+
+
+WIDE = figurate.make_spec(1, 1 << 58, 0)  # values 1, 2, 2^58 + 3, 2^60 + 5
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
 def test_mean_value_block_edges_match_tuple_oracle(monkeypatch, block):
-    # blocks this short put edges inside runs of equal pair sums, packed and
-    # argsorted (WIDE), and split the octuple-sum range of j = 4 many times
+    # blocks this short cut the pair sums into windows of a few keys, so
+    # runs of equal sums meet window edges, and they split the in-place
+    # passes and the octuple-sum range of j = 4 many times
     monkeypatch.setattr(expsums, "BLOCK", block)
     cases = [
         (F1, 6, 2),
@@ -274,20 +301,26 @@ def test_mean_value_block_edges_match_tuple_oracle(monkeypatch, block):
         (figurate.make_spec(3, -4, 1), 8, 2),
         (figurate.make_spec(3, -4, 1), 6, 3),
         (figurate.make_spec(3, -4, 1), 8, 4),
-        (WIDE, 4, 2),  # argsort fallback
-        (WIDE, 4, 3),
+        (WIDE, 4, 2),  # pair sums 2^58 apart: windows jump the gaps
+        (WIDE, 4, 3),  # at BLOCK = 5 the span reaches its cap of 2^58
     ]
+    if block == 5:
+        # values 1 .. 22276: each j = 4 pass spans thousands of blocks, most
+        # of them zero.  With one numpy add per block and value this case
+        # takes 1.5 s here and 15 s at BLOCK = 1, where the cases above
+        # already give every entry its own block
+        cases.append((F2, 6, 4))
     for spec, N, j in cases:
         vals = [spec.value(n) for n in range(1, N + 1)]
         want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
         assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
 
 
-@pytest.mark.parametrize("N, j, cap_mib", [(3996, 2, 96), (90, 3, 96), (24, 4, 64)])
+@pytest.mark.parametrize("N, j, cap_mib", [(3996, 2, 16), (90, 3, 16), (24, 4, 32)])
 def test_mean_value_peak_memory(N, j, cap_mib):
-    # the last pass is streamed: no array of its groups (j = 2, 3) or of the
-    # octuple-sum counts (j = 4) is held, only the sorted pair keys or the
-    # septuple-sum rows
+    # the last pass is streamed: no array of its groups or pair keys (j = 2,
+    # 3) or of the octuple-sum counts (j = 4) is held, only one window of
+    # keys or the 26 MiB u4 septuple-sum counts
     tracemalloc.start()
     try:
         expsums.mean_value(F1, N, j)
@@ -295,6 +328,45 @@ def test_mean_value_peak_memory(N, j, cap_mib):
     finally:
         tracemalloc.stop()
     assert peak < cap_mib << 20
+
+
+# A child's ru_maxrss also counts the peak RSS of the process that forked
+# it, so each job is started from a small interpreter that reaps it with
+# wait4 and prints its own peak RSS (KiB on Linux).
+RSS_SPAWNER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(proc.returncode, usage.ru_maxrss)
+"""
+RSS_JOB = """
+import sys
+import numpy
+from waring4 import expsums, figurate
+if len(sys.argv) > 1:
+    expsums.mean_value(figurate.catalog("{3,4,3}").spec, int(sys.argv[1]), int(sys.argv[2]))
+"""
+
+
+def child_peak_rss_mib(*args: str) -> float:
+    src = os.path.dirname(os.path.dirname(expsums.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-c", RSS_SPAWNER, sys.executable, "-c", RSS_JOB, *args]
+    done = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120
+    )
+    rc, kib = map(int, done.stdout.split())
+    assert (done.returncode, rc) == (0, 0), done.stderr
+    return kib / 1024
+
+
+def test_mean_value_peak_rss_in_a_fresh_process():
+    # the benchmark's peak_rss_mib, per job: a baseline child that imports
+    # only numpy and expsums, then the j = 4 and j = 2 jobs above it
+    baseline = child_peak_rss_mib()
+    for N, j in ((24, 4), (3996, 2)):
+        assert child_peak_rss_mib(str(N), str(j)) - baseline < 40, (N, j)
 
 
 @pytest.mark.parametrize("spec, N", [(F1, 25), (F2, 17), (F3, 11)])
