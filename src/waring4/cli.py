@@ -327,7 +327,12 @@ def _build_parser() -> _Parser:
         "--budget", type=_int_at_least(0, "budget"), default=repcount.DEFAULT_OP_BUDGET
     )
     common.add_argument("--output", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
+    common.add_argument(
+        "--format",
+        choices=("csv", "json"),
+        default="csv",
+        help="report output format; the other commands accept and ignore it",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate f(n)", parents=[common])

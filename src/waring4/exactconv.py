@@ -6,6 +6,28 @@ the full convolution in C.  Each product is one cyclic_multiply, packed at a
 width sized from an upper bound on every coefficient it can hold, which
 guarantees no carry ever crosses a block boundary.
 
+The s-fold cyclic self-power of a residue histogram (cyclic_self_power)
+takes an exact number-theoretic transform when q is 3-smooth, q = 2^a 3^b,
+which is every level of the p = 2 and 3 density ladders; any other q takes
+the packed powering.  The transform works in the fields F_P for primes
+P = 1 mod q, which hold roots of unity of order q (Pollard, "The fast
+Fourier transform in a finite field", Math. Comp. 25, 1971): one forward
+transform, pointwise powers, one inverse transform per half, and the
+entries are rebuilt from their residues by Chinese remaindering in
+Garner's mixed-radix form (Garner, "The residue number system", IRE Trans.
+EC-8, 1959).  This is exact because
+  - every entry of the e-th power is at most max(vec) * sum(vec)**(e-1)
+    (cyclic_multiply's bound), and the primes are the least number whose
+    product exceeds that bound, so an entry equals its residue mod the
+    product;
+  - every prime is below PRIME_CAP = isqrt(2**63 - 1), so a product of two
+    residues, and a butterfly's signed sum of up to four reduced terms, fit
+    an int64;
+  - entries past int64 are reduced mod each prime in Python ints first.
+The primes (Miller-Rabin to the bases 2, 3, 5, 7, exact below PRIME_CAP)
+and their roots are found on first use and cached per q; the twiddle
+tables are built per call, as a density ladder transforms each q once.
+
 Truncated linear powers of a sparse 0/1 polynomial (representation counts)
 are shift-add passes on numpy arrays: each pass adds in place into an
 unsigned array whose dtype holds that pass's coefficient bound, so it never
@@ -17,8 +39,11 @@ planes.  All results are exact.
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +54,9 @@ MAX_DOT_ROWS = ((1 << 63) - 1) // 255**2
 # a linear power past 2**64 holds each coefficient as digits of this many bits
 DIGIT_BITS = 32
 DIGIT_MASK = (1 << DIGIT_BITS) - 1
+# every transform prime P is below isqrt(2**63 - 1), so a product of two
+# residues mod P fits an int64; Miller-Rabin to bases 2, 3, 5, 7 is exact there
+PRIME_CAP = 3_037_000_499
 
 
 def _width_for(bound: int) -> int:
@@ -109,10 +137,20 @@ def cyclic_self_power(
     Entry r of the s-th power is sum_i A[i] * B[(r - i) % q], so a caller
     that needs few entries never forms the widest multiply.
 
-    Entries must be nonnegative.  Left-to-right binary powering, each step
-    one cyclic_multiply; by its bound, the e-th power (e >= 1) has entries at
-    most max(vec) * sum(vec)**(e-1), which sizes the block width of the step
-    that forms it.
+    Entries must be nonnegative.  By cyclic_multiply's bound, the e-th power
+    (e >= 1) has entries at most max(vec) * sum(vec)**(e-1).
+
+    Dispatch: a 3-smooth q (q = 2^a 3^b, every level of the p = 2 and 3
+    density ladders) takes the number-theoretic transform
+    (_transform_self_power); any other q takes the packed powering
+    (_packed_self_power).  Both return the same exact halves.  The
+    transform works mod the least n primes P = 1 mod q, P < PRIME_CAP, whose
+    product exceeds the bound at e = s - s//2: every entry of either half
+    lies in [0, bound], so it equals its residue mod the product, which
+    Garner's mixed-radix form rebuilds from the n residues (Chinese
+    remainder theorem).  As P < isqrt(2**63 - 1), a product of two residues
+    fits an int64, so numpy's int64 arithmetic reduces every step exactly;
+    entries past int64 are reduced mod each P in Python ints first.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
@@ -120,8 +158,18 @@ def cyclic_self_power(
         raise ValueError("vector length must equal the modulus")
     if s < 0:
         raise ValueError("power must be >= 0")
-    if any(v < 0 for v in vec):
+    if min(vec) < 0:
         raise ValueError("entries must be nonnegative")
+    if _radices(q) is None:
+        return _packed_self_power(vec, s, q)
+    return _transform_self_power(vec, s, q)
+
+
+def _packed_self_power(
+    vec: Sequence[int], s: int, q: int
+) -> tuple[list[int], list[int]]:
+    """cyclic_self_power by left-to-right binary powering, each step one
+    cyclic_multiply, whose bound sizes the block width of the step."""
     base = packed_vector(vec)
 
     def power(e):
@@ -137,6 +185,188 @@ def cyclic_self_power(
     half = power(s // 2)
     other = cyclic_multiply(half, base, q) if s % 2 else half
     return unpack(half.packed, half.width, q), unpack(other.packed, other.width, q)
+
+
+def _radices(q: int) -> list[int] | None:
+    """The prime factors of q, with multiplicity, when q is 3-smooth (all
+    2s and 3s); None otherwise."""
+    radices = []
+    for r in (3, 2):
+        while q % r == 0:
+            q //= r
+            radices.append(r)
+    return radices if q == 1 else None
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2, 3, 5, 7: exact for n < 3,215,031,751,
+    the least strong pseudoprime to all four bases."""
+    if n < 2:
+        return False
+    for a in (2, 3, 5, 7):
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# per q, the primes P = 1 mod q below PRIME_CAP found so far, descending
+_found_primes: dict[int, tuple[int, ...]] = {}
+
+
+def _primes(q: int, bound: int) -> tuple[int, ...]:
+    """The fewest of the largest primes P < PRIME_CAP with P = 1 mod q,
+    descending, whose product exceeds bound (at least one).
+
+    The search steps down from PRIME_CAP by q.  The primes found so far are
+    kept per q, so a later call carries on where the last one stopped; any
+    kept tuple is a prefix of the same descending sequence, so calls from
+    several threads at most repeat a search.
+    """
+    found = _found_primes.get(q, ())
+    product, n = 1, 0
+    while product <= max(bound, 1):
+        if n == len(found):
+            P = found[-1] - q if found else (PRIME_CAP - 2) // q * q + 1
+            while not _is_prime(P):
+                P -= q
+                if P < 2:
+                    raise OverflowError(f"the transform primes for modulus {q} cannot exceed {bound}")
+            found += (P,)
+            _found_primes[q] = found
+        product *= found[n]
+        n += 1
+    return found[:n]
+
+
+@lru_cache(maxsize=128)
+def _root_of_order(q: int, P: int) -> int:
+    """The first w = c^((P-1)/q) mod P, c = 2, 3, ..., of order exactly q:
+    its order divides q, and equals q when w^(q/r) != 1 for each prime r | q."""
+    # F_P^* is cyclic and q | P - 1, so some c gives order q
+    for c in itertools.count(2):
+        w = pow(c, (P - 1) // q, P)
+        if all(pow(w, q // r, P) != 1 for r in set(_radices(q))):
+            return w
+
+
+# one transform's moduli as an (n, 1, 1) int64 column, its forward and
+# inverse stages, q^-1 mod each prime, and Garner's inverses P_j^-1 mod P_i
+_Plan = namedtuple("_Plan", "primes moduli forward inverse q_inv garner")
+
+
+def _plan(q: int, primes: tuple[int, ...]) -> _Plan:
+    """The length-q transform over the fields F_P, P in primes, each P = 1 mod q.
+
+    A stage of radix r takes length L to rL.  It holds the twiddles
+    w_rL^(jk) for 1 <= j < r and k < L, as (n, L, 1) arrays, and the cube
+    root w_3 as an (n, 1, 1) array (radix 3 only); w_rL = w^(q/(rL)) for
+    the root w of order q, or its inverse for the inverse stages.  Every
+    twiddle is a gather from the table of w^k, k < q, made by doubling.
+    """
+    moduli = np.array(primes, np.int64)[:, None, None]
+    roots = [_root_of_order(q, P) for P in primes]
+    powers = np.ones((len(primes), 1), np.int64)
+    while powers.shape[1] < q:
+        step = [pow(w, powers.shape[1], P) for w, P in zip(roots, primes)]
+        powers = np.concatenate((powers, powers * np.array(step)[:, None] % moduli[:, 0]), 1)
+
+    def stages(sign):
+        out, L = [], 1
+        for r in _radices(q):
+            k = np.arange(L)
+            twiddles = [powers[:, sign * j * (q // (r * L)) * k % q, None] for j in range(1, r)]
+            w3 = powers[:, sign * (q // 3) % q, None, None] if r == 3 else None
+            out.append((r, twiddles, w3))
+            L *= r
+        return out
+
+    q_inv = np.array([pow(q, -1, P) for P in primes], np.int64)[:, None]
+    garner = [[pow(Pj, -1, Pi) for Pj in primes[:i]] for i, Pi in enumerate(primes)]
+    return _Plan(primes, moduli, stages(1), stages(-1), q_inv, garner)
+
+
+def _transform(x: np.ndarray, moduli: np.ndarray, stages) -> np.ndarray:
+    """The length-q transform X[k] = sum_m x[m] w^(km) along the last axis of
+    x, (batch, n, q) residues mod the n moduli, in natural order.
+
+    Decimation in time without reordering: X[k, c], of shape (L, q/L), is
+    the length-L transform of the subsequence x[c + (q/L) m].  A radix-r
+    stage takes column blocks Y_j (j < r, width S = q/(rL)) to
+    X'[k + Ll] = sum_j w_rL^(jk) Y_j[k] w_r^(jl).  Every product is of two
+    residues below P < PRIME_CAP, so below 2**63, and is reduced at once;
+    a butterfly output is a signed sum of at most four reduced terms, each
+    of them below 3P in magnitude.  Radix 3 uses w_3^2 = -1 - w_3, so it
+    takes two products by w_3.
+    """
+    X = x[..., None, :]
+    for r, twiddles, w3 in stages:
+        S = X.shape[-1] // r
+        T = [X[..., :S]] + [X[..., j * S : (j + 1) * S] * t % moduli for j, t in enumerate(twiddles, 1)]
+        if r == 2:
+            blocks = (T[0] + T[1], T[0] - T[1])
+        else:
+            u, v = T[1] * w3 % moduli, T[2] * w3 % moduli
+            blocks = (T[0] + T[1] + T[2], T[0] + u - T[2] - v, T[0] - T[1] - u + v)
+        X = np.concatenate(blocks, -2) % moduli
+    return X[..., 0]
+
+
+def _transform_self_power(
+    vec: Sequence[int], s: int, q: int
+) -> tuple[list[int], list[int]]:
+    """cyclic_self_power for a 3-smooth q through the transform over F_P for
+    the least n primes P = 1 mod q whose product exceeds the bound
+    max(vec) * sum(vec)**(e-1) of the larger half, e = s - s//2 (1 at
+    e = 0, the unit vector).  vec is reduced mod each P exactly, in Python
+    ints when an entry is past int64; one forward transform, pointwise
+    powers, one inverse transform per distinct half, and Garner's
+    mixed-radix digits give each entry mod the product, which is the
+    entry itself.
+    """
+    half, rest = s // 2, s - s // 2
+    top = max(vec)
+    plan = _plan(q, _primes(q, top * sum(vec) ** (rest - 1) if rest else 1))
+    P = plan.moduli[:, 0]
+    if top < 1 << 63:
+        x = np.array(vec, np.int64) % P
+    else:
+        x = (np.array(vec, object) % np.array(plan.primes, object)[:, None]).astype(np.int64)
+    h = _transform(x[None], plan.moduli, plan.forward)[0]
+    powered = np.ones_like(h)
+    for bit in bin(half)[2:]:
+        powered = powered * powered % P
+        if bit == "1":
+            powered = powered * h % P
+    powered = powered * plan.q_inv % P  # the inverse transform's 1/q
+    halves = np.stack((powered, powered * h % P) if s % 2 else (powered,))
+    residues = _transform(halves, plan.moduli, plan.inverse)
+    digits = []  # Garner: entry = d_0 + P_0 (d_1 + P_1 (d_2 + ...)), d_i < P_i
+    for i, Pi in enumerate(plan.primes):
+        d = residues[:, i]
+        for dj, inv in zip(digits, plan.garner[i]):
+            d = (d - dj % Pi) * inv % Pi
+        digits.append(d)
+    # two digits at a time, d_i + P_i d_i+1 < P_i P_i+1 < 2**63, then Horner in Python ints
+    n = len(plan.primes)
+    pair_moduli = [math.prod(plan.primes[i : i + 2]) for i in range(0, n, 2)]
+    pairs = [digits[i] + plan.primes[i] * digits[i + 1] if i + 1 < n else digits[i] for i in range(0, n, 2)]
+    entries = pairs[-1].astype(object)
+    for modulus, pair in zip(pair_moduli[-2::-1], pairs[-2::-1]):
+        entries = entries * modulus + pair
+    return entries[0].tolist(), entries[-1].tolist()
 
 
 def _exponents(values: Iterable[int], s: int, m_max: int) -> list[int]:

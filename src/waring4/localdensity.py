@@ -28,8 +28,10 @@ multiply by p^(s-1) per level, from M_m(p) - N_m(p) at level 1.
 N_m(p^k) is cheap (_singular_profile): a singular n is rho + p z with rho
 one of the at most 3 roots of 12 f' mod p, and f(rho + p z) = c_rho +
 p^2 F_rho(z), whose residue mod p^k depends only on z mod p^(k-2).  At
-p = 2 and 3, 24 is not a unit and the Taylor step fails, so those primes
-stay on the direct kernel (count_congruence).
+p = 2 and 3, 24 is not a unit and the Taylor step fails, so every level of
+those ladders is counted by the direct kernel (count_congruence), whose
+full-length self-power takes the exact number-theoretic transform there,
+as every p^k is 3-smooth (exactconv.cyclic_self_power).
 """
 
 from __future__ import annotations

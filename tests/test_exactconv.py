@@ -1,9 +1,13 @@
 """Exact kernels against naive loops: packed big-int cyclic powers and split
-entries, numpy truncated sparse powers and their single entries, and block
-widths, dtypes and 32-bit digit rows at their boundaries."""
+entries, the number-theoretic transform against both (its primes, roots and
+prime count at the product boundaries), numpy truncated sparse powers and
+their single entries, and block widths, dtypes and 32-bit digit rows at
+their boundaries."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -68,11 +72,13 @@ def test_cyclic_power_at_a_width_boundary(total, s, q):
     # all mass on one residue: the single nonzero entry of every power is
     # exactly total**e, and 256**k needs one byte more than 256**k - 1; each
     # case puts the full power, and a half or a step before it, on a boundary
+    # q = 1 and 2 take the transform, so the packed powering is run too
     vec = [0] * q
     vec[q - 1] = total
-    A, B = exactconv.cyclic_self_power(vec, s, q)
-    assert A == naive_cyclic_power(vec, s // 2, q)
-    assert B == naive_cyclic_power(vec, s - s // 2, q)
+    for power in (exactconv.cyclic_self_power, exactconv._packed_self_power):
+        A, B = power(vec, s, q)
+        assert A == naive_cyclic_power(vec, s // 2, q)
+        assert B == naive_cyclic_power(vec, s - s // 2, q)
     got = power_from_halves(vec, s, q)
     assert got == naive_cyclic_power(vec, s, q)
     assert max(got) == total**s and (total**s).bit_length() % 8 == 1
@@ -84,9 +90,10 @@ def test_cyclic_power_one_below_a_width_boundary():
         vec = [0] * q
         vec[0] = 255
         for s in range(7):
-            A, B = exactconv.cyclic_self_power(vec, s, q)
-            assert A == naive_cyclic_power(vec, s // 2, q)
-            assert B == naive_cyclic_power(vec, s - s // 2, q)
+            for power in (exactconv.cyclic_self_power, exactconv._packed_self_power):
+                A, B = power(vec, s, q)
+                assert A == naive_cyclic_power(vec, s // 2, q)
+                assert B == naive_cyclic_power(vec, s - s // 2, q)
 
 
 def test_cyclic_self_power_rejects_bad_input():
@@ -98,6 +105,129 @@ def test_cyclic_self_power_rejects_bad_input():
         exactconv.cyclic_self_power([], 1, 0)
     with pytest.raises(ValueError):
         exactconv.cyclic_self_power([1, -1], 2, 2)
+
+
+THREE_SMOOTH = [q for q in range(1, 73) if exactconv._radices(q) is not None]
+LADDER_MODULI = [2**k for k in range(1, 13)] + [3**k for k in range(1, 8)]
+
+
+@pytest.mark.parametrize("q", LADDER_MODULI)
+def test_transform_matches_packed_powering_on_the_ladders(q):
+    # every p = 2, 3 density level of the three catalog specs
+    for spec in figurate.catalog_specs():
+        vec = figurate.residue_counts(spec, q, q)
+        for s in (0, 1, 2, 17):
+            assert exactconv.cyclic_self_power(vec, s, q) == exactconv._packed_self_power(vec, s, q)
+
+
+@st.composite
+def three_smooth_cases(draw):
+    q = draw(st.sampled_from(THREE_SMOOTH))
+    vec = draw(st.lists(st.integers(0, 2**70), min_size=q, max_size=q))
+    return vec, draw(st.integers(0, 8)), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_smooth_cases())
+@example(([2**70] * 72, 8, 72))
+@example(([0] * 71 + [2**63], 3, 72))
+@example(([2**63 - 1, 2**63], 1, 2))
+@example(([7], 5, 1))
+def test_transform_with_wide_entries_matches_naive(case):
+    vec, s, q = case
+    A, B = exactconv.cyclic_self_power(vec, s, q)
+    assert A == naive_cyclic_power(vec, s // 2, q)
+    assert B == naive_cyclic_power(vec, s - s // 2, q)
+
+
+@pytest.mark.parametrize("q", [6, 8])
+def test_count_congruence_past_int64_histogram(q):
+    # t = 2^70 + 5 puts about 2^70 / q >= 2^63 on each histogram entry, which
+    # the transform reduces mod its primes in Python ints
+    spec, s, t, m = figurate.catalog("{3,4,3}").spec, 3, 2**70 + 5, 11
+    period = 24 * q
+    full, rem = divmod(t, period)
+    hist = [0] * q
+    for n in range(1, period + 1):
+        hist[spec.value(n) % q] += full + (n <= rem)
+    assert min(v for v in hist if v) >= 2**63
+    want = naive_cyclic_power(hist, s, q)[m % q]
+    localdensity._congruence_profile.cache_clear()
+    assert localdensity.count_congruence(spec, s, m, t, q) == want
+
+
+def _first_primes_product(q, n):
+    # each prime is below 2**32, so this bound takes more than n of them
+    return math.prod(exactconv._primes(q, 2 ** (32 * n))[:n])
+
+
+@pytest.mark.parametrize("q", [1, 4, 12, 27])
+@pytest.mark.parametrize("n,e", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 3), (5, 4)])
+def test_prime_count_is_exact_at_the_product_of_primes(q, n, e):
+    # all mass c on one residue: the e-th power's one nonzero entry is c^e,
+    # which is the bound max * sum**(e - 1) itself.  c^e just below the
+    # product of the first n primes needs exactly n of them, and (c + 1)^e
+    # just above it n + 1; with one prime fewer, c^e would wrap
+    product = _first_primes_product(q, n)
+    c = round(product ** (1 / e))
+    while c**e >= product:
+        c -= 1
+    while (c + 1) ** e < product:
+        c += 1
+    for top, count in ((c, n), (c + 1, n + 1)):
+        assert len(exactconv._primes(q, top**e)) == count
+        assert _first_primes_product(q, count - 1) <= top**e < _first_primes_product(q, count)
+        vec = [0] * q
+        vec[q // 2] = top
+        s = 2 * e - 1  # the larger half has exponent e
+        A, B = exactconv.cyclic_self_power(vec, s, q)
+        assert B == naive_cyclic_power(vec, e, q)
+        assert A == naive_cyclic_power(vec, e - 1, q)
+        assert max(B) == top**e
+
+
+def _multiplicative_order(w, P):
+    k, x = 1, w
+    while x != 1:
+        x, k = x * w % P, k + 1
+    return k
+
+
+@pytest.mark.parametrize("q", LADDER_MODULI + [1, 6, 72, 4608])
+def test_transform_primes_and_roots(q):
+    # the primes of the deepest plan any ladder level takes at s = 17
+    assert exactconv.PRIME_CAP**2 < 2**63 <= (exactconv.PRIME_CAP + 1) ** 2
+    assert exactconv.PRIME_CAP < 3_215_031_751  # Miller-Rabin's four bases are exact
+    primes = exactconv._primes(q, q * q**8)
+    assert list(primes) == sorted(set(primes), reverse=True)
+    for P in primes:
+        assert localdensity.is_prime(P)  # trial division, apart from the kernel's test
+        assert (P - 1) % q == 0 and P < exactconv.PRIME_CAP
+        assert _multiplicative_order(exactconv._root_of_order(q, P), P) == q
+
+
+def test_miller_rabin_agrees_with_trial_division():
+    window = range(3_037_000_000 - 3000, 3_037_000_000)
+    assert [n for n in window if exactconv._is_prime(n)] == [
+        n for n in window if localdensity.is_prime(n)
+    ]
+    small = range(-2, 2000)
+    assert [n for n in small if exactconv._is_prime(n)] == [n for n in small if localdensity.is_prime(n)]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6, 16, 18, 27, 72])
+def test_transform_matches_the_naive_sum(q):
+    # X[k] = sum_m x[m] w^(km) mod P, and the inverse stages undo it up to q
+    plan = exactconv._plan(q, exactconv._primes(q, 2**64))
+    rows = [[(m * 2654435761 + 17 * i) % P for m in range(q)] for i, P in enumerate(plan.primes)]
+    x = np.array(rows, np.int64)
+    got = exactconv._transform(x[None], plan.moduli, plan.forward)[0]
+    for i, P in enumerate(plan.primes):
+        w = exactconv._root_of_order(q, P)
+        want = [sum(v * pow(w, k * m, P) for m, v in enumerate(rows[i])) % P for k in range(q)]
+        assert got[i].tolist() == want
+    back = exactconv._transform(got[None], plan.moduli, plan.inverse)[0]
+    assert (back * plan.q_inv % plan.moduli[:, 0] == x).all()
 
 
 def naive_cyclic_product(x, y, q):
