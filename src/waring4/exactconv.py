@@ -12,11 +12,11 @@ which is every level of the p = 2 and 3 density ladders; any other q takes
 the packed powering.  The transform works in the fields F_P for primes
 P = 1 mod q, which hold roots of unity of order q (Pollard, "The fast
 Fourier transform in a finite field", Math. Comp. 25, 1971): one forward
-transform, pointwise powers, one inverse transform per half, and the
-entries are rebuilt from their residues by Chinese remaindering in
-Garner's mixed-radix form (Garner, "The residue number system", IRE Trans.
-EC-8, 1959).  This is exact because
-  - every entry of the e-th power is at most max(vec) * sum(vec)**(e-1)
+transform, pointwise s-th powers, one inverse transform, and the entries
+are rebuilt from their residues by Chinese remaindering in Garner's
+mixed-radix form (Garner, "The residue number system", IRE Trans. EC-8,
+1959).  This is exact because
+  - every entry of the s-th power is at most max(vec) * sum(vec)**(s-1)
     (cyclic_multiply's bound), and the primes are the least number whose
     product exceeds that bound, so an entry equals its residue mod the
     product;
@@ -128,29 +128,25 @@ def cyclic_multiply(x: PackedVector, y: PackedVector, q: int) -> PackedVector:
     return PackedVector((prod & ((1 << shift) - 1)) + (prod >> shift), w, bound, x.total * y.total)
 
 
-def cyclic_self_power(
-    vec: Sequence[int], s: int, q: int
-) -> tuple[list[int], list[int]]:
-    """The halves A = vec^(s//2), B = vec^(s - s//2) of the s-fold cyclic
-    self-convolution of vec over Z_q, exact.
+def cyclic_self_power(vec: Sequence[int], s: int, q: int) -> list[int]:
+    """The s-fold cyclic self-convolution of vec over Z_q, exact: entry r is
+    the sum of vec[i_1] * ... * vec[i_s] over i_1 + ... + i_s = r mod q.
 
-    Entry r of the s-th power is sum_i A[i] * B[(r - i) % q], so a caller
-    that needs few entries never forms the widest multiply.
-
-    Entries must be nonnegative.  By cyclic_multiply's bound, the e-th power
-    (e >= 1) has entries at most max(vec) * sum(vec)**(e-1).
+    Entries must be nonnegative.  By cyclic_multiply's bound, the s-th power
+    (s >= 1) has entries at most max(vec) * sum(vec)**(s-1); the 0-th power
+    is the unit vector.
 
     Dispatch: a 3-smooth q (q = 2^a 3^b, every level of the p = 2 and 3
     density ladders) takes the number-theoretic transform
     (_transform_self_power); any other q takes the packed powering
-    (_packed_self_power).  Both return the same exact halves.  The
-    transform works mod the least n primes P = 1 mod q, P < PRIME_CAP, whose
-    product exceeds the bound at e = s - s//2: every entry of either half
-    lies in [0, bound], so it equals its residue mod the product, which
-    Garner's mixed-radix form rebuilds from the n residues (Chinese
-    remainder theorem).  As P < isqrt(2**63 - 1), a product of two residues
-    fits an int64, so numpy's int64 arithmetic reduces every step exactly;
-    entries past int64 are reduced mod each P in Python ints first.
+    (_packed_self_power).  Both return the same exact power.  The transform
+    works mod the least n primes P = 1 mod q, P < PRIME_CAP, whose product
+    exceeds that bound: every entry lies in [0, bound], so it equals its
+    residue mod the product, which Garner's mixed-radix form rebuilds from
+    the n residues (Chinese remainder theorem).  As P < isqrt(2**63 - 1), a
+    product of two residues fits an int64, so numpy's int64 arithmetic
+    reduces every step exactly; entries past int64 are reduced mod each P
+    in Python ints first.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
@@ -165,26 +161,16 @@ def cyclic_self_power(
     return _transform_self_power(vec, s, q)
 
 
-def _packed_self_power(
-    vec: Sequence[int], s: int, q: int
-) -> tuple[list[int], list[int]]:
-    """cyclic_self_power by left-to-right binary powering, each step one
-    cyclic_multiply, whose bound sizes the block width of the step."""
+def _packed_self_power(vec: Sequence[int], s: int, q: int) -> list[int]:
+    """cyclic_self_power by left-to-right binary powering from UNIT, each
+    step one cyclic_multiply, whose bound sizes the block width of the step."""
     base = packed_vector(vec)
-
-    def power(e):
-        if e == 0:
-            return UNIT
-        result = base
-        for bit in bin(e)[3:]:
-            result = cyclic_multiply(result, result, q)
-            if bit == "1":
-                result = cyclic_multiply(result, base, q)
-        return result
-
-    half = power(s // 2)
-    other = cyclic_multiply(half, base, q) if s % 2 else half
-    return unpack(half.packed, half.width, q), unpack(other.packed, other.width, q)
+    power = UNIT
+    for bit in bin(s)[2:]:
+        power = cyclic_multiply(power, power, q)
+        if bit == "1":
+            power = cyclic_multiply(power, base, q)
+    return unpack(power.packed, power.width, q)
 
 
 def _radices(q: int) -> list[int] | None:
@@ -299,8 +285,8 @@ def _plan(q: int, primes: tuple[int, ...]) -> _Plan:
 
 
 def _transform(x: np.ndarray, moduli: np.ndarray, stages) -> np.ndarray:
-    """The length-q transform X[k] = sum_m x[m] w^(km) along the last axis of
-    x, (batch, n, q) residues mod the n moduli, in natural order.
+    """The length-q transform X[k] = sum_m x[m] w^(km) of each row of x,
+    (n, q) residues mod the n moduli, in natural order.
 
     Decimation in time without reordering: X[k, c], of shape (L, q/L), is
     the length-L transform of the subsequence x[c + (q/L) m].  A radix-r
@@ -311,7 +297,7 @@ def _transform(x: np.ndarray, moduli: np.ndarray, stages) -> np.ndarray:
     of them below 3P in magnitude.  Radix 3 uses w_3^2 = -1 - w_3, so it
     takes two products by w_3.
     """
-    X = x[..., None, :]
+    X = x[:, None]
     for r, twiddles, w3 in stages:
         S = X.shape[-1] // r
         T = [X[..., :S]] + [X[..., j * S : (j + 1) * S] * t % moduli for j, t in enumerate(twiddles, 1)]
@@ -320,42 +306,37 @@ def _transform(x: np.ndarray, moduli: np.ndarray, stages) -> np.ndarray:
         else:
             u, v = T[1] * w3 % moduli, T[2] * w3 % moduli
             blocks = (T[0] + T[1] + T[2], T[0] + u - T[2] - v, T[0] - T[1] - u + v)
-        X = np.concatenate(blocks, -2) % moduli
-    return X[..., 0]
+        X = np.concatenate(blocks, 1) % moduli
+    return X[:, :, 0]
 
 
-def _transform_self_power(
-    vec: Sequence[int], s: int, q: int
-) -> tuple[list[int], list[int]]:
+def _transform_self_power(vec: Sequence[int], s: int, q: int) -> list[int]:
     """cyclic_self_power for a 3-smooth q through the transform over F_P for
     the least n primes P = 1 mod q whose product exceeds the bound
-    max(vec) * sum(vec)**(e-1) of the larger half, e = s - s//2 (1 at
-    e = 0, the unit vector).  vec is reduced mod each P exactly, in Python
-    ints when an entry is past int64; one forward transform, pointwise
-    powers, one inverse transform per distinct half, and Garner's
-    mixed-radix digits give each entry mod the product, which is the
-    entry itself.
+    max(vec) * sum(vec)**(s-1) (1 at s = 0, the unit vector).  vec is
+    reduced mod each P exactly, in Python ints when an entry is past int64;
+    one forward transform, pointwise s-th powers, one inverse transform, and
+    Garner's mixed-radix digits give each entry mod the product, which is
+    the entry itself.
     """
-    half, rest = s // 2, s - s // 2
     top = max(vec)
-    plan = _plan(q, _primes(q, top * sum(vec) ** (rest - 1) if rest else 1))
+    plan = _plan(q, _primes(q, top * sum(vec) ** (s - 1) if s else 1))
     P = plan.moduli[:, 0]
     if top < 1 << 63:
         x = np.array(vec, np.int64) % P
     else:
         x = (np.array(vec, object) % np.array(plan.primes, object)[:, None]).astype(np.int64)
-    h = _transform(x[None], plan.moduli, plan.forward)[0]
+    h = _transform(x, plan.moduli, plan.forward)
     powered = np.ones_like(h)
-    for bit in bin(half)[2:]:
+    for bit in bin(s)[2:]:
         powered = powered * powered % P
         if bit == "1":
             powered = powered * h % P
     powered = powered * plan.q_inv % P  # the inverse transform's 1/q
-    halves = np.stack((powered, powered * h % P) if s % 2 else (powered,))
-    residues = _transform(halves, plan.moduli, plan.inverse)
+    residues = _transform(powered, plan.moduli, plan.inverse)
     digits = []  # Garner: entry = d_0 + P_0 (d_1 + P_1 (d_2 + ...)), d_i < P_i
     for i, Pi in enumerate(plan.primes):
-        d = residues[:, i]
+        d = residues[i]
         for dj, inv in zip(digits, plan.garner[i]):
             d = (d - dj % Pi) * inv % Pi
         digits.append(d)
@@ -366,7 +347,7 @@ def _transform_self_power(
     entries = pairs[-1].astype(object)
     for modulus, pair in zip(pair_moduli[-2::-1], pairs[-2::-1]):
         entries = entries * modulus + pair
-    return entries[0].tolist(), entries[-1].tolist()
+    return entries.tolist()
 
 
 def _exponents(values: Iterable[int], s: int, m_max: int) -> list[int]:

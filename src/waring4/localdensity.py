@@ -6,9 +6,12 @@ prime p is rho_k = p^(k(1-s)) * M_m(p^k), with limit T_m(p) as k grows.
 
 Everything on the exact path is integer arithmetic: the histogram of f mod q
 comes from figurate.residue_counts, through f(n) mod q = (24 f(n) mod 24q) / 24,
-and tuple counts come from its exact cyclic convolution.  Moduli above the
-exact-path cap take its root sums (expsums.root_sums, one FFT) instead,
-which evaluate the same count in floating point.
+and its exact s-fold cyclic self-power (exactconv.cyclic_self_power) is the
+table of M_r(t, q) over every r mod q.  That table is made once per
+(spec, s, t, q) and cached (_congruence_profile); count_congruence and
+nonsingular_count read their entries from it.  Moduli above the exact-path
+cap take the root sums (expsums.root_sums, one FFT) instead, which evaluate
+the same count in floating point.
 
 The Hensel split.  Let p >= 5 be prime, so that 24 is a unit mod p and f has
 p-integral Taylor coefficients.  Call n singular when p | f'(n), a property
@@ -29,9 +32,9 @@ N_m(p^k) is cheap (_singular_profile): a singular n is rho + p z with rho
 one of the at most 3 roots of 12 f' mod p, and f(rho + p z) = c_rho +
 p^2 F_rho(z), whose residue mod p^k depends only on z mod p^(k-2).  At
 p = 2 and 3, 24 is not a unit and the Taylor step fails, so every level of
-those ladders is counted by the direct kernel (count_congruence), whose
-full-length self-power takes the exact number-theoretic transform there,
-as every p^k is 3-smooth (exactconv.cyclic_self_power).
+those ladders is read from the direct kernel's table (count_congruence),
+whose self-power takes the exact number-theoretic transform there, as
+every p^k is 3-smooth.
 """
 
 from __future__ import annotations
@@ -87,19 +90,10 @@ class DensityReport:
 
 
 @lru_cache(maxsize=128)
-def _congruence_profile(
-    spec: FigurateSpec, s: int, t: int, q: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The half powers A, B of the residue histogram, whose cyclic product is
-    the full profile M_r(t, q) over r mod q."""
-    A, B = cyclic_self_power(residue_counts(spec, t, q), s, q)
-    return tuple(A), tuple(B)
-
-
-def _profile_entry(A: tuple[int, ...], B: tuple[int, ...], r: int) -> int:
-    """Entry r of the cyclic product of the halves, sum_i A[i] * B[(r - i) % q]
-    with q = len(A): one O(q) dot."""
-    return sum(map(operator.mul, A, B[r::-1] + B[:r:-1]))
+def _congruence_profile(spec: FigurateSpec, s: int, t: int, q: int) -> tuple[int, ...]:
+    """M_r(t, q) for every r mod q: the s-fold cyclic self-power of the
+    residue histogram; s >= 0, and the 0-fold profile is the unit vector."""
+    return tuple(cyclic_self_power(residue_counts(spec, t, q), s, q))
 
 
 def count_congruence(spec: FigurateSpec, s: int, m: int, t: int, q: int) -> int:
@@ -112,8 +106,7 @@ def count_congruence(spec: FigurateSpec, s: int, m: int, t: int, q: int) -> int:
         raise BudgetError(
             f"exact congruence counting is capped at modulus {EXACT_MODULUS_CAP}"
         )
-    A, B = _congruence_profile(spec, s, t, q)
-    return _profile_entry(A, B, m % q)
+    return _congruence_profile(spec, s, t, q)[m % q]
 
 
 def scaling_identity_check(
@@ -151,14 +144,6 @@ def _derivative_valuation(spec: FigurateSpec, y: int, p: int) -> int | None:
 
 
 @lru_cache(maxsize=128)
-def _level_one_table(spec: FigurateSpec, s: int, p: int) -> tuple[int, ...]:
-    """M_r(p) for every r mod p, one dot of the cached halves per r; s >= 0,
-    and the 0-fold table is the unit vector."""
-    A, B = _congruence_profile(spec, s, p, p)
-    return tuple(_profile_entry(A, B, r) for r in range(p))
-
-
-@lru_cache(maxsize=128)
 def _admissible_residues(spec: FigurateSpec, p: int) -> tuple[int, ...]:
     """f(n_1) mod p for every n_1 = 1..p with both f(n_1) and f'(n_1) prime
     to p, one entry per n_1."""
@@ -175,8 +160,15 @@ def nonsingular_count(spec: FigurateSpec, s: int, m: int, p: int) -> int:
     other s - 1 coordinates."""
     if not is_prime(p):
         raise ValueError("modulus must be prime")
-    table = _level_one_table(spec, s - 1, p)
+    table = _congruence_profile(spec, s - 1, p, p)
     return sum(table[(m - fn1) % p] for fn1 in _admissible_residues(spec, p))
+
+
+def _check_float_period(q: int) -> None:
+    """Refuse modulus q on the float path: its period 24q is past
+    FLOAT_PERIOD_CAP."""
+    if 24 * q > FLOAT_PERIOD_CAP:
+        raise BudgetError("modulus exceeds the float-path budget")
 
 
 def _density_float(spec: FigurateSpec, s: int, m: int, q: int) -> float:
@@ -185,8 +177,7 @@ def _density_float(spec: FigurateSpec, s: int, m: int, q: int) -> float:
 
     Roundoff is of order q * s * machine-eps.
     """
-    if 24 * q > FLOAT_PERIOD_CAP:
-        raise BudgetError("modulus exceeds the float-path budget")
+    _check_float_period(q)
     F = root_sums(residue_counts(spec, q, q)) / q
     t = np.arange(q, dtype=float)
     phases = np.exp(2j * np.pi * ((m % q) * t / q))
@@ -295,6 +286,10 @@ def local_density_limit(
     report also records the classical lower bound the limit must beat:
     p^(1-s) for odd p, 2^(5(1-s)) at p = 2.
     """
+    if p > EXACT_MODULUS_CAP:
+        # level 1 takes the float path, and a modulus it refuses is refused
+        # at every level p^k >= p; refuse before the trial-division test
+        _check_float_period(p)
     if not is_prime(p):
         raise ValueError("modulus must be prime")
     if k_max is None:

@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, formats, determinism, config echo."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -221,6 +224,18 @@ def test_local_command_reports_a_local_obstruction(capsys):
     code = cli.main(["local", "--spec", "{3,4,3}", "--s", "2", "--m", "3", "--p", "2"])
     assert code == 0
     assert "stabilized=True estimate=0.0 " in capsys.readouterr().out
+
+
+def test_local_with_a_huge_prime_exits_two_at_once():
+    # 2^61 - 1: every level is past the float path's period cap, so it is
+    # refused before trial division could test its primality
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "waring4.cli", "local", "--spec", "{3,4,3}", "--s", "17",
+            "--m", "5", "--p", str(2**61 - 1)]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == "" and done.stderr.startswith("budget refusal: ")
 
 
 @pytest.mark.parametrize("k_max", ["0", "-3", "two"])

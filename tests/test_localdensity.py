@@ -93,6 +93,19 @@ def test_count_congruence_budget():
         localdensity.count_congruence(F1, 2, 0, 5001, 5001)
 
 
+def test_density_limit_refuses_a_prime_exactly_where_its_first_level_is_refused():
+    edge = localdensity.FLOAT_PERIOD_CAP // 24
+    below = next(p for p in range(edge, 1, -1) if localdensity.is_prime(p))
+    above = next(p for p in range(edge + 1, 2 * edge) if localdensity.is_prime(p))
+    assert below > localdensity.EXACT_MODULUS_CAP  # level 1 of both takes the float path
+    assert localdensity.local_density_limit(F1, 17, 5, below).levels[0][0] == 1
+    for p in (above, above + 1):  # a composite is refused on the budget too
+        with pytest.raises(BudgetError):
+            localdensity.local_density_limit(F1, 17, 5, p)
+        with pytest.raises(BudgetError):
+            localdensity.local_density(F1, 17, 5, p, 1)
+
+
 def test_scaling_identity_holds_for_integer_coefficient_specs():
     for sp in (F1, F3):
         for q in range(1, 21):
@@ -235,9 +248,8 @@ def test_local_density_limit_allows_a_local_obstruction():
 
 
 def _direct_profile(spec, s, q):
-    """M_r(q, q) for every r mod q, from the direct kernel's halves."""
-    A, B = localdensity._congruence_profile(spec, s, q, q)
-    return [sum(A[i] * B[(r - i) % q] for i in range(q)) for r in range(q)]
+    """M_r(q, q) for every r mod q, from the direct kernel's cached table."""
+    return list(localdensity._congruence_profile(spec, s, q, q))
 
 
 @st.composite
