@@ -352,7 +352,7 @@ def _build_parser() -> _Parser:
     p_series.add_argument("--spec", required=True)
     p_series.add_argument("--s", type=_int_at_least(1, "s"), required=True)
     p_series.add_argument("--m", required=True)
-    p_series.add_argument("--Q", type=int, default=30)
+    p_series.add_argument("--Q", type=_int_at_least(1, "Q"), default=30)
 
     p_local = sub.add_parser(
         "local", help="local density ladder at a prime", parents=[common]
@@ -380,7 +380,7 @@ def _build_parser() -> _Parser:
     p_report.add_argument("--spec", required=True)
     p_report.add_argument("--s", type=_int_at_least(1, "s"), required=True)
     p_report.add_argument("--m", required=True, help="target m or comma ladder")
-    p_report.add_argument("--prime-limit", type=int, default=50)
+    p_report.add_argument("--prime-limit", type=_int_at_least(1, "prime-limit"), default=50)
 
     sub.add_parser(
         "check-suite", help="deterministic self-check battery", parents=[common]

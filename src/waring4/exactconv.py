@@ -33,8 +33,10 @@ are shift-add passes on numpy arrays: each pass adds in place into an
 unsigned array whose dtype holds that pass's coefficient bound, so it never
 wraps, and reads only the live prefix of the previous power, the entries
 up to its degree; coefficients past 2**64 are held as 32-bit digits with
-one carry sweep per pass.  A single entry is read as an int64 dot of byte
-planes.  All results are exact.
+one carry sweep per pass.  A single entry is read as an int64 dot of the
+byte planes of two half powers; for odd s the upper half is made DOT_ROWS
+entries at a time and each block is dotted as it is made.  All results are
+exact.
 """
 
 from __future__ import annotations
@@ -376,6 +378,44 @@ def _power_array(bound: int, count: int) -> np.ndarray:
     return np.zeros((-(-bound.bit_length() // DIGIT_BITS), count), "<u8")
 
 
+def _shift_add(block: np.ndarray, lo: int, power: np.ndarray, shifts: Iterable[int]) -> None:
+    """block[..., k - lo] += power[..., k - v] for every v in shifts, over the
+    entries lo <= k < lo + block.shape[-1] of the last axis; power is read
+    only inside its length."""
+    hi = lo + block.shape[-1]
+    for v in shifts:
+        a, b = max(lo - v, 0), min(hi - v, power.shape[-1])
+        if a < b:
+            block[..., a + v - lo : b + v - lo] += power[..., a:b]
+
+
+def _step_bound(vals: list[int], e: int) -> int:
+    """The bound len(vals)**(e - 1) * multiplicity on every coefficient of
+    step e >= 1 of _truncated_powers."""
+    return len(vals) ** (e - 1) * max(Counter(vals).values(), default=1)
+
+
+def _next_step(prev: np.ndarray, vals: list[int], bound: int, lo: int, count: int) -> np.ndarray:
+    """Entries lo .. lo + count - 1 of (sum_v x^v) * prev, each at most bound,
+    laid out by _power_array: one shift-add pass of prev, the live prefix of
+    the previous step, and the carry sweep.  prev must have no more rows
+    than the result (split it with _split_digits first)."""
+    out = _power_array(bound, count)
+    _shift_add(out[: len(prev)], lo, prev, vals)
+    for r in range(len(out) - 1):  # the carry sweep, low digit first
+        out[r + 1] += out[r] >> DIGIT_BITS
+        out[r] &= DIGIT_MASK
+    return out
+
+
+def _split_digits(power: np.ndarray, bound: int) -> np.ndarray:
+    """power as 32-bit digit rows when it is one uint64 row and the next
+    step's bound needs digits (2**64 and past); power itself otherwise."""
+    if bound >> 64 and len(power) == 1 and power.dtype.itemsize == 8:
+        return np.concatenate((power & DIGIT_MASK, power >> DIGIT_BITS))
+    return power
+
+
 def _truncated_powers(
     vals: list[int], keep: set[int], count: int
 ) -> dict[int, tuple[np.ndarray, int]]:
@@ -383,38 +423,28 @@ def _truncated_powers(
     coefficients, for every e in keep; the array is laid out by _power_array.
     Every value must be below count, and a value may repeat.
 
-    Step e is one shift-add pass over the values on step e - 1.  Its
-    coefficient at x^k counts ordered e-tuples of values summing to k; the
-    last term is fixed by the others, up to the multiplicity of its value
-    (1 when the values are distinct), so the count is at most
-    bound = len(vals)**(e - 1) * multiplicity.  Every partial sum of the
-    pass is at most the final coefficient, so the array _power_array makes
-    for that bound never wraps: the early steps add narrow rows.  Step e - 1
-    is zero past x^((e - 1) * max(vals)), so the pass adds only that live
-    prefix of it.  Past 2**64, each of the len(vals) adds puts a digit
-    below 2**32 on every digit, which fits in uint64 while len(vals) < 2**32
-    (the values are held in memory), until the one carry sweep that ends
-    the pass.  Memory stays at O(count * width).
+    Step e is one shift-add pass over the values on step e - 1 (_next_step).
+    Its coefficient at x^k counts ordered e-tuples of values summing to k;
+    the last term is fixed by the others, up to the multiplicity of its
+    value (1 when the values are distinct), so the count is at most
+    bound = len(vals)**(e - 1) * multiplicity (_step_bound).  Every partial
+    sum of the pass is at most the final coefficient, so the array
+    _power_array makes for that bound never wraps: the early steps add
+    narrow rows.  Step e - 1 is zero past x^((e - 1) * max(vals)), so the
+    pass adds only that live prefix of it.  Past 2**64, each of the
+    len(vals) adds puts a digit below 2**32 on every digit, which fits in
+    uint64 while len(vals) < 2**32 (the values are held in memory), until
+    the one carry sweep that ends the pass.  Memory stays at
+    O(count * width).
     """
-    multiplicity = max(Counter(vals).values(), default=1)
     top = max(vals, default=0)
     cur = np.zeros((1, count), "<u1")
     cur[0, 0] = 1  # the zeroth power
     kept = {0: (cur, 1)} if 0 in keep else {}
     for e in range(1, max(keep) + 1):
-        bound = len(vals) ** (e - 1) * multiplicity
-        out = _power_array(bound, count)
-        # a one-row uint64 coefficient can pass 2**32: split it into digits
-        if len(out) > 1 and cur.dtype.itemsize == 8 and len(cur) == 1:
-            cur = np.concatenate((cur & DIGIT_MASK, cur >> DIGIT_BITS))
+        bound = _step_bound(vals, e)
         live = (e - 1) * top + 1
-        for v in vals:
-            n = min(live, count - v)
-            out[: len(cur), v : v + n] += cur[:, :n]
-        for r in range(len(out) - 1):  # the carry sweep, low digit first
-            out[r + 1] += out[r] >> DIGIT_BITS
-            out[r] &= DIGIT_MASK
-        cur = out
+        cur = _next_step(_split_digits(cur, bound)[:, :live], vals, bound, 0, count)
         if e in keep:
             kept[e] = cur, bound
     return kept
@@ -468,10 +498,13 @@ def _reversed_dot(rows_a: np.ndarray, rows_b: np.ndarray) -> int:
 def sparse_power_entry(values: Iterable[int], s: int, m: int) -> int:
     """The coefficient of x^m in (sum_v x^v)^s, exact.
 
-    The s-th power is never formed: one shift-add run of s - s//2 passes
-    (see _truncated_powers) keeps the halves A = step s//2 and
-    B = step s - s//2, both truncated above x^m, and the entry is
-    sum_k A[k] * B[m - k], read from their byte planes by _reversed_dot.
+    The s-th power is never formed.  One shift-add run of s//2 passes (see
+    _truncated_powers) keeps the lower half A = step s//2, truncated above
+    x^m, and the entry is sum_k A[k] * B[m - k] for the upper half
+    B = step s - s//2, read from their byte planes by _reversed_dot.  For
+    even s, B is A.  For odd s, B is never held whole: it is made DOT_ROWS
+    entries at a time, each block B[m + 1 - hi .. m - lo] one pass over A's
+    live prefix (_next_step), and dotted at once with A[lo .. hi - 1].
 
     Guard: every byte-plane partial sum is at most (m + 1) * 255**2, which
     stays below 2**63 while m + 1 <= MAX_DOT_ROWS; a larger m raises
@@ -481,5 +514,15 @@ def sparse_power_entry(values: Iterable[int], s: int, m: int) -> int:
     if m + 1 > MAX_DOT_ROWS:
         raise OverflowError(f"target {m} is past the int64 guard of the entry dot")
     half = s // 2
-    steps = _truncated_powers(vals, {half, s - half}, m + 1)
-    return _reversed_dot(_byte_rows(*steps[half]), _byte_rows(*steps[s - half]))
+    power, bound = _truncated_powers(vals, {half}, m + 1)[half]
+    rows = _byte_rows(power, bound)
+    if s == 2 * half:
+        return _reversed_dot(rows, rows)
+    upper = _step_bound(vals, half + 1)
+    prev = _split_digits(power, upper)[:, : half * max(vals, default=0) + 1]
+    total = 0
+    for lo in range(0, m + 1, DOT_ROWS):
+        hi = min(lo + DOT_ROWS, m + 1)
+        block = _next_step(prev, vals, upper, m + 1 - hi, hi - lo)
+        total += _reversed_dot(rows[lo:hi], _byte_rows(block, upper))
+    return total

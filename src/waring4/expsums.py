@@ -50,6 +50,7 @@ from math import fsum, gcd
 import numpy as np
 
 from .errors import BudgetError
+from .exactconv import _shift_add
 from .figurate import FigurateSpec, residue_counts, values
 
 TWO_PI = 2.0 * cmath.pi
@@ -248,16 +249,6 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """All the groups of _pair_groups as one (sums, weights) pair of arrays."""
     sums, weights = zip(*_pair_groups(vals, wts))
     return np.concatenate(sums), np.concatenate(weights)
-
-
-def _shift_add(block: np.ndarray, lo: int, power: np.ndarray, shifts: list[int]) -> None:
-    """block[k - lo] += power[k - v] for every v in shifts, over the entries
-    lo <= k < lo + len(block); power is read only inside its length."""
-    hi = lo + len(block)
-    for v in shifts:
-        a, b = max(lo - v, 0), min(hi - v, len(power))
-        if a < b:
-            block[a + v - lo : b + v - lo] += power[a:b]
 
 
 _DENSE_REFUSAL = "sixteenth moment is limited to N <= 24 and 8*(max f - min f) <= 12000000"

@@ -89,7 +89,11 @@ class DensityReport:
             raise ValueError("a density must be nonnegative")
 
 
-@lru_cache(maxsize=128)
+# one prime walk at the series cap must fit, or each m of a report evicts the
+# tables the next m reads: euler_product at s = 17 and prime_limit =
+# MAX_SERIES_Q = 1000 reads 185 tables (166 primes p >= 5 at level 1, 12
+# levels of the p = 2 ladder and 7 of p = 3)
+@lru_cache(maxsize=256)
 def _congruence_profile(spec: FigurateSpec, s: int, t: int, q: int) -> tuple[int, ...]:
     """M_r(t, q) for every r mod q: the s-fold cyclic self-power of the
     residue histogram; s >= 0, and the 0-fold profile is the unit vector."""

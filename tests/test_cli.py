@@ -9,6 +9,8 @@ import pytest
 
 from waring4 import arcs, cli, figurate
 
+from fresh_process import child_peak_rss_mib
+
 
 def test_eval_prints_value_and_config(capsys):
     code = cli.main(["eval", "--spec", "{3,4,3}", "--n", "5", "--seed", "7"])
@@ -32,6 +34,17 @@ def test_count_small_cases(capsys):
     code = cli.main(["count", "--spec", "{3,3,5}", "--s", "1", "--m", "120"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1"
+
+
+def test_count_peak_rss_in_a_fresh_process():
+    # the upper half power of s = 17 is made one DOT_ROWS block at a time, so
+    # over a child that only imports the CLI the count holds the u8 lower
+    # half (7.6 MiB), one pass's two steps, and one block's dot chunks:
+    # about 13.5 MiB, where two whole u8 halves and their dot chunks need
+    # about 22.6 MiB
+    baseline = child_peak_rss_mib("-c", "import waring4.cli")
+    job = child_peak_rss_mib("-m", "waring4", "count", "--spec", "{3,4,3}", "--s", "17", "--m", "999500")
+    assert job - baseline < 18
 
 
 def test_unknown_catalog_symbol_exits_one(capsys):
@@ -208,6 +221,22 @@ def test_series_truncation_above_the_cap_exits_two(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("budget refusal: ")
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["series", "--spec", "{3,4,3}", "--s", "17", "--m", "3"], "Q"),
+        (["report", "--spec", "{3,4,3}", "--s", "17", "--m", "17"], "prime-limit"),
+    ],
+    ids=["series-Q", "report-prime-limit"],
+)
+def test_series_truncation_below_one_exits_one_naming_its_flag(argv, flag, value, capsys):
+    assert cli.main(argv + [f"--{flag}", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument --{flag}: {flag} must be an integer >= 1" in captured.err
 
 
 def test_local_command(capsys):

@@ -420,6 +420,24 @@ def test_sparse_power_entry_over_several_dot_chunks():
         assert got == exactconv.sparse_power_profile(values, s, m)[m]
 
 
+def test_sparse_power_entry_multi_digit_upper_half_over_several_blocks():
+    # odd s: the upper half B = step 12 is made DOT_ROWS entries at a time.
+    # Its bound 64**11 needs 32-bit digit rows, and the lower half A = step
+    # 11 (bound 2**60, one uint64 row) is split into digits first.  m + 1 is
+    # not a multiple of DOT_ROWS, so the last block is short.  The value
+    # m - 372 pairs A's entries past the first block with B's first entries,
+    # which pass 2**64, and A's first entries with B's last block
+    m = exactconv.DOT_ROWS + 12_345
+    values, s = list(range(63)) + [m - 372], 23
+    assert len(values) ** (s // 2) >= 2**64 > len(values) ** (s // 2 - 1)
+    assert (m + 1) % exactconv.DOT_ROWS and m + 1 > exactconv.DOT_ROWS
+    assert max(exactconv.sparse_power_profile(values, s - s // 2, m)) >= 2**64
+    got = exactconv.sparse_power_entry(values, s, m)
+    assert got == exactconv.sparse_power_profile(values, s, m)[m]
+    below = exactconv.sparse_power_profile(values, s - 1, m)
+    assert got == sum(below[m - v] for v in values)
+
+
 def test_sparse_power_entry_rejects_bad_input():
     with pytest.raises(ValueError):
         exactconv.sparse_power_entry([-1, 2], 2, 5)

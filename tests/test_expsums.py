@@ -2,10 +2,7 @@
 
 import cmath
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
 
@@ -16,6 +13,8 @@ from hypothesis import strategies as st
 
 from waring4 import expsums, figurate
 from waring4.errors import BudgetError
+
+from fresh_process import child_peak_rss_mib
 
 F1 = figurate.catalog("{3,4,3}").spec
 F2 = figurate.catalog("{3,3,5}").spec
@@ -330,16 +329,6 @@ def test_mean_value_peak_memory(N, j, cap_mib):
     assert peak < cap_mib << 20
 
 
-# A child's ru_maxrss also counts the peak RSS of the process that forked
-# it, so each job is started from a small interpreter that reaps it with
-# wait4 and prints its own peak RSS (KiB on Linux).
-RSS_SPAWNER = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:])
-_, status, usage = os.wait4(proc.pid, 0)
-proc.returncode = os.waitstatus_to_exitcode(status)
-print(proc.returncode, usage.ru_maxrss)
-"""
 RSS_JOB = """
 import sys
 import numpy
@@ -349,24 +338,12 @@ if len(sys.argv) > 1:
 """
 
 
-def child_peak_rss_mib(*args: str) -> float:
-    src = os.path.dirname(os.path.dirname(expsums.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    argv = [sys.executable, "-c", RSS_SPAWNER, sys.executable, "-c", RSS_JOB, *args]
-    done = subprocess.run(
-        argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120
-    )
-    rc, kib = map(int, done.stdout.split())
-    assert (done.returncode, rc) == (0, 0), done.stderr
-    return kib / 1024
-
-
 def test_mean_value_peak_rss_in_a_fresh_process():
     # the benchmark's peak_rss_mib, per job: a baseline child that imports
     # only numpy and expsums, then the j = 4 and j = 2 jobs above it
-    baseline = child_peak_rss_mib()
+    baseline = child_peak_rss_mib("-c", RSS_JOB)
     for N, j in ((24, 4), (3996, 2)):
-        assert child_peak_rss_mib(str(N), str(j)) - baseline < 40, (N, j)
+        assert child_peak_rss_mib("-c", RSS_JOB, str(N), str(j)) - baseline < 40, (N, j)
 
 
 @pytest.mark.parametrize("spec, N", [(F1, 25), (F2, 17), (F3, 11)])

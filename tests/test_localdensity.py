@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from waring4 import figurate, localdensity
 from waring4.errors import BudgetError
+from waring4.singularseries import MAX_SERIES_Q
 
 F1 = figurate.catalog("{3,4,3}").spec
 F2 = figurate.catalog("{3,3,5}").spec
@@ -104,6 +105,22 @@ def test_density_limit_refuses_a_prime_exactly_where_its_first_level_is_refused(
             localdensity.local_density_limit(F1, 17, 5, p)
         with pytest.raises(BudgetError):
             localdensity.local_density(F1, 17, 5, p, 1)
+
+
+def test_congruence_cache_holds_a_prime_walk_at_the_series_cap():
+    # a report reads every prime up to its prime limit once per m; at the
+    # cap the walk needs 185 tables, and once they are cached a second m
+    # computes none of them again
+    primes = [p for p in range(2, MAX_SERIES_Q + 1) if localdensity.is_prime(p)]
+    cache = localdensity._congruence_profile
+    cache.cache_clear()
+    for p in primes:
+        localdensity.local_density_limit(F1, 17, 10100, p)
+    misses = cache.cache_info().misses
+    assert misses > 128
+    for p in primes:
+        localdensity.local_density_limit(F1, 17, 30100, p)
+    assert cache.cache_info().misses == misses
 
 
 def test_scaling_identity_holds_for_integer_coefficient_specs():
