@@ -33,11 +33,13 @@ relative to its lower edge as (sum, weight) int64 keys, sorted and
 totalled, and no run of equal sums crosses a window edge, so nothing is
 carried and only one window of keys is held.  The last pass squares each
 window's group counts as it goes instead of storing them.  j = 4 shifts the
-values by their minimum, builds the septuple-sum counts in one u4 array by
-seven shift-add passes, each run in place from the top block down through
-one BLOCK-sized scratch block, and forms the octuple-sum counts BLOCK
-entries at a time, squaring each block as it is made.  No table of the
-final sums is stored.
+values by their minimum and keeps the quadruple-sum counts sparse (two
+passes).  One rising sweep over the octuple sums then works BLOCK entries at
+a time: the quintuple-sum counts of a block are the sparse quadruple counts
+scattered at every value, the sextuple and septuple counts are shift-adds
+from the level below, each level held only as a u4 rolling window of top +
+BLOCK entries (top the largest shifted value), and the octuple-sum counts
+are squared as they are made.  No table of the final sums is stored.
 """
 
 from __future__ import annotations
@@ -50,12 +52,11 @@ from math import fsum, gcd
 import numpy as np
 
 from .errors import BudgetError
-from .exactconv import _shift_add
 from .figurate import FigurateSpec, residue_counts, values
 
 TWO_PI = 2.0 * cmath.pi
 # a moment's passes work on about this many entries at a time: windows of
-# at most about 2 * BLOCK pair keys (j = 2, 3), blocks of counts (j = 4)
+# at most about 2 * BLOCK pair keys, and blocks of the j = 4 sweep
 BLOCK = 1 << 16
 
 
@@ -251,6 +252,26 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(sums), np.concatenate(weights)
 
 
+def _ring_shift_add(block: np.ndarray, lo: int, ring: np.ndarray, shifts: list[int], live: int) -> None:
+    """block[k - lo] += c[k - v] for every v in shifts and lo <= k < lo +
+    len(block), where c[i] is held at ring[i % len(ring)] for every i it
+    reads and is zero from live on: a shift-add from a rolling window.
+
+    Indices below 0 or from live on are never read, and a read wraps the
+    ring at most once, so it splits into at most two slices.
+    """
+    size = len(ring)
+    hi = lo + len(block)
+    for v in shifts:
+        a, b = max(lo - v, 0), min(hi - v, live)
+        if a < b:
+            at, k = a % size, a + v - lo
+            cut = min(b - a, size - at)
+            block[k : k + cut] += ring[at : at + cut]
+            if cut < b - a:
+                block[k + cut : b + v - lo] += ring[: b - a - cut]
+
+
 _DENSE_REFUSAL = "sixteenth moment is limited to N <= 24 and 8*(max f - min f) <= 12000000"
 
 
@@ -280,32 +301,46 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
         for _ in range(j - 2):
             vals, cnts = _pair_sums(vals, cnts)
         return sum(_sum_of_squares_int64(w) for _, w in _pair_groups(vals, cnts))
-    # j == 4: the septuple-sum counts c7 by seven shift-add passes in place,
-    # then the octuple-sum counts c8[k] = sum_v c7[k - v] BLOCK entries at a
-    # time, squared as they are formed.  Every c8 entry is at most N^8 <=
-    # 24^8 < 2^37, and a degree-4 f takes a value at most 4 times, so c7 is
-    # at most 4 * 24^6 < 2^32 and fits u4, as does every partial sum before
-    # it.  Pass e is zero past x^(e * top); it overwrites pass e - 1 from
-    # the top block down, through one scratch block, which is safe because
-    # entry k reads only entries <= k of pass e - 1
+    # j == 4: the quadruple-sum counts c4 stay sparse (_pair_sums twice);
+    # one rising sweep over the octuple sums forms, per BLOCK entries, c5 by
+    # scattering c4 at every shift, c6 and c7 from the rolling windows of
+    # the level below, and c8, squared as it is formed.  Every c8 entry is
+    # at most N^8 <= 24^8 < 2^37, and a degree-4 f takes a value at most 4
+    # times, so c7 is at most 4 * 24^6 < 2^32 and fits u4, as does every
+    # partial sum before it.  Level e is zero past x^(e * top), so its
+    # blocks past there are neither made nor read
     top = int(fv.max())
     if 8 * top > 12_000_000:
         raise BudgetError(_DENSE_REFUSAL)
+    sums, cnts = np.unique(fv, return_counts=True)
+    for _ in range(2):
+        sums, cnts = _pair_sums(sums, cnts)
+    cnts = cnts.astype(np.uint32)
     shifts = fv.tolist()
-    c7 = np.zeros(7 * top + 1, dtype=np.uint32)
-    c7[0] = 1  # the zeroth power
-    scratch = np.empty(BLOCK, dtype=np.uint32)
-    for e in range(1, 8):
-        prev = c7[: (e - 1) * top + 1]  # the live prefix of pass e - 1
-        for hi in range(e * top + 1, 0, -BLOCK):
-            lo = max(hi - BLOCK, 0)
-            block = scratch[: hi - lo]
-            block[:] = 0
-            _shift_add(block, lo, prev, shifts)
-            c7[lo:hi] = block
+    # a block reads the level below back to top entries under its own lower
+    # edge; at this length, a multiple of BLOCK, a block write never wraps
+    size = -(-(top + BLOCK) // BLOCK) * BLOCK
+    rings = np.zeros((3, size), dtype=np.uint32)  # levels 5, 6 and 7
     total = 0
     for lo in range(0, 8 * top + 1, BLOCK):
-        block = np.zeros(min(BLOCK, 8 * top + 1 - lo), dtype=np.int64)
-        _shift_add(block, lo, c7, shifts)
+        hi = min(lo + BLOCK, 8 * top + 1)
+        at = lo % size
+        if lo <= 5 * top:
+            # the quadruple sums are distinct, so a fancy-index add needs no
+            # add.at within one shift
+            block = rings[0, at : at + hi - lo]
+            block[:] = 0
+            starts = np.searchsorted(sums, lo - fv).tolist()
+            stops = np.searchsorted(sums, hi - fv).tolist()
+            for v, a, b in zip(shifts, starts, stops):
+                if a < b:
+                    block[sums[a:b] + (v - lo)] += cnts[a:b]
+        for e in (6, 7):
+            if lo <= e * top:
+                block = rings[e - 5, at : at + hi - lo]
+                block[:] = 0
+                _ring_shift_add(block, lo, rings[e - 6], shifts, (e - 1) * top + 1)
+        block = np.zeros(hi - lo, dtype=np.int64)
+        _ring_shift_add(block, lo, rings[2], shifts, 7 * top + 1)
         total += _sum_of_squares_int64(block)
     return total

@@ -54,6 +54,9 @@ from .figurate import FigurateSpec, residue_counts, residues
 from .weylbounds import BoundCheckReport, bound_report
 
 EXACT_MODULUS_CAP = 5000
+# an exact table over t residues is refused when its entry bound t^s passes
+# this many bits; s <= 300 passes at every modulus up to EXACT_MODULUS_CAP
+TABLE_BITS_CAP = 4096
 FLOAT_PERIOD_CAP = 10_000_000
 # the relative change between the last two levels that counts as stabilized
 STABILITY_TOL = 1e-9
@@ -89,6 +92,22 @@ class DensityReport:
             raise ValueError("a density must be nonnegative")
 
 
+def _check_table_bits(s: int, t: int) -> None:
+    """Refuse an exact s-fold table over t residues whose entry bound t^s
+    has more than TABLE_BITS_CAP bits, before anything is made.
+
+    t^s bounds cyclic_self_power's max(vec) * sum(vec)^(s-1) for a
+    histogram of t values, and every count of s-tuples of residues mod t.
+    For t >= 2, t^s has more than s bits, so a huge s is refused without
+    the power being formed.
+    """
+    if t > 1 and (s >= TABLE_BITS_CAP or (t**s).bit_length() > TABLE_BITS_CAP):
+        raise BudgetError(
+            f"exact congruence tables are capped at {TABLE_BITS_CAP}-bit entries: "
+            f"the bound {t}^{s} is wider"
+        )
+
+
 # one prime walk at the series cap must fit, or each m of a report evicts the
 # tables the next m reads: euler_product at s = 17 and prime_limit =
 # MAX_SERIES_Q = 1000 reads 185 tables (166 primes p >= 5 at level 1, 12
@@ -97,6 +116,7 @@ class DensityReport:
 def _congruence_profile(spec: FigurateSpec, s: int, t: int, q: int) -> tuple[int, ...]:
     """M_r(t, q) for every r mod q: the s-fold cyclic self-power of the
     residue histogram; s >= 0, and the 0-fold profile is the unit vector."""
+    _check_table_bits(s, t)
     return tuple(cyclic_self_power(residue_counts(spec, t, q), s, q))
 
 
@@ -217,6 +237,7 @@ def _singular_profile(spec: FigurateSpec, s: int, p: int, k: int) -> tuple[int, 
     the cyclic product over Z_L of the H_rho^(*a_rho) (exactconv.cyclic_multiply).
     """
     q = p**k
+    _check_table_bits(s, q)
     pd = p ** min(k, 2)
     L = q // pd
     roots = [rho for rho in range(p) if spec.deriv12_at(rho) % p == 0]

@@ -174,9 +174,12 @@ def test_criterion_06_j1_gamma_approximation():
         "recursion identity and the s=2 case do hold"
     )
     pytest.xfail(
-        "the stated J1 error term is exceeded for s >= 3: the approximation "
-        "error decays like the main term times m^(-1/4), which beats "
-        "m^((s-1)/4-1) only for s <= 2; frozen failure map asserted above"
+        "the stated J1 error term is exceeded for s = 3..8: the leading error "
+        "s*(zeta(3/4)/4)*Gamma_(s-1), with Gamma_k the Gamma main term for k "
+        "summands, has the same order m^((s-1)/4-1) as the bound, and its ratio to the bound tends to L(s) = "
+        "s*|zeta(3/4)/4|*Gamma(5/4)^(s-1)/Gamma((s-1)/4), which exceeds 1 "
+        "exactly for 3 <= s <= 14 (0.43 at s = 2, 0.51 at s = 17); frozen "
+        "failure map asserted above"
     )
 
 

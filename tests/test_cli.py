@@ -267,6 +267,17 @@ def test_local_with_a_huge_prime_exits_two_at_once():
     assert done.stdout == "" and done.stderr.startswith("budget refusal: ")
 
 
+def test_local_with_a_huge_s_exits_two_at_once():
+    # the exact congruence tables refuse the bound 2^(10^9) before making any
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    argv = [sys.executable, "-m", "waring4.cli", "local", "--spec", "{3,4,3}", "--s",
+            str(10**9), "--m", "5", "--p", "2"]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2
+    assert done.stdout == "" and done.stderr.startswith("budget refusal: exact congruence tables")
+
+
 @pytest.mark.parametrize("k_max", ["0", "-3", "two"])
 def test_bad_k_max_exits_one(k_max, capsys):
     code = cli.main(

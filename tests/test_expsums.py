@@ -315,11 +315,38 @@ def test_mean_value_block_edges_match_tuple_oracle(monkeypatch, block):
         assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
 
 
+@pytest.mark.parametrize("spec, N", [(F2, 8), (F3, 7)])
+def test_mean_value_j4_matches_meet_in_the_middle_oracle(spec, N):
+    # at the default BLOCK: the largest shifted value (76951, 233694) passes
+    # BLOCK, so the sweep's rolling windows wrap several times
+    vals = [spec.value(n) for n in range(1, N + 1)]
+    assert max(vals) - min(vals) > expsums.BLOCK
+    quad = sum_counter(vals, 4)
+    octo = Counter()
+    for x, cx in quad.items():
+        for y, cy in quad.items():
+            octo[x + y] += cx * cy
+    assert expsums.mean_value(spec, N, 4) == sum(c * c for c in octo.values())
+
+
+def test_sixteenth_moment_holds_only_rolling_windows():
+    # three u4 windows of 2^20 entries each, 12 MiB at {3,4,3}, N = 24, and
+    # sparse quadruple-sum counts; a u4 table of all 7 * top + 1 septuple-sum
+    # counts alone is 26 MiB
+    tracemalloc.start()
+    try:
+        expsums.mean_value(F1, 24, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+
+
 @pytest.mark.parametrize("N, j, cap_mib", [(3996, 2, 16), (90, 3, 16), (24, 4, 32)])
 def test_mean_value_peak_memory(N, j, cap_mib):
     # the last pass is streamed: no array of its groups or pair keys (j = 2,
     # 3) or of the octuple-sum counts (j = 4) is held, only one window of
-    # keys or the 26 MiB u4 septuple-sum counts
+    # keys or the three rolling windows of the j = 4 sweep
     tracemalloc.start()
     try:
         expsums.mean_value(F1, N, j)

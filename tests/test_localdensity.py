@@ -94,6 +94,34 @@ def test_count_congruence_budget():
         localdensity.count_congruence(F1, 2, 0, 5001, 5001)
 
 
+def test_exact_tables_refuse_a_huge_s_before_making_anything():
+    # s = 10^18 would need about 10^19 bits per entry: each call is refused
+    # from s and t alone, so it returns at once
+    huge = 10**18
+    calls = [
+        lambda: localdensity.count_congruence(F1, huge, 5, 4096, 4096),
+        lambda: localdensity.count_congruence(F1, huge, 5, 4999, 4999),
+        lambda: localdensity.nonsingular_count(F1, huge, 5, 7),
+        lambda: localdensity._singular_profile(F1, huge, 7, 4),
+        lambda: localdensity.local_density_limit(F1, huge, 5, 7),
+    ]
+    for call in calls:
+        with pytest.raises(BudgetError, match="capped at 4096-bit entries"):
+            call()
+
+
+def test_table_bit_cap_edges():
+    cap = localdensity.TABLE_BITS_CAP
+    # 2^4095 has 4096 bits and passes; 2^4096 does not
+    assert localdensity.count_congruence(F1, cap - 1, 1, 2, 2) > 0
+    with pytest.raises(BudgetError):
+        localdensity.count_congruence(F1, cap, 1, 2, 2)
+    # s = 300 passes at every exact modulus (5000^300 has 3687 bits)
+    localdensity._check_table_bits(300, localdensity.EXACT_MODULUS_CAP)
+    # one residue: every table entry is 0 or 1 at any s
+    assert localdensity.count_congruence(F1, 10**18, 0, 1, 1) == 1
+
+
 def test_density_limit_refuses_a_prime_exactly_where_its_first_level_is_refused():
     edge = localdensity.FLOAT_PERIOD_CAP // 24
     below = next(p for p in range(edge, 1, -1) if localdensity.is_prime(p))

@@ -1,12 +1,14 @@
-"""Per-layer timing of the cyclic self-power kernel.
+"""Per-layer timing of the cyclic self-power kernel and the sixteenth moment.
 
 Times exactconv.cyclic_self_power at s = 17 on the residue histograms
 f(1..q) mod q of every catalog spec, at q = 2^10, 2^11, 2^12, 3^6 and 3^7,
 against the packed big-int powering (exactconv._packed_self_power; in a
-checkout without it, cyclic_self_power is the packed powering).  Each case
-is timed REPEATS times after one untimed call.  Prints one JSON line:
-machine info and, per case and path, the median and quartiles in
-milliseconds.
+checkout without it, cyclic_self_power is the packed powering).  Times
+expsums.mean_value at j = 4 for every catalog spec at its largest N inside
+the j = 4 cap (24, 16 and 10), with the call's tracemalloc peak beside the
+timings.  Each case is timed REPEATS times after one untimed call.  Prints
+one JSON line: machine info and, per case and path, the median and
+quartiles in milliseconds.
 
     PYTHONPATH=src python3 tools/kernel_timing.py
 """
@@ -18,14 +20,17 @@ import os
 import platform
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
-from waring4 import exactconv, figurate
+from waring4 import exactconv, expsums, figurate
 
 MODULI = (2**10, 2**11, 2**12, 3**6, 3**7)
 S = 17
 REPEATS = 9
+# the largest N inside mean_value's j = 4 cap, per catalog spec
+MOMENT_N = {"{3,4,3}": 24, "{3,3,5}": 16, "{5,3,3}": 10}
 
 
 def _quartiles(samples: list[float]) -> dict:
@@ -41,6 +46,16 @@ def _time(fn, args) -> dict:
         fn(*args)
         samples.append((time.perf_counter() - start) * 1e3)
     return _quartiles(samples)
+
+
+def _traced_peak_mib(fn, args) -> float:
+    """The tracemalloc peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
 
 
 def _machine() -> dict:
@@ -68,7 +83,13 @@ def main() -> None:
                 "cyclic_self_power": _time(exactconv.cyclic_self_power, call),
                 "packed": _time(packed, call),
             }
-    print(json.dumps({"machine": _machine(), "s": S, "unit": "ms", "cases": cases}))
+    moments = {}
+    for spec in figurate.catalog_specs():
+        call = (spec, MOMENT_N[spec.label], 4)
+        moments[f"{spec.label} N={call[1]}"] = dict(
+            _time(expsums.mean_value, call), tracemalloc_peak_mib=_traced_peak_mib(expsums.mean_value, call)
+        )
+    print(json.dumps({"machine": _machine(), "s": S, "unit": "ms", "cases": cases, "mean_value_j4": moments}))
 
 
 if __name__ == "__main__":
