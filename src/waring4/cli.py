@@ -88,6 +88,18 @@ def _int_at_least(low: int, what: str):
     return parse
 
 
+def _m_values(text: str) -> tuple[int, ...]:
+    """argparse type of --m: an integer or a comma list of them; a token
+    that is not an integer is a usage error naming it."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"m must be an integer or a comma list of integers, got {token!r}") from None
+    return tuple(values)
+
+
 def parse_spec(text: str) -> figurate.FigurateSpec:
     """Either a catalog symbol like {3,4,3} or explicit coefficients A,B,C."""
     text = text.strip()
@@ -344,14 +356,14 @@ def _build_parser() -> _Parser:
     )
     p_count.add_argument("--spec", required=True)
     p_count.add_argument("--s", type=_int_at_least(1, "s"), required=True)
-    p_count.add_argument("--m", required=True)
+    p_count.add_argument("--m", type=_m_values, required=True)
 
     p_series = sub.add_parser(
         "series", help="truncated singular series", parents=[common]
     )
     p_series.add_argument("--spec", required=True)
     p_series.add_argument("--s", type=_int_at_least(1, "s"), required=True)
-    p_series.add_argument("--m", required=True)
+    p_series.add_argument("--m", type=_m_values, required=True)
     p_series.add_argument("--Q", type=_int_at_least(1, "Q"), default=30)
 
     p_local = sub.add_parser(
@@ -359,7 +371,7 @@ def _build_parser() -> _Parser:
     )
     p_local.add_argument("--spec", required=True)
     p_local.add_argument("--s", type=_int_at_least(1, "s"), required=True)
-    p_local.add_argument("--m", required=True)
+    p_local.add_argument("--m", type=_m_values, required=True)
     p_local.add_argument("--p", type=int, required=True)
     p_local.add_argument("--k-max", type=_int_at_least(1, "k-max"), default=None)
 
@@ -367,19 +379,19 @@ def _build_parser() -> _Parser:
         "integral", help="J1 vs Gamma main-term check", parents=[common]
     )
     p_integral.add_argument("--s", type=_int_at_least(1, "s"), required=True)
-    p_integral.add_argument("--m", required=True)
+    p_integral.add_argument("--m", type=_m_values, required=True)
 
     p_arcs = sub.add_parser("arcs", help="arc dissection summary", parents=[common])
     p_arcs.add_argument("--spec", required=True)
     p_arcs.add_argument("--s", type=_int_at_least(1, "s"), default=17)
-    p_arcs.add_argument("--m", required=True)
+    p_arcs.add_argument("--m", type=_m_values, required=True)
 
     p_report = sub.add_parser(
         "report", help="full asymptotic comparison", parents=[common]
     )
     p_report.add_argument("--spec", required=True)
     p_report.add_argument("--s", type=_int_at_least(1, "s"), required=True)
-    p_report.add_argument("--m", required=True, help="target m or comma ladder")
+    p_report.add_argument("--m", type=_m_values, required=True, help="target m or comma ladder")
     p_report.add_argument("--prime-limit", type=_int_at_least(1, "prime-limit"), default=50)
 
     sub.add_parser(
@@ -389,14 +401,11 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> RunConfig:
-    m_values: tuple[int, ...] = ()
-    if getattr(args, "m", None) is not None:
-        m_values = tuple(int(x) for x in str(args.m).split(","))
     return RunConfig(
         command=args.command,
         spec=getattr(args, "spec", "-"),
         s=getattr(args, "s", 0),
-        m_values=m_values,
+        m_values=getattr(args, "m", ()),
         Q=getattr(args, "Q", 0),
         prime_limit=getattr(args, "prime_limit", 50),
         fmt=args.format,

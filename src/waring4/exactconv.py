@@ -30,29 +30,31 @@ tables are built per call, as a density ladder transforms each q once.
 
 Truncated linear powers of a sparse 0/1 polynomial (representation counts)
 are shift-add passes on numpy arrays: each pass adds in place into an
-unsigned array whose dtype holds that pass's coefficient bound, so it never
-wraps, and reads only the live prefix of the previous power, the entries
-up to its degree; coefficients past 2**64 are held as 32-bit digits with
-one carry sweep per pass.  A single entry is read as an int64 dot of the
-byte planes of two half powers; for odd s the upper half is made DOT_ROWS
-entries at a time and each block is dotted as it is made.  All results are
-exact.
+unsigned array whose dtype holds len(values) times the previous pass's
+maximum, so it never wraps, and reads only the live prefix of the previous
+power; coefficients past 2**64 are 32-bit digits with one carry sweep per
+pass.  A single entry dots two half powers DOT_ROWS entries at a time, one
+int64 dot per pair of 23-bit digit planes; for odd s each DOT_ROWS block of
+the upper half is made as it is dotted.  All results are exact.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 
 import numpy as np
 
-# rows of the two byte-plane matrices multiplied per int64 chunk
+# entries of the two half powers dotted per chunk of a single entry
 DOT_ROWS = 1 << 16
-# a byte-plane dot over more rows than this could exceed an int64
+# sparse_power_entry refuses m + 1 past this with OverflowError
 MAX_DOT_ROWS = ((1 << 63) - 1) // 255**2
+# the entry dot splits coefficients into digit planes of this many bits, so
+# a chunk's int64 partial sum is at most DOT_ROWS * (2**23 - 1)**2 < 2**63
+PLANE_BITS = 23
 # a linear power past 2**64 holds each coefficient as digits of this many bits
 DIGIT_BITS = 32
 DIGIT_MASK = (1 << DIGIT_BITS) - 1
@@ -365,13 +367,10 @@ def _exponents(values: Iterable[int], s: int, m_max: int) -> list[int]:
 
 
 def _power_array(bound: int, count: int) -> np.ndarray:
-    """Zeroed storage for count coefficients, each at most bound.
-
-    Below 2**64 it is one row of the narrowest little-endian unsigned dtype
-    that holds bound.  From 2**64 on, each coefficient is held as rows of
-    32-bit digits, low digit first, in uint64, so that a digit can take
-    fewer than 2**32 further digits before a carry sweep.
-    """
+    """Zeroed storage for count coefficients, each at most bound: below 2**64
+    one row of the narrowest little-endian unsigned dtype that holds bound;
+    from 2**64 on, rows of 32-bit digits, low digit first, in uint64, so a
+    digit can take fewer than 2**32 further digits before a carry sweep."""
     for dtype in ("<u1", "<u2", "<u4", "<u8"):
         if bound <= np.iinfo(dtype).max:
             return np.zeros((1, count), dtype)
@@ -389,10 +388,12 @@ def _shift_add(block: np.ndarray, lo: int, power: np.ndarray, shifts: Iterable[i
             block[..., a + v - lo : b + v - lo] += power[..., a:b]
 
 
-def _step_bound(vals: list[int], e: int) -> int:
-    """The bound len(vals)**(e - 1) * multiplicity on every coefficient of
-    step e >= 1 of _truncated_powers."""
-    return len(vals) ** (e - 1) * max(Counter(vals).values(), default=1)
+def _top(power: np.ndarray) -> int:
+    """An upper bound on every coefficient of a _power_array layout: its
+    maximum for one row; for 32-bit digit rows, (max of the top row + 1) *
+    2**(32 * (rows - 1)), as every lower digit is below 2**32."""
+    top = int(power[-1].max())
+    return top if len(power) == 1 else (top + 1) << (DIGIT_BITS * (len(power) - 1))
 
 
 def _next_step(prev: np.ndarray, vals: list[int], bound: int, lo: int, count: int) -> np.ndarray:
@@ -424,75 +425,58 @@ def _truncated_powers(
     Every value must be below count, and a value may repeat.
 
     Step e is one shift-add pass over the values on step e - 1 (_next_step).
-    Its coefficient at x^k counts ordered e-tuples of values summing to k;
-    the last term is fixed by the others, up to the multiplicity of its
-    value (1 when the values are distinct), so the count is at most
-    bound = len(vals)**(e - 1) * multiplicity (_step_bound).  Every partial
-    sum of the pass is at most the final coefficient, so the array
-    _power_array makes for that bound never wraps: the early steps add
-    narrow rows.  Step e - 1 is zero past x^((e - 1) * max(vals)), so the
-    pass adds only that live prefix of it.  Past 2**64, each of the
-    len(vals) adds puts a digit below 2**32 on every digit, which fits in
-    uint64 while len(vals) < 2**32 (the values are held in memory), until
-    the one carry sweep that ends the pass.  Memory stays at
-    O(count * width).
+    Its coefficient c_e[k] = sum_v c_(e-1)[k - v] is a sum of len(vals)
+    terms, one per value and repeat, each at most M, the bound _top reads
+    from step e - 1; so bound = len(vals) * M holds it.  Every partial sum
+    of the pass is at most the final coefficient, so the array _power_array
+    makes for that bound never wraps; at the 24 values of {3,4,3} below
+    10**6, steps 3-4 are u1, 5-6 u2 and 7-9 u4.  Step e - 1 is zero past
+    x^((e - 1) * max(vals)), so the pass adds, and _top reads, only that
+    live prefix.  Past 2**64, each of the len(vals) adds puts a digit below
+    2**32 on every digit, which fits in uint64 while len(vals) < 2**32, until
+    the one carry sweep that ends the pass.  Memory is O(count * width).
     """
     top = max(vals, default=0)
     cur = np.zeros((1, count), "<u1")
     cur[0, 0] = 1  # the zeroth power
     kept = {0: (cur, 1)} if 0 in keep else {}
     for e in range(1, max(keep) + 1):
-        bound = _step_bound(vals, e)
-        live = (e - 1) * top + 1
-        cur = _next_step(_split_digits(cur, bound)[:, :live], vals, bound, 0, count)
+        prev = cur[:, : (e - 1) * top + 1]
+        bound = len(vals) * _top(prev)
+        cur = _next_step(_split_digits(prev, bound), vals, bound, 0, count)
         if e in keep:
             kept[e] = cur, bound
     return kept
 
 
-def _byte_rows(power: np.ndarray, bound: int) -> np.ndarray:
-    """The (count, width) little-endian byte matrix of a _power_array
-    layout, trimmed to the _width_for(bound) low byte planes."""
-    # after the carry sweep every digit is below 2**32
-    dtype = "<u4" if len(power) > 1 else power.dtype
-    return np.ascontiguousarray(power.T, dtype).view(np.uint8)[:, : _width_for(bound)]
-
-
 def sparse_power_profile(values: Iterable[int], s: int, m_max: int) -> list[int]:
-    """Coefficients of (sum_v x^v)^s up to x^m_max, exact.
-
-    values are distinct nonnegative integers (x-exponents).  s shift-add
-    passes, each truncated above m_max and held at the width of its own
-    bound (see _truncated_powers).
-    """
+    """Coefficients of (sum_v x^v)^s up to x^m_max, exact, for nonnegative
+    x-exponents values: s shift-add passes (see _truncated_powers)."""
     vals = _exponents(values, s, m_max)
-    power, bound = _truncated_powers(vals, {s}, m_max + 1)[s]
+    power = _truncated_powers(vals, {s}, m_max + 1)[s][0]
     if len(power) == 1:
         return power[0].tolist()
-    rows = _byte_rows(power, bound)
-    data, width = rows.tobytes(), rows.shape[1]
+    # after the carry sweep every digit is below 2**32
+    data, width = np.ascontiguousarray(power.T, "<u4").tobytes(), 4 * len(power)
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
-def _reversed_dot(rows_a: np.ndarray, rows_b: np.ndarray) -> int:
-    """sum_k a[k] * b[count - 1 - k] for two (count, width) byte matrices.
-
-    Byte plane i of a and plane j of b contribute 256**(i + j) times their
-    int64 dot, taken DOT_ROWS rows at a time so that no int64 copy of a
-    whole matrix is made.
-    """
-    count, wa = rows_a.shape
-    wb = rows_b.shape[1]
-    rows_b = rows_b[::-1]  # row k holds b[count - 1 - k]
-    planes = np.zeros((wa, wb), np.int64)
-    for lo in range(0, count, DOT_ROWS):
-        # one contiguous int64 row per byte plane, so each dot runs unit-stride
-        chunk_a = rows_a[lo : lo + DOT_ROWS].T.astype(np.int64, order="C")
-        chunk_b = rows_b[lo : lo + DOT_ROWS].T.astype(np.int64, order="C")
-        planes += np.inner(chunk_a, chunk_b)
-    return sum(
-        int(planes[i, j]) << (8 * (i + j)) for i in range(wa) for j in range(wb)
-    )
+def _planes(power: np.ndarray, bound: int) -> np.ndarray:
+    """The (d, count) int64 matrix of the PLANE_BITS-bit digit planes, low
+    first, of a _power_array layout whose coefficients are at most bound;
+    d = ceil(bound.bit_length() / PLANE_BITS), at least 1.  A plane spans
+    at most two 32-bit digit rows."""
+    d = max(-(-bound.bit_length() // PLANE_BITS), 1)
+    if d == 1:
+        return power[:1].astype(np.int64)
+    step = 64 if len(power) == 1 else DIGIT_BITS
+    wide = power.astype(np.uint64)
+    planes = np.empty((d, power.shape[1]), np.int64)
+    for j in range(d):
+        r, t = divmod(PLANE_BITS * j, step)
+        high = wide[r + 1] << (step - t) if r + 1 < len(wide) else 0
+        planes[j] = (wide[r] >> t | high) & ((1 << PLANE_BITS) - 1)
+    return planes
 
 
 def sparse_power_entry(values: Iterable[int], s: int, m: int) -> int:
@@ -501,28 +485,33 @@ def sparse_power_entry(values: Iterable[int], s: int, m: int) -> int:
     The s-th power is never formed.  One shift-add run of s//2 passes (see
     _truncated_powers) keeps the lower half A = step s//2, truncated above
     x^m, and the entry is sum_k A[k] * B[m - k] for the upper half
-    B = step s - s//2, read from their byte planes by _reversed_dot.  For
-    even s, B is A.  For odd s, B is never held whole: it is made DOT_ROWS
-    entries at a time, each block B[m + 1 - hi .. m - lo] one pass over A's
-    live prefix (_next_step), and dotted at once with A[lo .. hi - 1].
-
-    Guard: every byte-plane partial sum is at most (m + 1) * 255**2, which
-    stays below 2**63 while m + 1 <= MAX_DOT_ROWS; a larger m raises
-    OverflowError.
+    B = step s - s//2, taken DOT_ROWS entries k at a time: A[lo .. hi - 1]
+    and B[m + 1 - hi .. m - lo] reversed are split into 23-bit digit planes
+    (_planes), each pair of planes is one int64 dot, at most
+    DOT_ROWS * (2**23 - 1)**2 < 2**63, and the chunks add as Python ints.
+    At {3,4,3}, s = 17, m near 10**6, both halves are below 2**23: one dot
+    per chunk.  For even s, B is A.  For odd s, B is never held whole: each
+    block of it is one pass over A's live prefix (_next_step), at the bound
+    len(values) * max(A), made as its chunk is dotted.  m + 1 past
+    MAX_DOT_ROWS raises OverflowError.
     """
     vals = _exponents(values, s, m)
     if m + 1 > MAX_DOT_ROWS:
         raise OverflowError(f"target {m} is past the int64 guard of the entry dot")
     half = s // 2
-    power, bound = _truncated_powers(vals, {half}, m + 1)[half]
-    rows = _byte_rows(power, bound)
-    if s == 2 * half:
-        return _reversed_dot(rows, rows)
-    upper = _step_bound(vals, half + 1)
-    prev = _split_digits(power, upper)[:, : half * max(vals, default=0) + 1]
+    power = _truncated_powers(vals, {half}, m + 1)[half][0]
+    top = _top(power)
+    if s > 2 * half:
+        upper = len(vals) * top
+        prev = _split_digits(power, upper)[:, : half * max(vals, default=0) + 1]
     total = 0
     for lo in range(0, m + 1, DOT_ROWS):
         hi = min(lo + DOT_ROWS, m + 1)
-        block = _next_step(prev, vals, upper, m + 1 - hi, hi - lo)
-        total += _reversed_dot(rows[lo:hi], _byte_rows(block, upper))
+        if s > 2 * half:
+            block, bound = _next_step(prev, vals, upper, m + 1 - hi, hi - lo), upper
+        else:
+            block, bound = power[:, m + 1 - hi : m + 1 - lo], top
+        # plane i of A and plane j of B weigh 2**(PLANE_BITS * (i + j))
+        planes = np.inner(_planes(power[:, lo:hi], top), _planes(block[:, ::-1], bound))
+        total += sum(int(planes[i, j]) << (PLANE_BITS * (i + j)) for i, j in np.ndindex(planes.shape))
     return total

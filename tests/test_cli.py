@@ -37,14 +37,15 @@ def test_count_small_cases(capsys):
 
 
 def test_count_peak_rss_in_a_fresh_process():
-    # the upper half power of s = 17 is made one DOT_ROWS block at a time, so
-    # over a child that only imports the CLI the count holds the u8 lower
-    # half (7.6 MiB), one pass's two steps, and one block's dot chunks:
-    # about 13.5 MiB, where two whole u8 halves and their dot chunks need
-    # about 22.6 MiB
+    # each pass is sized from the previous pass's maximum, so the 999,501
+    # coefficients of steps 7, 8 and 9 all fit u4, and the upper half of
+    # s = 17 is made one DOT_ROWS block at a time.  So over a child that only
+    # imports the CLI the peak is pass 8's two u4 steps (3.8 MiB each); after
+    # it, the u4 lower half, one block and one chunk's int64 planes.  That
+    # reads about 7.7 MiB, where a u8 lower half read 13.7 MiB
     baseline = child_peak_rss_mib("-c", "import waring4.cli")
     job = child_peak_rss_mib("-m", "waring4", "count", "--spec", "{3,4,3}", "--s", "17", "--m", "999500")
-    assert job - baseline < 18
+    assert job - baseline < 11
 
 
 def test_unknown_catalog_symbol_exits_one(capsys):
@@ -319,6 +320,36 @@ def test_s_below_one_exits_one(command, s, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "s must be an integer >= 1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["count", "--spec", "{3,4,3}", "--s", "17", "--m", "1e6"], "'1e6'"),
+        (["report", "--spec", "{3,4,3}", "--s", "17", "--m", "1,,2"], "''"),
+        (["report", "--spec", "{3,4,3}", "--s", "17", "--m", "10000,3e4"], "'3e4'"),
+        (["local", "--spec", "{3,4,3}", "--s", "2", "--m", "x", "--p", "2"], "'x'"),
+        (["integral", "--s", "5", "--m", "50,"], "''"),
+    ],
+    ids=["count-float", "report-empty-token", "report-float-token", "local", "integral-trailing-comma"],
+)
+def test_malformed_m_exits_one_naming_the_flag_and_token(argv, token, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --m: m must be an integer or a comma list of integers" in captured.err
+    assert captured.err.rstrip().endswith(f"got {token}")
+    assert "invalid literal" not in captured.err
+
+
+def test_m_keeps_its_range_checks_and_its_ladder(capsys):
+    # a well-formed --m out of range still fails where the count is made
+    assert cli.main(["count", "--spec", "{3,4,3}", "--s", "2", "--m", "-5"]) == 1
+    assert capsys.readouterr().err == "error: target must be >= 0\n"
+    assert cli.main(["count", "--spec", "{3,4,3}", "--s", "2", "--m", "25, 26"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("# config command=count spec={3,4,3} s=2 m=25,26 ")
+    assert lines[1:] == ["2", "0"]
 
 
 def test_integral_command_reports_failure_without_crashing(capsys):

@@ -6,6 +6,7 @@ their boundaries."""
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -326,10 +327,139 @@ def test_sparse_power_past_the_live_prefix(values, s, extra):
 
 def test_truncated_powers_with_repeated_values():
     # a value taken 300 times puts 300 on x^3 at step 1, past a u1 row, and
-    # 300^2 on x^6 at step 2; the bound carries the multiplicity
+    # 300^2 on x^6 at step 2; len(vals) in the bound counts every repeat
     steps = exactconv._truncated_powers([3] * 300 + [1], {1, 2}, 7)
     assert steps[1][0][0].tolist() == [0, 1, 0, 300, 0, 0, 0]
     assert steps[2][0][0].tolist() == [0, 0, 1, 0, 600, 0, 90000]
+
+
+def naive_steps(vals, count, e_max):
+    """Steps 0 .. e_max of (sum_v x^v)^e truncated to count coefficients,
+    as Python ints; a repeated value counts once per repeat."""
+    weights = sorted(Counter(vals).items())
+    steps = [[1] + [0] * (count - 1)]
+    for _ in range(e_max):
+        nxt = [0] * count
+        for k, c in enumerate(steps[-1]):
+            for v, w in weights:
+                if c and k + v < count:
+                    nxt[k + v] += c * w
+        steps.append(nxt)
+    return steps
+
+
+def layout_values(power):
+    """The coefficients of a _power_array layout (one row, or 32-bit digit
+    rows, low digit first) as Python ints."""
+    return [sum(int(d) << (32 * r) for r, d in enumerate(column)) for column in power.T]
+
+
+def narrowest_layout(bound):
+    """(dtype, rows) of the narrowest unsigned row that holds bound, or of
+    the 32-bit digit rows in uint64 from 2**64 on."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bound < 2 ** (8 * np.dtype(dtype).itemsize):
+            return np.dtype(dtype), 1
+    return np.dtype(np.uint64), -(-bound.bit_length() // 32)
+
+
+def step_bound(vals, prev, prev_rows):
+    """len(vals) times the bound on a step whose coefficients are prev: its
+    maximum in one row; with digit rows, (max of the top digit + 1) times
+    the weight of that digit."""
+    top = max(prev)
+    if prev_rows > 1:
+        shift = 32 * (prev_rows - 1)
+        top = ((top >> shift) + 1) << shift
+    return len(vals) * top
+
+
+@st.composite
+def multiset_cases(draw):
+    distinct = draw(st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True))
+    vals = [v for v in distinct for _ in range(draw(st.integers(1, 40)))]
+    count = draw(st.integers(max(vals) + 1, 40))
+    return vals, count, draw(st.integers(1, 14))
+
+
+@settings(max_examples=80, deadline=None)
+@given(multiset_cases())
+@example(([0] * 16, 2, 17))  # every step is 16**e at x^0: tight, into digit rows
+@example(([0] * 40 + [1] * 40 + [5], 12, 14))
+@example((list(range(13)), 40, 14))
+def test_every_step_is_within_its_bound_at_the_narrowest_layout(case):
+    # step e's bound is len(vals) times the bound on step e - 1 read from its
+    # data, and its layout is the narrowest that holds that bound
+    vals, count, s = case
+    steps = exactconv._truncated_powers(vals, set(range(s + 1)), count)
+    naive = naive_steps(vals, count, s)
+    for e in range(1, s + 1):
+        power, bound = steps[e]
+        got = layout_values(power)
+        assert got == naive[e]
+        assert bound == step_bound(vals, naive[e - 1], len(steps[e - 1][0]))
+        assert max(got) <= bound
+        assert (power.dtype, len(power)) == narrowest_layout(bound)
+
+
+# value lists and truncations searched for step bounds len(vals) * M that
+# land exactly on 2**8, 2**16, 2**32 and 2**64: step 2 of 16 (256) distinct
+# values from 0 peaks at 16 (256); step 1 of 256 values at 1; a value taken
+# 16 times makes step e exactly 16**e at x^0, so its bound is reached
+LANDING_SEARCH = [
+    (list(range(16)), 32, 4),
+    (list(range(256)), 512, 3),
+    ([0] * 16, 2, 16),
+    ([0] * 4 + [1] * 4, 3, 4),
+]
+
+
+def test_step_bounds_landing_on_a_width_boundary():
+    layouts = {2**8: ("<u2", 1), 2**16: ("<u4", 1), 2**32: ("<u8", 1), 2**64: ("<u8", 3)}
+    landed, tight = set(), set()
+    for vals, count, e_max in LANDING_SEARCH:
+        steps = exactconv._truncated_powers(vals, set(range(e_max + 1)), count)
+        naive = naive_steps(vals, count, e_max)
+        for e in range(1, e_max + 1):
+            power, bound = steps[e]
+            assert bound == len(vals) * max(naive[e - 1])
+            if bound in layouts:
+                landed.add(bound)
+                assert (power.dtype, len(power)) == (np.dtype(layouts[bound][0]), layouts[bound][1])
+                assert layout_values(power) == naive[e]
+                if max(naive[e]) == bound:
+                    tight.add(bound)
+    assert landed == tight == set(layouts)
+
+
+@pytest.mark.parametrize("s", [3, 5, 6, 7])
+def test_sparse_power_entry_where_a_half_bound_lands_on_2_16(s):
+    # 256 distinct values: step 2 peaks at 256, at x^255, so step 3's bound
+    # is 256 * 256 = 2**16 and step 3 is u4; it is the lower half at s = 6
+    # and 7 and the upper half, made block by block, at s = 5
+    values = list(range(256))
+    top = s * 255
+    assert exactconv._truncated_powers(values, {3}, top + 1)[3][1] == 2**16
+    profile = exactconv.sparse_power_profile(values, s, top)
+    assert sum(profile) == 256**s
+    for m in sorted({0, 255, 256, top // 2, top - 1, top}):
+        assert exactconv.sparse_power_entry(values, s, m) == profile[m]
+
+
+@pytest.mark.parametrize(
+    "label, r17, r16",
+    [
+        ("{3,4,3}", 3174212669355000, 162638115123120),
+        ("{3,3,5}", 749530782000, 228702474000),
+        ("{5,3,3}", 0, 1210809600),
+    ],
+)
+def test_counts_frozen_at_the_single_count_size(label, r17, r16):
+    # R_17 and R_16 at m = 999,500, the benchmark's count-single size, as read
+    # by two modular shift-add profiles joined by the Chinese remainder theorem
+    values = figurate.values_upto(figurate.catalog(label).spec, 999_500)
+    assert exactconv.sparse_power_entry(values, 17, 999_500) == r17
+    assert exactconv.sparse_power_entry(values, 16, 999_500) == r16
 
 
 def dp_sparse_power(values, s, m_max):
@@ -374,12 +504,14 @@ def test_sparse_power_entry_matches_naive(values, s, m):
 
 @pytest.mark.parametrize(
     "n,s",
-    # step e is held at the bound len(values)**(e - 1); each case has a half,
-    # e = s // 2 or s - s // 2, whose bound is 256 (16**2, 4**4, 2**8,
-    # 256**1) or whose next step's bound is.  16 values at s = 9, 17 and 33
-    # put a half and the full profile on the bounds 2**16, 2**32 and 2**64,
-    # where the dtype widens or the digit rows start; the s = 33 profile's
-    # coefficients pass 2**64
+    # the cases were chosen for the a-priori bound len(values)**(e - 1): a
+    # half, e = s // 2 or s - s // 2, or its next step had the bound 256
+    # (16**2, 4**4, 2**8, 256**1), and 16 values at s = 9, 17 and 33 put a
+    # half and the full profile on 2**16, 2**32 and 2**64.  The assertion
+    # below checks that choice.  Bounds taken from the data, len(values)
+    # times the previous step's maximum, land exactly only at step 3 of 16
+    # values and steps 1-3 of 256 (test_step_bounds_landing_on_a_width_boundary
+    # searches for landings); the s = 33 profile's coefficients pass 2**64
     [(16, 3), (16, 4), (16, 5), (16, 6), (16, 7),
      (4, 7), (4, 8), (4, 9), (4, 10), (4, 11),
      (2, 15), (2, 16), (2, 17), (2, 18), (2, 19),
@@ -401,7 +533,7 @@ def test_sparse_power_entry_at_a_half_width_boundary(n, s):
 
 def test_sparse_power_entry_past_int64():
     # the central coefficient of (1 + x + ... + x^15)^18 is above 2**63, so
-    # the byte-plane partial sums must recombine as Python ints
+    # the digit-plane partial sums must recombine as Python ints
     values, s = list(range(16)), 18
     m = s * 15 // 2
     want = dp_sparse_power(values, s, m)[m]
@@ -422,9 +554,10 @@ def test_sparse_power_entry_over_several_dot_chunks():
 
 def test_sparse_power_entry_multi_digit_upper_half_over_several_blocks():
     # odd s: the upper half B = step 12 is made DOT_ROWS entries at a time.
-    # Its bound 64**11 needs 32-bit digit rows, and the lower half A = step
-    # 11 (bound 2**60, one uint64 row) is split into digits first.  m + 1 is
-    # not a multiple of DOT_ROWS, so the last block is short.  The value
+    # Its bound, 64 times A's maximum, passes 2**64 and needs 32-bit digit
+    # rows, and the lower half A = step 11 (one uint64 row) is split into
+    # digits first.  m + 1 is not a multiple of DOT_ROWS, so the last block
+    # is short.  The value
     # m - 372 pairs A's entries past the first block with B's first entries,
     # which pass 2**64, and A's first entries with B's last block
     m = exactconv.DOT_ROWS + 12_345
@@ -445,7 +578,7 @@ def test_sparse_power_entry_rejects_bad_input():
         exactconv.sparse_power_entry([1], -1, 5)
     with pytest.raises(ValueError):
         exactconv.sparse_power_entry([1], 2, -1)
-    # past the int64 guard of the byte-plane dot; refused before any work
+    # past MAX_DOT_ROWS; refused before any work
     with pytest.raises(OverflowError):
         exactconv.sparse_power_entry([1], 1, exactconv.MAX_DOT_ROWS)
 

@@ -1,4 +1,5 @@
-"""Per-layer timing of the cyclic self-power kernel and the sixteenth moment.
+"""Per-layer timing of the cyclic self-power kernel, the sixteenth moment and
+a single representation count.
 
 Times exactconv.cyclic_self_power at s = 17 on the residue histograms
 f(1..q) mod q of every catalog spec, at q = 2^10, 2^11, 2^12, 3^6 and 3^7,
@@ -6,9 +7,11 @@ against the packed big-int powering (exactconv._packed_self_power; in a
 checkout without it, cyclic_self_power is the packed powering).  Times
 expsums.mean_value at j = 4 for every catalog spec at its largest N inside
 the j = 4 cap (24, 16 and 10), with the call's tracemalloc peak beside the
-timings.  Each case is timed REPEATS times after one untimed call.  Prints
-one JSON line: machine info and, per case and path, the median and
-quartiles in milliseconds.
+timings.  Times exactconv.sparse_power_entry, one exact R_s(m), for {3,4,3}
+at s = 16 and 17 and m = 999,500 (the benchmark's count-single size), also
+with the tracemalloc peak.  Each case is timed REPEATS times after one
+untimed call.  Prints one JSON line: machine info and, per case and path,
+the median and quartiles in milliseconds.
 
     PYTHONPATH=src python3 tools/kernel_timing.py
 """
@@ -31,6 +34,9 @@ S = 17
 REPEATS = 9
 # the largest N inside mean_value's j = 4 cap, per catalog spec
 MOMENT_N = {"{3,4,3}": 24, "{3,3,5}": 16, "{5,3,3}": 10}
+# one exact count R_s(m) at the benchmark's count-single size
+ENTRY_M = 999_500
+ENTRY_S = (16, 17)
 
 
 def _quartiles(samples: list[float]) -> dict:
@@ -89,7 +95,26 @@ def main() -> None:
         moments[f"{spec.label} N={call[1]}"] = dict(
             _time(expsums.mean_value, call), tracemalloc_peak_mib=_traced_peak_mib(expsums.mean_value, call)
         )
-    print(json.dumps({"machine": _machine(), "s": S, "unit": "ms", "cases": cases, "mean_value_j4": moments}))
+    entries = {}
+    values = figurate.values_upto(figurate.catalog("{3,4,3}").spec, ENTRY_M)
+    for s in ENTRY_S:
+        call = (values, s, ENTRY_M)
+        entries[f"{{3,4,3}} s={s} m={ENTRY_M}"] = dict(
+            _time(exactconv.sparse_power_entry, call),
+            tracemalloc_peak_mib=_traced_peak_mib(exactconv.sparse_power_entry, call),
+        )
+    print(
+        json.dumps(
+            {
+                "machine": _machine(),
+                "s": S,
+                "unit": "ms",
+                "cases": cases,
+                "mean_value_j4": moments,
+                "sparse_power_entry": entries,
+            }
+        )
+    )
 
 
 if __name__ == "__main__":
