@@ -13,7 +13,6 @@ decided in exact integer arithmetic on powers, never through floating point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -202,6 +201,10 @@ def _integrate_pieces(
         return integrate(_arc_integrand(spec, s, m, q, a, fv), lo, hi, panels)
 
     if threads > 1:
+        # imported here: concurrent.futures loads logging, which a
+        # one-thread run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one_piece, sized))
     else:

@@ -16,7 +16,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -308,6 +307,10 @@ def run_check_suite(seed: int, threads: int) -> tuple[str, bool]:
         return name, ok, detail
 
     if threads > 1:
+        # imported here: concurrent.futures loads logging, which a
+        # one-thread run never needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_one, tasks))
     else:

@@ -28,9 +28,14 @@ residue mod p.  If some f'(x_i) is prime to p, that linear equation has
 p^(s-1) solutions y.  Hence the solutions with a nonsingular coordinate
 multiply by p^(s-1) per level, from M_m(p) - N_m(p) at level 1.
 
-N_m(p^k) is cheap (_singular_profile): a singular n is rho + p z with rho
+N_m(p^k) is cheap (_singular_class): a singular n is rho + p z with rho
 one of the at most 3 roots of 12 f' mod p, and f(rho + p z) = c_rho +
-p^2 F_rho(z), whose residue mod p^k depends only on z mod p^(k-2).  At
+p^2 F_rho(z), whose residue mod p^k depends only on z mod p^(k-2).  So N is
+a sum over the ways to spread the s coordinates over the roots, each a
+cyclic product of length p^(k-2), placed in the residue class mod p^2 of
+its offset (mod p at k = 1).  Only the class of m is built: it sums only
+the compositions whose offset lies in that class, from rows of histogram
+powers that every class of the level shares (_singular_rows).  At
 p = 2 and 3, 24 is not a unit and the Taylor step fails, so every level of
 those ladders is read from the direct kernel's table (count_congruence),
 whose self-power takes the exact number-theoretic transform there, as
@@ -110,8 +115,10 @@ def _check_table_bits(s: int, t: int) -> None:
 
 # one prime walk at the series cap must fit, or each m of a report evicts the
 # tables the next m reads: euler_product at s = 17 and prime_limit =
-# MAX_SERIES_Q = 1000 reads 185 tables (166 primes p >= 5 at level 1, 12
-# levels of the p = 2 ladder and 7 of p = 3)
+# MAX_SERIES_Q = 1000 reads 170 tables (166 primes p >= 5 at level 1 and the
+# top two levels of the p = 2 and p = 3 ladders); 256 also holds the 185 of
+# a walk whose ladders start at level 1 (all 12 levels of p = 2 and 7 of
+# p = 3), as local_density_limit's default reads them
 @lru_cache(maxsize=256)
 def _congruence_profile(spec: FigurateSpec, s: int, t: int, q: int) -> tuple[int, ...]:
     """M_r(t, q) for every r mod q: the s-fold cyclic self-power of the
@@ -216,36 +223,18 @@ def _compositions(s: int, parts: int) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=128)
-def _singular_profile(spec: FigurateSpec, s: int, p: int, k: int) -> tuple[int, ...]:
-    """N_r(p^k) for every r mod p^k: the s-tuples mod p^k, every coordinate
-    singular (p | f'(n)), with value sum r; p >= 5 prime, k >= 1.
-
-    A singular n is rho + p z, with rho a root of 12 f' mod p (not the zero
-    polynomial, as f(1) - f(0) = 1 and deg f < p, so at most 3 roots) and z
-    mod p^(k-1).  Let d = min(k, 2) and L = p^(k-d).  Since p | f'(rho),
-    f(rho + p z) = c_rho + p^d F_rho(z) with c_rho = f(rho) mod p^d, and
-    F_rho mod L depends only on z mod L (when d = 2, a step of z by L moves
-    n by p^(k-1), which moves f by p^(k-1) f'(n) times an integer mod p^k,
-    and p | f'(n); when d = 1, L = 1).  Let H_rho be the histogram of F_rho mod
-    L over z mod L; each z mod L stands for p^(d-1) classes mod p^(k-1).
-    Grouping tuples by how many coordinates lie over each root (a
-    composition a of s),
-
-        N_r = p^((d-1)s) * sum_a multinomial(s; a) * V_a[(r - o_a) / p^d mod L],
-
-    over the a with offset o_a = sum a_rho c_rho = r mod p^d, where V_a is
-    the cyclic product over Z_L of the H_rho^(*a_rho) (exactconv.cyclic_multiply).
-    """
+def _singular_rows(spec: FigurateSpec, s: int, p: int, k: int) -> tuple[tuple, tuple]:
+    """What every class of level k shares (_singular_class): the rows
+    H_rho^(*j), j = 0..s, one per singular root rho, and for each class u
+    mod p^d the (a, shift) of the compositions a of s over the roots whose
+    offset o_a lies in it, shift = o_a // p^d mod L; p >= 5 prime, k >= 1."""
     q = p**k
     _check_table_bits(s, q)
     pd = p ** min(k, 2)
     L = q // pd
     roots = [rho for rho in range(p) if spec.deriv12_at(rho) % p == 0]
-    profile = [0] * q
-    if not roots:
-        return tuple(profile)
     vals = residues(spec, p ** max(k - 1, 1), q)
-    offsets, powers = [], []
+    offsets, rows = [], []
     for rho in roots:
         # f(n) mod q for n = rho + p z over one full period of z mod L
         sel = vals[(rho - 1) % p :: p]
@@ -255,26 +244,67 @@ def _singular_profile(spec: FigurateSpec, s: int, p: int, k: int) -> tuple[int, 
         for _ in range(s):
             row.append(cyclic_multiply(row[-1], hist, L))
         offsets.append(c)
-        powers.append(row)
-    lift = (pd // p) ** s
-    for a in _compositions(s, len(roots)):
-        weight = lift * math.factorial(s) // math.prod(map(math.factorial, a))
-        vec = powers[0][a[0]]
-        for a_rho, row in zip(a[1:], powers[1:]):
-            vec = cyclic_multiply(vec, row[a_rho], L)
+        rows.append(tuple(row))
+    classes = [[] for _ in range(pd)]
+    for a in _compositions(s, len(roots)) if roots else ():
         offset = sum(map(operator.mul, a, offsets))
-        u, shift = offset % pd, offset // pd % L
+        classes[offset % pd].append((a, offset // pd % L))
+    return tuple(rows), tuple(map(tuple, classes))
+
+
+# a report reads at most three classes per prime and m (level 1 and the top
+# two levels): 31 per m at prime limit 50, and 39 at any larger limit, as no
+# prime past 70 has a level 2; so the classes of a four-m ladder all fit
+@lru_cache(maxsize=256)
+def _singular_class(spec: FigurateSpec, s: int, p: int, k: int, u: int) -> tuple[int, ...]:
+    """N_r(p^k) for the r = u mod p^d, d = min(k, 2): entry i is N_(u + p^d i),
+    the s-tuples mod p^k, every coordinate singular (p | f'(n)), with value
+    sum u + p^d i; p >= 5 prime, k >= 1, 0 <= u < p^d.  The classes u
+    together are the whole table of N over r mod p^k.
+
+    A singular n is rho + p z, with rho a root of 12 f' mod p (not the zero
+    polynomial, as f(1) - f(0) = 1 and deg f < p, so at most 3 roots) and z
+    mod p^(k-1).  Let L = p^(k-d).  Since p | f'(rho), f(rho + p z) = c_rho +
+    p^d F_rho(z) with c_rho = f(rho) mod p^d, and F_rho mod L depends only on
+    z mod L (when d = 2, a step of z by L moves n by p^(k-1), which moves f by
+    p^(k-1) f'(n) times an integer mod p^k, and p | f'(n); when d = 1, L = 1).
+    Let H_rho be the histogram of F_rho mod L over z mod L; each z mod L
+    stands for p^(d-1) classes mod p^(k-1).  Grouping tuples by how many
+    coordinates lie over each root (a composition a of s),
+
+        N_r = p^((d-1)s) * sum_a multinomial(s; a) * V_a[(r - o_a) / p^d mod L],
+
+    over the a with offset o_a = sum a_rho c_rho = r mod p^d, where V_a is
+    the cyclic product over Z_L of the rows H_rho^(*a_rho) (_singular_rows).
+    So class u sums only the compositions with o_a = u mod p^d.
+    """
+    rows, classes = _singular_rows(spec, s, p, k)
+    pd = p ** min(k, 2)
+    L = p**k // pd
+    lifted = (pd // p) ** s * math.factorial(s)
+    counts = [0] * L
+    for a, shift in classes[u]:
+        weight = lifted // math.prod(map(math.factorial, a))
+        vec = rows[0][a[0]]
+        for a_rho, row in zip(a[1:], rows[1:]):
+            vec = cyclic_multiply(vec, row[a_rho], L)
         entries = unpack(vec.packed, vec.width, L)
         rotated = entries[L - shift :] + entries[: L - shift]
-        profile[u::pd] = [n + weight * v for n, v in zip(profile[u::pd], rotated)]
-    return tuple(profile)
+        counts = [n + weight * v for n, v in zip(counts, rotated)]
+    return tuple(counts)
+
+
+def _singular_count(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> int:
+    """N_m(p^k), read from the class of m (_singular_class)."""
+    pd = p ** min(k, 2)
+    return _singular_class(spec, s, p, k, m % pd)[m % p**k // pd]
 
 
 def _hensel_count(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> int:
     """M_m(p^k) = p^((k-1)(s-1)) * (M_m(p) - N_m(p)) + N_m(p^k) for prime
     p >= 5 and k >= 2 (the Hensel split of the module docstring)."""
-    nonsingular = count_congruence(spec, s, m, p, p) - _singular_profile(spec, s, p, 1)[m % p]
-    return p ** ((k - 1) * (s - 1)) * nonsingular + _singular_profile(spec, s, p, k)[m % p**k]
+    nonsingular = count_congruence(spec, s, m, p, p) - _singular_count(spec, s, m, p, 1)
+    return p ** ((k - 1) * (s - 1)) * nonsingular + _singular_count(spec, s, m, p, k)
 
 
 def local_density(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> float:
@@ -298,18 +328,27 @@ def local_density(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> float:
     return float(Fraction(count, q ** (s - 1)))
 
 
+def exact_depth(p: int) -> int:
+    """The deepest exact-path level of p's ladder: the largest k with
+    p^k <= EXACT_MODULUS_CAP, and 1 for p past the cap."""
+    return max(1, int(math.log(EXACT_MODULUS_CAP) / math.log(p)))
+
+
 def local_density_limit(
     spec: FigurateSpec,
     s: int,
     m: int,
     p: int,
     k_max: int | None = None,
+    k_min: int = 1,
 ) -> DensityReport:
-    """Densities rho_1..rho_k_max with a stabilization verdict.
+    """Densities rho_k_min..rho_k_max with a stabilization verdict.
 
-    The default k_max is the deepest exact-path level (p^k <= 5000).  The
-    report also records the classical lower bound the limit must beat:
-    p^(1-s) for odd p, 2^(5(1-s)) at p = 2.
+    The default k_max is the deepest exact-path level (exact_depth).  Only
+    the levels from k_min on are computed and listed; the verdict and the
+    estimate read the top two, so k_min = k_max - 1 gives the verdict of
+    the whole ladder.  The report also records the classical lower bound
+    the limit must beat: p^(1-s) for odd p, 2^(5(1-s)) at p = 2.
     """
     if p > EXACT_MODULUS_CAP:
         # level 1 takes the float path, and a modulus it refuses is refused
@@ -318,12 +357,12 @@ def local_density_limit(
     if not is_prime(p):
         raise ValueError("modulus must be prime")
     if k_max is None:
-        k_max = max(1, int(math.log(EXACT_MODULUS_CAP) / math.log(p)))
+        k_max = exact_depth(p)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    levels = []
-    for k in range(1, k_max + 1):
-        levels.append((k, local_density(spec, s, m, p, k)))
+    if not 1 <= k_min <= k_max:
+        raise ValueError("k_min must be between 1 and k_max")
+    levels = [(k, local_density(spec, s, m, p, k)) for k in range(k_min, k_max + 1)]
     stabilized = False
     if len(levels) >= 2:
         prev, last = levels[-2][1], levels[-1][1]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import BudgetError
 from .expsums import fsum_complex, v_of_q
 from .figurate import FigurateSpec
-from .localdensity import count_congruence, is_prime, local_density_limit
+from .localdensity import count_congruence, exact_depth, is_prime, local_density_limit
 from .weylbounds import BoundCheckReport, bound_report
 
 IMAG_TOLERANCE = 1e-8
@@ -90,7 +90,9 @@ def euler_product(
 ) -> SeriesEstimate:
     """prod_{p <= prime_limit} T_m(p) with a dual-route positivity verdict.
 
-    Each factor is a stabilized local-density estimate.  The verdict is
+    Each factor is a stabilized local-density estimate: the top level of
+    the prime's exact ladder, with the level below it for the stabilization
+    verdict, and no lower level is computed.  The verdict is
     "certified-heuristic" only when there is a factor, every factor is
     positive and stabilized AND the truncated q-series at Q = prime_limit
     agrees with the product to AGREEMENT relative; anything less is
@@ -111,7 +113,8 @@ def euler_product(
     for p in range(2, prime_limit + 1):
         if not is_prime(p):
             continue
-        report = local_density_limit(spec, s, m, p)
+        k_max = exact_depth(p)
+        report = local_density_limit(spec, s, m, p, k_max, k_min=max(1, k_max - 1))
         per_prime.append((p, report.estimate))
         product *= report.estimate
         if not (report.stabilized and report.estimate > 0.0):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waring4 import figurate, localdensity
+from waring4 import exactconv, figurate, localdensity
 from waring4.errors import BudgetError
 from waring4.singularseries import MAX_SERIES_Q
 
@@ -102,7 +102,7 @@ def test_exact_tables_refuse_a_huge_s_before_making_anything():
         lambda: localdensity.count_congruence(F1, huge, 5, 4096, 4096),
         lambda: localdensity.count_congruence(F1, huge, 5, 4999, 4999),
         lambda: localdensity.nonsingular_count(F1, huge, 5, 7),
-        lambda: localdensity._singular_profile(F1, huge, 7, 4),
+        lambda: localdensity._singular_class(F1, huge, 7, 4, 0),
         lambda: localdensity.local_density_limit(F1, huge, 5, 7),
     ]
     for call in calls:
@@ -136,9 +136,9 @@ def test_density_limit_refuses_a_prime_exactly_where_its_first_level_is_refused(
 
 
 def test_congruence_cache_holds_a_prime_walk_at_the_series_cap():
-    # a report reads every prime up to its prime limit once per m; at the
-    # cap the walk needs 185 tables, and once they are cached a second m
-    # computes none of them again
+    # a report reads every prime up to its prime limit once per m; ladders
+    # from level 1 at the cap need 185 tables (a report's top-two-level walk
+    # 170), and once they are cached a second m computes none of them again
     primes = [p for p in range(2, MAX_SERIES_Q + 1) if localdensity.is_prime(p)]
     cache = localdensity._congruence_profile
     cache.cache_clear()
@@ -316,6 +316,71 @@ def test_hensel_split_matches_the_direct_kernel(case):
         direct = localdensity.count_congruence(spec, s, m, q, q)
         assert localdensity._hensel_count(spec, s, m, p, k) == direct
         assert localdensity.local_density(spec, s, m, p, k) == float(Fraction(direct, q ** (s - 1)))
+
+
+def _direct_singular_profile(spec, s, p, k):
+    """N_r(p^k) for every r mod p^k: the s-fold self-power of the histogram
+    of f(n) mod p^k over the singular n (p | f'(n)) in 1..p^k."""
+    q = p**k
+    hist = [0] * q
+    for n, fn in enumerate(figurate.residues(spec, q, q).tolist(), 1):
+        if spec.deriv12_at(n) % p == 0:
+            hist[fn] += 1
+    return exactconv.cyclic_self_power(hist, s, q)
+
+
+@st.composite
+def class_cases(draw):
+    spec = figurate.make_spec(draw(st.integers(1, 60)), draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))
+    return spec, draw(st.sampled_from([5, 7, 11, 13])), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(class_cases())
+def test_singular_classes_join_to_the_direct_tables(case):
+    # the classes u mod p^min(k, 2), joined, are the singular table N over
+    # every residue; with it the split gives the direct kernel's M at every r
+    spec, p, k, s = case
+    q, pd = p**k, p ** min(k, 2)
+    joined = [None] * q
+    for u in range(pd):
+        joined[u::pd] = localdensity._singular_class(spec, s, p, k, u)
+    assert joined == _direct_singular_profile(spec, s, p, k)
+    level_one = [localdensity._singular_class(spec, s, p, 1, u)[0] for u in range(p)]
+    direct_one, direct = _direct_profile(spec, s, p), _direct_profile(spec, s, q)
+    lift = p ** ((k - 1) * (s - 1))
+    assert [lift * (direct_one[r % p] - level_one[r % p]) + joined[r] for r in range(q)] == direct
+
+
+def test_s_100_ladder_frozen_at_every_level():
+    # computed before the per-class tables: every level of the float ladder,
+    # and each exact M_m(7^k) mod 2^61 - 1 and its bit length, where level 1
+    # is the direct kernel's and levels 2..4 the split's
+    rep = localdensity.local_density_limit(F1, 100, 12345, 7)
+    assert rep.levels == ((1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0))
+    assert rep.stabilized and rep.estimate == 1.0
+    counts = [localdensity.count_congruence(F1, 100, 12345, 7, 7)]
+    counts += [localdensity._hensel_count(F1, 100, 12345, 7, k) for k in (2, 3, 4)]
+    assert [(c % (2**61 - 1), c.bit_length()) for c in counts] == [
+        (797355338241490394, 278),
+        (642712491572319212, 556),
+        (603104018858558581, 834),
+        (187255220306027501, 1112),
+    ]
+
+
+@pytest.mark.parametrize("k_max,k_min", [(3, 0), (3, 4), (None, 5)])
+def test_local_density_limit_rejects_k_min_outside_the_ladder(k_max, k_min):
+    with pytest.raises(ValueError, match="k_min"):
+        localdensity.local_density_limit(F1, 17, 1, 7, k_max=k_max, k_min=k_min)
+
+
+def test_local_density_limit_from_k_min_lists_only_the_top_levels():
+    full = localdensity.local_density_limit(F1, 17, 100032, 5)
+    top = localdensity.local_density_limit(F1, 17, 100032, 5, k_min=4)
+    assert localdensity.exact_depth(5) == 5
+    assert top.levels == full.levels[3:]
+    assert (top.stabilized, top.estimate, top.bound_holds) == (full.stabilized, full.estimate, full.bound_holds)
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from waring4 import expsums, figurate, singularseries
+from waring4 import expsums, figurate, localdensity, singularseries
 from waring4.errors import BudgetError
 
 F1 = figurate.catalog("{3,4,3}").spec
@@ -51,6 +51,49 @@ def test_euler_product_refuses_before_any_density(monkeypatch):
         singularseries.euler_product(
             F1, 17, 3, prime_limit=singularseries.MAX_SERIES_Q + 1
         )
+
+
+# the report-ladder targets of benchmark seed 1
+LADDER_TARGETS = [(F1, 10068), (F1, 30291), (F1, 100032), (F1, 300130), (F2, 100060), (F3, 100253)]
+
+
+@pytest.mark.parametrize("prime_limit", [50, 200])
+def test_euler_product_reads_only_the_top_two_levels(prime_limit, monkeypatch):
+    def full_ladder(spec, s, m, p, k_max=None, k_min=1):
+        return localdensity.local_density_limit(spec, s, m, p, k_max)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(singularseries, "local_density_limit", full_ladder)
+        want = [singularseries.euler_product(sp, 17, m, prime_limit) for sp, m in LADDER_TARGETS]
+    levels, tables = [], []
+    density, count = localdensity.local_density, localdensity.count_congruence
+
+    def spy_density(spec, s, m, p, k):
+        levels.append((p, k))
+        return density(spec, s, m, p, k)
+
+    def spy_count(spec, s, m, t, q):
+        tables.append(q)
+        return count(spec, s, m, t, q)
+
+    monkeypatch.setattr(localdensity, "local_density", spy_density)
+    monkeypatch.setattr(localdensity, "count_congruence", spy_count)
+    for (sp, m), full in zip(LADDER_TARGETS, want):
+        levels.clear()
+        tables.clear()
+        est = singularseries.euler_product(sp, 17, m, prime_limit)
+        assert (est.per_prime, est.positivity, est.euler_estimate) == (
+            full.per_prime,
+            full.positivity,
+            full.euler_estimate,
+        )
+        primes = [p for p, _ in est.per_prime]
+        top = {p: localdensity.exact_depth(p) for p in primes}
+        assert sorted(levels) == sorted((p, k) for p in primes for k in {max(1, top[p] - 1), top[p]})
+        # below level k_max - 1 only the level-one table that the split reads
+        # at p >= 5: no p = 2 or 3 table below level 11 or 6
+        allowed = {p**k for p in primes for k in range(max(1, top[p] - 1), top[p] + 1)}
+        assert set(tables) <= allowed | {p for p in primes if p >= 5}
 
 
 def test_divisor_sum_identity_spot_checks():

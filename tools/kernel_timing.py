@@ -1,5 +1,6 @@
-"""Per-layer timing of the cyclic self-power kernel, the sixteenth moment and
-a single representation count.
+"""Per-layer timing of the cyclic self-power kernel, the sixteenth moment, a
+single representation count, the Hensel split's singular counts and a
+density ladder at large s.
 
 Times exactconv.cyclic_self_power at s = 17 on the residue histograms
 f(1..q) mod q of every catalog spec, at q = 2^10, 2^11, 2^12, 3^6 and 3^7,
@@ -9,9 +10,13 @@ expsums.mean_value at j = 4 for every catalog spec at its largest N inside
 the j = 4 cap (24, 16 and 10), with the call's tracemalloc peak beside the
 timings.  Times exactconv.sparse_power_entry, one exact R_s(m), for {3,4,3}
 at s = 16 and 17 and m = 999,500 (the benchmark's count-single size), also
-with the tracemalloc peak.  Each case is timed REPEATS times after one
-untimed call.  Prints one JSON line: machine info and, per case and path,
-the median and quartiles in milliseconds.
+with the tracemalloc peak.  Times the Hensel split's singular counts
+(localdensity._singular_class), every class of one level, for {5,3,3} at
+p = 5, levels 1..5 and s = 17, and one whole density ladder
+(localdensity.local_density_limit) for {3,4,3} at s = 150, m = 12345 and
+p = 7; both start from empty density caches on every call.  Each case is
+timed REPEATS times after one untimed call.  Prints one JSON line: machine
+info and, per case and path, the median and quartiles in milliseconds.
 
     PYTHONPATH=src python3 tools/kernel_timing.py
 """
@@ -27,7 +32,7 @@ import tracemalloc
 
 import numpy as np
 
-from waring4 import exactconv, expsums, figurate
+from waring4 import exactconv, expsums, figurate, localdensity
 
 MODULI = (2**10, 2**11, 2**12, 3**6, 3**7)
 S = 17
@@ -37,6 +42,10 @@ MOMENT_N = {"{3,4,3}": 24, "{3,3,5}": 16, "{5,3,3}": 10}
 # one exact count R_s(m) at the benchmark's count-single size
 ENTRY_M = 999_500
 ENTRY_S = (16, 17)
+# the singular classes of every level of one prime's ladder
+SINGULAR = ("{5,3,3}", 5, range(1, 6), 17)
+# one whole ladder at large s, where the singular counts dominate
+LADDER = ("{3,4,3}", 150, 12_345, 7)
 
 
 def _quartiles(samples: list[float]) -> dict:
@@ -62,6 +71,22 @@ def _traced_peak_mib(fn, args) -> float:
         return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
     finally:
         tracemalloc.stop()
+
+
+def _cold(fn):
+    """fn after emptying the density caches, so that every call builds its tables."""
+
+    def call(*args):
+        for cached in (localdensity._congruence_profile, localdensity._singular_rows, localdensity._singular_class):
+            cached.cache_clear()
+        return fn(*args)
+
+    return call
+
+
+def _singular_level(spec, s: int, p: int, k: int) -> None:
+    for u in range(p ** min(k, 2)):
+        localdensity._singular_class(spec, s, p, k, u)
 
 
 def _machine() -> dict:
@@ -103,6 +128,17 @@ def main() -> None:
             _time(exactconv.sparse_power_entry, call),
             tracemalloc_peak_mib=_traced_peak_mib(exactconv.sparse_power_entry, call),
         )
+    label, p, ks, s = SINGULAR
+    singular = {
+        f"{label} p={p} k={k} s={s}": _time(_cold(_singular_level), (figurate.catalog(label).spec, s, p, k))
+        for k in ks
+    }
+    label, s, m, p = LADDER
+    ladder = {
+        f"{label} s={s} m={m} p={p}": _time(
+            _cold(localdensity.local_density_limit), (figurate.catalog(label).spec, s, m, p)
+        )
+    }
     print(
         json.dumps(
             {
@@ -112,6 +148,8 @@ def main() -> None:
                 "cases": cases,
                 "mean_value_j4": moments,
                 "sparse_power_entry": entries,
+                "singular_class": singular,
+                "local_density_limit": ladder,
             }
         )
     )
