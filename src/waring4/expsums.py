@@ -37,9 +37,11 @@ values by their minimum and keeps the quadruple-sum counts sparse (two
 passes).  One rising sweep over the octuple sums then works BLOCK entries at
 a time: the quintuple-sum counts of a block are the sparse quadruple counts
 scattered at every value, the sextuple and septuple counts are shift-adds
-from the level below, each level held only as a u4 rolling window of top +
-BLOCK entries (top the largest shifted value), and the octuple-sum counts
-are squared as they are made.  No table of the final sums is stored.
+from the level below (exactconv._shift_add), each level held only as a
+u4 rolling window of top + BLOCK entries (top the largest shifted value),
+and the octuple-sum counts are squared as they are made (by
+_sum_of_squares_int64, eight times faster here than the digit-plane dot of
+exactconv.sparse_power_entry).  No table of the final sums is stored.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from math import fsum, gcd
 import numpy as np
 
 from .errors import BudgetError
+from .exactconv import _shift_add
 from .figurate import FigurateSpec, residue_counts, values
 
 TWO_PI = 2.0 * cmath.pi
@@ -252,26 +255,6 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(sums), np.concatenate(weights)
 
 
-def _ring_shift_add(block: np.ndarray, lo: int, ring: np.ndarray, shifts: list[int], live: int) -> None:
-    """block[k - lo] += c[k - v] for every v in shifts and lo <= k < lo +
-    len(block), where c[i] is held at ring[i % len(ring)] for every i it
-    reads and is zero from live on: a shift-add from a rolling window.
-
-    Indices below 0 or from live on are never read, and a read wraps the
-    ring at most once, so it splits into at most two slices.
-    """
-    size = len(ring)
-    hi = lo + len(block)
-    for v in shifts:
-        a, b = max(lo - v, 0), min(hi - v, live)
-        if a < b:
-            at, k = a % size, a + v - lo
-            cut = min(b - a, size - at)
-            block[k : k + cut] += ring[at : at + cut]
-            if cut < b - a:
-                block[k + cut : b + v - lo] += ring[: b - a - cut]
-
-
 _DENSE_REFUSAL = "sixteenth moment is limited to N <= 24 and 8*(max f - min f) <= 12000000"
 
 
@@ -339,8 +322,8 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
             if lo <= e * top:
                 block = rings[e - 5, at : at + hi - lo]
                 block[:] = 0
-                _ring_shift_add(block, lo, rings[e - 6], shifts, (e - 1) * top + 1)
+                _shift_add(block, lo, rings[e - 6], shifts, (e - 1) * top + 1)
         block = np.zeros(hi - lo, dtype=np.int64)
-        _ring_shift_add(block, lo, rings[2], shifts, 7 * top + 1)
+        _shift_add(block, lo, rings[2], shifts, 7 * top + 1)
         total += _sum_of_squares_int64(block)
     return total

@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .exactconv import UNIT, cyclic_multiply, cyclic_self_power, packed_vector, unpack
+from .exactconv import UNIT, cyclic_multiply, cyclic_self_power, is_prime, packed_vector, unpack
 from .expsums import root_sums
 from .figurate import FigurateSpec, residue_counts, residues
 from .weylbounds import BoundCheckReport, bound_report
@@ -65,21 +65,6 @@ TABLE_BITS_CAP = 4096
 FLOAT_PERIOD_CAP = 10_000_000
 # the relative change between the last two levels that counts as stabilized
 STABILITY_TOL = 1e-9
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True)

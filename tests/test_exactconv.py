@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waring4 import exactconv, figurate, localdensity
+from waring4.errors import BudgetError
 
 
 def naive_cyclic_power(vec, s, q):
@@ -177,26 +178,61 @@ def _multiplicative_order(w, P):
     return k
 
 
+def trial_division(n):
+    """Whether n is prime, by trial division: an oracle apart from the kernel's test."""
+    return n == 2 or (n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2)))
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > 2 passes Miller-Rabin's round to the base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
 @pytest.mark.parametrize("q", LADDER_MODULI + [1, 6, 72, 4608])
 def test_transform_primes_and_roots(q):
     # the primes of the deepest plan any ladder level takes at s = 17
     assert exactconv.PRIME_CAP**2 < 2**63 <= (exactconv.PRIME_CAP + 1) ** 2
-    assert exactconv.PRIME_CAP < 3_215_031_751  # Miller-Rabin's four bases are exact
+    assert exactconv.PRIME_CAP < exactconv.PRIME_TEST_LIMIT  # the twelve bases are exact there
     primes = exactconv._primes(q, q * q**16)
     assert list(primes) == sorted(set(primes), reverse=True)
     for P in primes:
-        assert localdensity.is_prime(P)  # trial division, apart from the kernel's test
+        assert trial_division(P)
         assert (P - 1) % q == 0 and P < exactconv.PRIME_CAP
         assert _multiplicative_order(exactconv._root_of_order(q, P), P) == q
 
 
 def test_miller_rabin_agrees_with_trial_division():
     window = range(3_037_000_000 - 3000, 3_037_000_000)
-    assert [n for n in window if exactconv._is_prime(n)] == [
-        n for n in window if localdensity.is_prime(n)
-    ]
+    assert [n for n in window if exactconv.is_prime(n)] == [n for n in window if trial_division(n)]
     small = range(-2, 2000)
-    assert [n for n in small if exactconv._is_prime(n)] == [n for n in small if localdensity.is_prime(n)]
+    assert [n for n in small if exactconv.is_prime(n)] == [n for n in small if trial_division(n)]
+
+
+def test_is_prime_past_the_least_pseudoprime_to_four_bases():
+    # 3,215,031,751 = 151 * 751 * 28351 is the least strong pseudoprime to
+    # the bases 2, 3, 5, 7: those four alone would call it prime
+    psp = 3_215_031_751
+    assert psp == 151 * 751 * 28351
+    assert all(strong_probable_prime(psp, a) for a in (2, 3, 5, 7))
+    assert not exactconv.is_prime(psp)
+    window = range(psp - 2000, psp)
+    assert [n for n in window if exactconv.is_prime(n)] == [n for n in window if trial_division(n)]
+
+
+def test_is_prime_refuses_from_its_limit():
+    # the limit is the least strong pseudoprime to all twelve bases
+    limit = exactconv.PRIME_TEST_LIMIT
+    assert limit == 399_165_290_221 * 798_330_580_441
+    assert all(strong_probable_prime(limit, a) for a in exactconv.PRIME_BASES)
+    assert not exactconv.is_prime(limit - 1)
+    assert exactconv.is_prime(2**61 - 1) and not exactconv.is_prime(2**67 - 1)
+    for n in (limit, limit + 2, 2**89 - 1):
+        with pytest.raises(BudgetError, match="primality"):
+            exactconv.is_prime(n)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 6, 16, 18, 27, 72])
@@ -323,6 +359,39 @@ def test_sparse_power_past_the_live_prefix(values, s, extra):
     assert exactconv.sparse_power_profile(values, s, m_max) == want
     for m in range(m_max + 1):
         assert exactconv.sparse_power_entry(values, s, m) == want[m]
+
+
+def dense_shift_add(c, lo, length, shifts):
+    """Entries lo .. lo + length - 1 of sum_v x^v * c for the dense rows c."""
+    out = np.zeros((len(c), length), np.int64)
+    for k in range(lo, lo + length):
+        for v in shifts:
+            if 0 <= k - v < c.shape[1]:
+                out[:, k - lo] += c[:, k - v]
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("size, length", [(8, 8), (8, 3), (7, 1), (12, 5)])
+def test_shift_add_from_a_rolling_window_matches_a_dense_oracle(rows, size, length):
+    # c[i] sits at window[:, i % size] for the entries a block reads, i from
+    # lo - spread to lo + length - 1, and is zero from live on; every other
+    # slot holds a large decoy, so a read outside the window or past live
+    # shows.  lo runs over every block offset lo % size three times round
+    rng = np.random.default_rng(100 * size + 10 * length + rows)
+    spread = size - length
+    shifts = sorted({0, spread, *rng.integers(0, spread + 1, 3).tolist()})
+    for lo in range(3 * size):
+        for live in sorted({0, max(lo - spread + 1, 0), lo, lo + length // 2, lo + length, lo + 2 * size}):
+            c = rng.integers(1, 1 << 20, (rows, live))
+            window = rng.integers(1 << 40, 1 << 41, (rows, size))
+            for i in range(max(lo - spread, 0), min(lo + length, live)):
+                window[:, i % size] = c[:, i]
+            block = rng.integers(0, 1 << 20, (rows, length))
+            want = block + dense_shift_add(c, lo, length, shifts)
+            # one row goes in as 1-D arrays, as the j = 4 moment passes it
+            exactconv._shift_add(block if rows > 1 else block[0], lo, window if rows > 1 else window[0], shifts, live)
+            assert (block == want).all(), (lo, live)
 
 
 def test_truncated_powers_with_repeated_values():
@@ -502,30 +571,38 @@ def test_sparse_power_entry_matches_naive(values, s, m):
     assert exactconv.sparse_power_profile(values, s, m)[m] == want
 
 
+# value sets whose step bounds, len(values) times the previous step's
+# maximum, land on a width boundary, found as LANDING_SEARCH's are: 256
+# values from 0 put steps 1 and 2 on 2**8 and step 3 on 2**16; step 2 of 16
+# values peaks at 16 where 16 ordered pairs share a sum, as at the centre of
+# range(16), of the 4 x 4 grid i + 8j and of the subset sums of 1, 3, 9, 27
+# (no base-3 carry), so step 3's bound is 2**8
+HALF_WIDTH_VALUES = {
+    "16": list(range(16)),
+    "256": list(range(256)),
+    "grid": sorted(i + 8 * j for i in range(4) for j in range(4)),
+    "cube": sorted(a + 3 * b + 9 * c + 27 * d for a, b, c, d in itertools.product(range(2), repeat=4)),
+}
+
+
 @pytest.mark.parametrize(
-    "n,s",
-    # the cases were chosen for the a-priori bound len(values)**(e - 1): a
-    # half, e = s // 2 or s - s // 2, or its next step had the bound 256
-    # (16**2, 4**4, 2**8, 256**1), and 16 values at s = 9, 17 and 33 put a
-    # half and the full profile on 2**16, 2**32 and 2**64.  The assertion
-    # below checks that choice.  Bounds taken from the data, len(values)
-    # times the previous step's maximum, land exactly only at step 3 of 16
-    # values and steps 1-3 of 256 (test_step_bounds_landing_on_a_width_boundary
-    # searches for landings); the s = 33 profile's coefficients pass 2**64
-    [(16, 3), (16, 4), (16, 5), (16, 6), (16, 7),
-     (4, 7), (4, 8), (4, 9), (4, 10), (4, 11),
-     (2, 15), (2, 16), (2, 17), (2, 18), (2, 19),
-     (256, 1), (256, 2), (256, 3), (256, 4), (256, 5),
-     (16, 9), (16, 17), (16, 33)],
+    "name,s",
+    # the halves of 16 values at s = 9, 17 and 33 sit past step 3, and the
+    # s = 33 profile's coefficients pass 2**64
+    [("16", 3), ("16", 4), ("16", 5), ("16", 6), ("16", 7),
+     ("grid", 7), ("grid", 8), ("grid", 9), ("grid", 10), ("grid", 11),
+     ("cube", 15), ("cube", 16), ("cube", 17), ("cube", 18), ("cube", 19),
+     ("256", 1), ("256", 2), ("256", 3), ("256", 4), ("256", 5),
+     ("16", 9), ("16", 17), ("16", 33)],
 )
-def test_sparse_power_entry_at_a_half_width_boundary(n, s):
-    values = list(range(n))
-    top = s * (n - 1)
+def test_sparse_power_entry_at_a_half_width_boundary(name, s):
+    values = HALF_WIDTH_VALUES[name]
+    top = s * max(values)
     want = dp_sparse_power(values, s, top)
-    boundaries = {2**8, 2**16, 2**32, 2**64}
-    assert any(
-        {n ** max(e - 1, 0), n**e} & boundaries for e in (s // 2, s - s // 2)
-    )
+    # a half, e = s // 2 or s - s // 2, or the step after it has the bound
+    # _truncated_powers gives it on a width boundary
+    steps = exactconv._truncated_powers(values, set(range(1, s - s // 2 + 2)), top + 1)
+    assert {bound for _, bound in steps.values()} & {2**8, 2**16, 2**32, 2**64}
     for m in sorted({0, 1, top // 2, top - 1, top}):
         assert exactconv.sparse_power_entry(values, s, m) == want[m]
     assert exactconv.sparse_power_profile(values, s, top) == want
