@@ -26,7 +26,7 @@ from .quadrature import integrate, size_panels
 from .repcount import count_representations
 from .singularintegral import MainTermParams, main_term, v_theta
 from .singularseries import SeriesEstimate, euler_product
-from .weylbounds import BoundCheckReport
+from .weylbounds import REL_SLACK, BoundCheckReport
 
 FALLBACK_DELTA = Fraction(73, 372)
 REL_TOL = 1e-12
@@ -166,7 +166,6 @@ def _integrate_pieces(
     N: int,
     pieces: list[tuple[int, int, float, float]],
     rel_tol: float,
-    threads: int,
 ) -> tuple[complex, float]:
     """Sum over pieces (q, a, lo, hi) of the Gauss-Legendre quadrature of
     theta -> S_f(a/q + theta)^s e(-(a/q + theta) m) over (lo, hi).
@@ -178,9 +177,9 @@ def _integrate_pieces(
     with integer |k| <= K (the bandwidth), and |e(k x)| <= e^(2 pi K h sinh u)
     where |Im x| <= h sinh u, so log_sup(h, u) = s log N + 2 pi K h sinh u.
     Every piece is sized before any evaluation, so a panel count above
-    quadrature.PANEL_CAP is refused with BudgetError first.  Pieces may
-    integrate in parallel; the sum is taken in piece order either way.
-    Returns (value, sum of the proven truncation bounds), rounding excluded.
+    quadrature.PANEL_CAP is refused with BudgetError first.  The pieces
+    are integrated and summed in piece order.  Returns (value, sum of the
+    proven truncation bounds), rounding excluded.
     """
     if s < 1:
         raise ValueError("exponent must be >= 1")
@@ -195,20 +194,10 @@ def _integrate_pieces(
 
     sized = [(q, a, lo, hi, *size_panels(hi - lo, log_sup, abs_tol)) for q, a, lo, hi in pieces]
     fv = np.array(fvals, dtype=float)
-
-    def one_piece(piece: tuple[int, int, float, float, int, float]) -> complex:
-        q, a, lo, hi, panels, _bound = piece
-        return integrate(_arc_integrand(spec, s, m, q, a, fv), lo, hi, panels)
-
-    if threads > 1:
-        # imported here: concurrent.futures loads logging, which a
-        # one-thread run never needs
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_piece, sized))
-    else:
-        results = [one_piece(piece) for piece in sized]
+    results = [
+        integrate(_arc_integrand(spec, s, m, q, a, fv), lo, hi, panels)
+        for q, a, lo, hi, panels, _bound in sized
+    ]
     return complex(sum(results)), math.fsum(piece[5] for piece in sized)
 
 
@@ -218,7 +207,6 @@ def major_arc_integral(
     m: int,
     dissection: ArcDissection,
     rel_tol: float = REL_TOL,
-    threads: int = 1,
 ) -> tuple[complex, float]:
     """Sum over arcs of the quadrature of S_f(alpha)^s e(-alpha m) over
     |alpha - a/q| < halfwidth.
@@ -228,7 +216,7 @@ def major_arc_integral(
     """
     hw = dissection.halfwidth
     arcs = [(arc.q, arc.a, -hw, hw) for arc in dissection.arcs]
-    return _integrate_pieces(spec, s, m, dissection.N, arcs, rel_tol, threads)
+    return _integrate_pieces(spec, s, m, dissection.N, arcs, rel_tol)
 
 
 def minor_arc_integral(
@@ -237,7 +225,6 @@ def minor_arc_integral(
     m: int,
     dissection: ArcDissection,
     rel_tol: float = REL_TOL,
-    threads: int = 1,
 ) -> tuple[complex, float]:
     """Quadrature over the complement of the major arcs in one unit period.
 
@@ -257,7 +244,7 @@ def minor_arc_integral(
         if hi > lo:
             gaps.append((1, 1, lo, hi))
         prev = c
-    return _integrate_pieces(spec, s, m, dissection.N, gaps, rel_tol, threads)
+    return _integrate_pieces(spec, s, m, dissection.N, gaps, rel_tol)
 
 
 def approx_chain_check(
@@ -302,10 +289,10 @@ def approx_chain_check(
     m_ok = True
     for t in sorted({1, N // 4, N // 2, (3 * N) // 4, N} - {0}):
         Mt = partial_sum_M(spec, q, a, t)
-        if abs(Mt - ratio * t) > 24.0 * q * (1.0 + 1e-9):
+        if abs(Mt - ratio * t) > 24.0 * q * (1.0 + REL_SLACK):
             m_ok = False
     hypothesis_met = N >= 6 * A + 4 * abs(B)
-    holds = bool(lhs <= rhs * (1.0 + 1e-9)) and m_ok
+    holds = bool(lhs <= rhs * (1.0 + REL_SLACK)) and m_ok
     ctx = (
         f"q={q} a={a} theta={theta} N={N} M-steps-ok={m_ok} "
         f"hypothesis_met={hypothesis_met} theta_within_arc={theta_within_arc}"

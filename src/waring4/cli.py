@@ -3,7 +3,8 @@
 Commands: eval, count, series, local, integral, arcs, report, check-suite.
 Every run echoes its configuration (including the seed) so outputs are
 reproducible; exact counts are always serialized as decimal strings, never
-floats.  Exit codes: 0 success, 1 domain/usage error, 2 budget refusal.
+floats.  Exit codes: 0 success, 1 domain/usage error, 2 budget refusal
+(BudgetError, or a MemoryError from an allocation the machine refuses).
 """
 
 from __future__ import annotations
@@ -492,8 +493,9 @@ def main(argv=None) -> int:
         return _run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except BudgetError as exc:
-        print(f"budget refusal: {exc}", file=sys.stderr)
+    except (BudgetError, MemoryError) as exc:
+        # an allocation the machine cannot give is a refusal too, not a crash
+        print(f"budget refusal: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

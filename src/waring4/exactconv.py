@@ -8,24 +8,24 @@ guarantees no carry ever crosses a block boundary.
 
 The s-fold cyclic self-power of a residue histogram (cyclic_self_power)
 takes an exact number-theoretic transform when q is 3-smooth, q = 2^a 3^b,
-which is every level of the p = 2 and 3 density ladders; any other q takes
-the packed powering.  The transform works in the fields F_P for primes
-P = 1 mod q, which hold roots of unity of order q (Pollard, "The fast
-Fourier transform in a finite field", Math. Comp. 25, 1971): one forward
-transform, pointwise s-th powers, one inverse transform, and the entries
-are rebuilt from their residues by Chinese remaindering in Garner's
-mixed-radix form (Garner, "The residue number system", IRE Trans. EC-8,
-1959).  This is exact because
+which is every level of the p = 2 and 3 density ladders, and every entry
+fits an int64; any other vector takes the packed powering.  The transform
+works in the fields F_P for primes P = 1 mod q, which hold roots of unity
+of order q (Pollard, "The fast Fourier transform in a finite field",
+Math. Comp. 25, 1971): one forward transform, pointwise s-th powers, and
+the inverse, which is the same transform read at -k and divided by q; the
+entries are rebuilt from their residues by Chinese remaindering in
+Garner's mixed-radix form (Garner, "The residue number system", IRE Trans.
+EC-8, 1959).  This is exact because
   - every entry of the s-th power is at most max(vec) * sum(vec)**(s-1)
     (cyclic_multiply's bound), and the primes are the least number whose
     product exceeds that bound, so an entry equals its residue mod the
     product;
   - every prime is below PRIME_CAP = isqrt(2**63 - 1), so a product of two
     residues, and a butterfly's signed sum of up to four reduced terms, fit
-    an int64;
-  - entries past int64 are reduced mod each prime in Python ints first.
+    an int64.
 The primes (is_prime, the package's one primality test) and their roots
-are found on first use and cached per q; the twiddle tables are built per
+are found on first use and cached per q; the twiddle table is built per
 call, as a density ladder transforms each q once.
 
 Truncated linear powers of a sparse 0/1 polynomial (representation counts)
@@ -152,16 +152,16 @@ def cyclic_self_power(vec: Sequence[int], s: int, q: int) -> list[int]:
     is the unit vector.
 
     Dispatch: a 3-smooth q (q = 2^a 3^b, every level of the p = 2 and 3
-    density ladders) takes the number-theoretic transform
-    (_transform_self_power); any other q takes the packed powering
-    (_packed_self_power).  Both return the same exact power.  The transform
-    works mod the least n primes P = 1 mod q, P < PRIME_CAP, whose product
-    exceeds that bound: every entry lies in [0, bound], so it equals its
-    residue mod the product, which Garner's mixed-radix form rebuilds from
-    the n residues (Chinese remainder theorem).  As P < isqrt(2**63 - 1), a
-    product of two residues fits an int64, so numpy's int64 arithmetic
-    reduces every step exactly; entries past int64 are reduced mod each P
-    in Python ints first.
+    density ladders) with every entry below 2**63 takes the number-theoretic
+    transform (_transform_self_power); any other vector takes the packed
+    powering (_packed_self_power), which is exact for any entries.  Both
+    return the same exact power.  The transform works mod the least n
+    primes P = 1 mod q, P < PRIME_CAP, whose product exceeds that bound:
+    every entry lies in [0, bound], so it equals its residue mod the
+    product, which Garner's mixed-radix form rebuilds from the n residues
+    (Chinese remainder theorem).  As P < isqrt(2**63 - 1), a product of two
+    residues fits an int64, so numpy's int64 arithmetic reduces every step
+    exactly.
     """
     if q < 1:
         raise ValueError("modulus must be >= 1")
@@ -171,7 +171,7 @@ def cyclic_self_power(vec: Sequence[int], s: int, q: int) -> list[int]:
         raise ValueError("power must be >= 0")
     if min(vec) < 0:
         raise ValueError("entries must be nonnegative")
-    if _radices(q) is None:
+    if _radices(q) is None or max(vec) >= 1 << 63:
         return _packed_self_power(vec, s, q)
     return _transform_self_power(vec, s, q)
 
@@ -266,9 +266,9 @@ def _root_of_order(q: int, P: int) -> int:
             return w
 
 
-# one transform's moduli as an (n, 1, 1) int64 column, its forward and
-# inverse stages, q^-1 mod each prime, and Garner's inverses P_j^-1 mod P_i
-_Plan = namedtuple("_Plan", "primes moduli forward inverse q_inv garner")
+# one transform's moduli as an (n, 1, 1) int64 column, its stages, q^-1 mod
+# each prime, and Garner's inverses P_j^-1 mod P_i
+_Plan = namedtuple("_Plan", "primes moduli stages q_inv garner")
 
 
 def _plan(q: int, primes: tuple[int, ...]) -> _Plan:
@@ -277,8 +277,9 @@ def _plan(q: int, primes: tuple[int, ...]) -> _Plan:
     A stage of radix r takes length L to rL.  It holds the twiddles
     w_rL^(jk) for 1 <= j < r and k < L, as (n, L, 1) arrays, and the cube
     root w_3 as an (n, 1, 1) array (radix 3 only); w_rL = w^(q/(rL)) for
-    the root w of order q, or its inverse for the inverse stages.  Every
-    twiddle is a gather from the table of w^k, k < q, made by doubling.
+    the root w of order q.  Every twiddle is a gather from the table of
+    w^k, k < q, made by doubling.  The inverse transform reads the same
+    stages at -k mod q (_transform_self_power).
     """
     moduli = np.array(primes, np.int64)[:, None, None]
     roots = [_root_of_order(q, P) for P in primes]
@@ -287,19 +288,16 @@ def _plan(q: int, primes: tuple[int, ...]) -> _Plan:
         step = [pow(w, powers.shape[1], P) for w, P in zip(roots, primes)]
         powers = np.concatenate((powers, powers * np.array(step)[:, None] % moduli[:, 0]), 1)
 
-    def stages(sign):
-        out, L = [], 1
-        for r in _radices(q):
-            k = np.arange(L)
-            twiddles = [powers[:, sign * j * (q // (r * L)) * k % q, None] for j in range(1, r)]
-            w3 = powers[:, sign * (q // 3) % q, None, None] if r == 3 else None
-            out.append((r, twiddles, w3))
-            L *= r
-        return out
-
+    stages, L = [], 1
+    for r in _radices(q):
+        k = np.arange(L)
+        twiddles = [powers[:, j * (q // (r * L)) * k % q, None] for j in range(1, r)]
+        w3 = powers[:, q // 3, None, None] if r == 3 else None
+        stages.append((r, twiddles, w3))
+        L *= r
     q_inv = np.array([pow(q, -1, P) for P in primes], np.int64)[:, None]
     garner = [[pow(Pj, -1, Pi) for Pj in primes[:i]] for i, Pi in enumerate(primes)]
-    return _Plan(primes, moduli, stages(1), stages(-1), q_inv, garner)
+    return _Plan(primes, moduli, stages, q_inv, garner)
 
 
 def _transform(x: np.ndarray, moduli: np.ndarray, stages) -> np.ndarray:
@@ -331,27 +329,24 @@ def _transform(x: np.ndarray, moduli: np.ndarray, stages) -> np.ndarray:
 def _transform_self_power(vec: Sequence[int], s: int, q: int) -> list[int]:
     """cyclic_self_power for a 3-smooth q through the transform over F_P for
     the least n primes P = 1 mod q whose product exceeds the bound
-    max(vec) * sum(vec)**(s-1) (1 at s = 0, the unit vector).  vec is
-    reduced mod each P exactly, in Python ints when an entry is past int64;
-    one forward transform, pointwise s-th powers, one inverse transform, and
-    Garner's mixed-radix digits give each entry mod the product, which is
-    the entry itself.
+    max(vec) * sum(vec)**(s-1) (1 at s = 0, the unit vector); every entry
+    of vec must be below 2**63.  One forward transform X, pointwise s-th
+    powers, and the inverse, the forward transform X' of X read at -j:
+    q^-1 X'[-j mod q] = x[j], as sum_k w^(k(m - j)) is q at m = j and 0
+    otherwise.  Garner's mixed-radix digits give each entry mod the product,
+    which is the entry itself.
     """
-    top = max(vec)
-    plan = _plan(q, _primes(q, top * sum(vec) ** (s - 1) if s else 1))
+    plan = _plan(q, _primes(q, max(vec) * sum(vec) ** (s - 1) if s else 1))
     P = plan.moduli[:, 0]
-    if top < 1 << 63:
-        x = np.array(vec, np.int64) % P
-    else:
-        x = (np.array(vec, object) % np.array(plan.primes, object)[:, None]).astype(np.int64)
-    h = _transform(x, plan.moduli, plan.forward)
+    x = np.array(vec, np.int64) % P
+    h = _transform(x, plan.moduli, plan.stages)
     powered = np.ones_like(h)
     for bit in bin(s)[2:]:
         powered = powered * powered % P
         if bit == "1":
             powered = powered * h % P
     powered = powered * plan.q_inv % P  # the inverse transform's 1/q
-    residues = _transform(powered, plan.moduli, plan.inverse)
+    residues = _transform(powered, plan.moduli, plan.stages)[:, -np.arange(q) % q]
     digits = []  # Garner: entry = d_0 + P_0 (d_1 + P_1 (d_2 + ...)), d_i < P_i
     for i, Pi in enumerate(plan.primes):
         d = residues[i]

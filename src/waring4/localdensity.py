@@ -337,7 +337,8 @@ def local_density_limit(
     """
     if p > EXACT_MODULUS_CAP:
         # level 1 takes the float path, and a modulus it refuses is refused
-        # at every level p^k >= p; refuse before the trial-division test
+        # at every level p^k >= p; refuse before the primality test, so that
+        # every such p exits 2, prime or composite
         _check_float_period(p)
     if not is_prime(p):
         raise ValueError("modulus must be prime")

@@ -85,6 +85,22 @@ def test_zero_budget_refuses_with_exit_two(capsys):
     assert "budget refusal" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 93.1 GiB for an array", ""])
+def test_memory_error_is_a_budget_refusal(message, monkeypatch, capsys):
+    # an allocation past the machine's memory exits 2 like a BudgetError;
+    # the count is replaced, so nothing large is allocated
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.repcount, "count_representations", refuse)
+    code = cli.main(["count", "--spec", "{3,4,3}", "--s", "3", "--m", "100000000000", "--budget", "10" + "0" * 30])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"budget refusal: {message or 'out of memory'}\n"
+    assert "Traceback" not in captured.err
+
+
 def test_parse_spec_forms():
     assert cli.parse_spec("{3,4,3}").A == 72
     explicit = cli.parse_spec("72, 84, 22")
@@ -258,7 +274,8 @@ def test_local_command_reports_a_local_obstruction(capsys):
 
 def test_local_with_a_huge_prime_exits_two_at_once():
     # 2^61 - 1: every level is past the float path's period cap, so it is
-    # refused before trial division could test its primality
+    # refused before the primality test; a composite p that large exits 2
+    # the same way
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     argv = [sys.executable, "-m", "waring4.cli", "local", "--spec", "{3,4,3}", "--s", "17",

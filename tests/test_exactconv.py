@@ -121,16 +121,28 @@ def three_smooth_cases(draw):
 @example(([2**70] * 72, 8, 72))
 @example(([0] * 71 + [2**63], 3, 72))
 @example(([2**63 - 1, 2**63], 1, 2))
+@example(([2**63 - 1] * 6, 4, 6))
 @example(([7], 5, 1))
 def test_transform_with_wide_entries_matches_naive(case):
+    # a 3-smooth q with an entry from 2**63 on takes the packed powering;
+    # entries up to 2**63 - 1 take the transform
     vec, s, q = case
+    assert exactconv.cyclic_self_power(vec, s, q) == naive_cyclic_power(vec, s, q)
+
+
+@pytest.mark.parametrize("vec,s,q", [([2**63], 3, 1), ([0] * 71 + [2**63], 3, 72), ([2**70, 5, 0], 4, 3)])
+def test_int64_overflowing_entries_never_reach_the_transform(vec, s, q, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an entry past int64 reached the transform")
+
+    monkeypatch.setattr(exactconv, "_transform_self_power", refuse)
     assert exactconv.cyclic_self_power(vec, s, q) == naive_cyclic_power(vec, s, q)
 
 
 @pytest.mark.parametrize("q", [6, 8])
 def test_count_congruence_past_int64_histogram(q):
-    # t = 2^70 + 5 puts about 2^70 / q >= 2^63 on each histogram entry, which
-    # the transform reduces mod its primes in Python ints
+    # t = 2^70 + 5 puts about 2^70 / q >= 2^63 on each histogram entry, so
+    # the 3-smooth q takes the packed powering, not the transform
     spec, s, t, m = figurate.catalog("{3,4,3}").spec, 3, 2**70 + 5, 11
     period = 24 * q
     full, rem = divmod(t, period)
@@ -237,16 +249,17 @@ def test_is_prime_refuses_from_its_limit():
 
 @pytest.mark.parametrize("q", [1, 2, 3, 6, 16, 18, 27, 72])
 def test_transform_matches_the_naive_sum(q):
-    # X[k] = sum_m x[m] w^(km) mod P, and the inverse stages undo it up to q
+    # X[k] = sum_m x[m] w^(km) mod P, and the same stages read at -k undo
+    # it up to q
     plan = exactconv._plan(q, exactconv._primes(q, 2**64))
     rows = [[(m * 2654435761 + 17 * i) % P for m in range(q)] for i, P in enumerate(plan.primes)]
     x = np.array(rows, np.int64)
-    got = exactconv._transform(x, plan.moduli, plan.forward)
+    got = exactconv._transform(x, plan.moduli, plan.stages)
     for i, P in enumerate(plan.primes):
         w = exactconv._root_of_order(q, P)
         want = [sum(v * pow(w, k * m, P) for m, v in enumerate(rows[i])) % P for k in range(q)]
         assert got[i].tolist() == want
-    back = exactconv._transform(got, plan.moduli, plan.inverse)
+    back = exactconv._transform(got, plan.moduli, plan.stages)[:, -np.arange(q) % q]
     assert (back * plan.q_inv % plan.moduli[:, 0] == x).all()
 
 
