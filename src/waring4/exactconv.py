@@ -36,9 +36,11 @@ power; coefficients past 2**64 are 32-bit digits with one carry sweep per
 pass.  A single entry dots two half powers DOT_ROWS entries at a time, one
 int64 dot per pair of 23-bit digit planes; for odd s each DOT_ROWS block of
 the upper half is made as it is dotted.  _shift_add is the package's one
-shift-add (the j = 4 moment reads rolling windows through it); the moments
-keep their own 19-bit sum of squares, eight times faster on their blocks
-than the planes.  All results are exact.
+shift-add (the j = 4 moment reads rolling windows through it, and adds its
+octuple block in u4 while max(c4) * N^4 < 2**32 bounds it); the moments
+keep their own sum of squares, an int64 dot or a 19-bit split of entries
+below 2**37, eight times faster on their blocks than the planes.  All
+results are exact.
 """
 
 from __future__ import annotations

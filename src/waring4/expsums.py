@@ -24,22 +24,28 @@ mean_value(spec, N, j) is the exact number of solutions of
 
 i.e. the 2^j-th power moment of |S_N| integrated over the circle: the sum of
 the squared counts of the h-fold sums.  Those counts come from grouping, in
-exact int64 arithmetic, never from Monte Carlo.  The values are shifted by
+exact integer arithmetic, never from Monte Carlo.  The values are shifted by
 their midpoint, so the h-fold sums use both signs of int64, and grouped into
 distinct values with counts.  Each pass then turns the distinct k-fold sums
 with their counts into the 2k-fold ones, enumerated in increasing order one
-window of sums at a time (_pair_groups): a window's pairs are packed
-relative to its lower edge as (sum, weight) int64 keys, sorted and
-totalled, and no run of equal sums crosses a window edge, so nothing is
-carried and only one window of keys is held.  The last pass squares each
-window's group counts as it goes instead of storing them.  j = 4 shifts the
-values by their minimum and keeps the quadruple-sum counts sparse (two
-passes).  One rising sweep over the octuple sums then works BLOCK entries at
-a time: the quintuple-sum counts of a block are the sparse quadruple counts
-scattered at every value, the sextuple and septuple counts are shift-adds
-from the level below (exactconv._shift_add), each level held only as a
-u4 rolling window of top + BLOCK entries (top the largest shifted value),
-and the octuple-sum counts are squared as they are made (by
+window of sums at a time (_pair_windows, the one walk every pass shares): a
+window's pairs are packed relative to its lower edge as (sum, weight) keys,
+uint32 when (hi - lo) << b <= 2^32 for b-bit weights and int64 otherwise,
+sorted and totalled, and no run of equal sums crosses a window edge, so
+nothing is carried and only one window of keys is held.  The last pass
+squares each window's group weights as it goes instead of storing them
+(_squared_pair_total).  A window whose keys need int64 sorts a 32-bit
+multiplicative hash of each sum instead; the sum of the squared pair
+weights is closed form, and since equal sums hash alike, only keys whose
+word repeats are grouped by their exact sums, so the total stays exact.
+j = 4 shifts the values by their minimum and keeps the quadruple-sum
+counts sparse (two passes).  One rising sweep over the octuple sums then
+works BLOCK entries at a time: the quintuple-sum counts of a block are the
+sparse quadruple counts scattered at every value, the sextuple and septuple
+counts are shift-adds from the level below (exactconv._shift_add), each
+level held only as a u4 rolling window of top + BLOCK entries (top the
+largest shifted value), and the octuple-sum counts, u4 while max(c4) * N^4
+< 2^32 bounds them and int64 past that, are squared as they are made (by
 _sum_of_squares_int64, eight times faster here than the digit-plane dot of
 exactconv.sparse_power_entry).  No table of the final sums is stored.
 """
@@ -61,6 +67,19 @@ TWO_PI = 2.0 * cmath.pi
 # a moment's passes work on about this many entries at a time: windows of
 # at most about 2 * BLOCK pair keys, and blocks of the j = 4 sweep
 BLOCK = 1 << 16
+# a window's pair keys are uint32 when (hi - lo) << bits is at most this
+KEY32_SPAN = 1 << 32
+# Knuth's multiplicative hash of a sum: the top 32 bits of its product with
+# this odd constant mod 2^64, 2^64 divided by the golden ratio
+HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+# the share of a hashed window's keys that may repeat a word; past it, the
+# window is grouped by its exact keys
+HASH_REPEATS = 1 / 4
+# the j = 4 octuple block accumulates in u4 while max(c4) * N^4 is below this
+OCTUPLE_U4_LIMIT = 1 << 32
+# _sum_of_squares_int64 widens an array narrower than int64 this many
+# entries at a time
+SQUARE_CHUNK = 1 << 13
 
 
 def fsum_complex(parts) -> complex:
@@ -153,52 +172,57 @@ def _shifted_values(spec: FigurateSpec, N: int, j: int) -> np.ndarray:
 
 
 def _sum_of_squares_int64(arr: np.ndarray) -> int:
-    """Exact sum of squares of nonnegative int64 entries < 2**37."""
+    """Exact sum of squares of nonnegative integer entries < 2**37, in int64
+    arithmetic: one dot when max * sum < 2**62, else a 19-bit split.  An
+    array narrower than int64 (the j = 4 octuple block in u4) is widened
+    SQUARE_CHUNK entries at a time, so no int64 copy of it is made whole."""
     if len(arr) == 0:
         return 0
     mx = int(arr.max())
-    if mx < 1 << 31 and mx * int(arr.sum()) < 1 << 62:
-        return int(np.dot(arr, arr))
-    if mx >= 1 << 37 or len(arr) >= 1 << 24:
+    split = mx >= 1 << 31 or mx * int(arr.sum()) >= 1 << 62
+    if split and (mx >= 1 << 37 or len(arr) >= 1 << 24):
         raise BudgetError("moment too large for the split accumulator")
-    hi = arr >> 19
-    lo = arr & ((1 << 19) - 1)
-    s_hh = int(np.dot(hi, hi))
-    s_hl = int(np.dot(hi, lo))
-    s_ll = int(np.dot(lo, lo))
-    return (s_hh << 38) + (s_hl << 20) + s_ll
+    step = len(arr) if arr.dtype == np.int64 else SQUARE_CHUNK
+    total = 0
+    for a in range(0, len(arr), step):
+        part = arr[a : a + step].astype(np.int64, copy=False)
+        if not split:
+            total += int(np.dot(part, part))
+            continue
+        hi = part >> 19
+        lo = part & ((1 << 19) - 1)
+        total += (int(np.dot(hi, hi)) << 38) + (int(np.dot(hi, lo)) << 20) + int(np.dot(lo, lo))
+    return total
 
 
-def _pair_groups(vals: np.ndarray, wts: np.ndarray):
-    """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
-    each with its summed weight wts[i] * wts[k], yielded as (sums, weights)
-    arrays one window of sums at a time.
-
-    vals must be nonempty, distinct and ascending, and wts >= 1, both int64;
-    every pair sum must fit int64, and every group's weight sum is at most
-    sum(wts)^2, which must stay below 2^63.  Only the upper triangle i <= k
-    is enumerated, a pair with i < k counting twice, so every weight is at
-    most 2 * max(wts)^2, which has b bits; b > 62 raises BudgetError.
-
-    As in Bernstein's enumeration of p(a) + q(b), the state is O(len(vals)):
-    row i keeps its first column k > i not yet given out.  A window [lo, hi)
-    takes each row's columns up to one searchsorted of hi - vals, plus the
-    diagonal sums 2 * vals[i] inside it, packs them as int64 keys
-    (sum - lo) << b | weight, which its span of at most 2^(62 - b) keeps
-    below 2^62, sorts them and totals each run of equal sums with
-    add.reduceat.  Windows split the sum range, so no run crosses an edge
-    and nothing is carried.  A window's span aims at BLOCK keys from the
-    last window's density and shrinks until it holds at most 2 * BLOCK,
-    unless one sum has more pairs; the next window starts at the next sum
-    that occurs.
-    """
-    n = len(vals)
+def _weight_bits(wts: np.ndarray) -> int:
+    """b, the bits of the widest pair weight 2 * max(wts)^2; b > 62 raises
+    BudgetError, as such a weight leaves no room in an int64 key."""
     top = int(wts.max())
     bits = (2 * top * top).bit_length()
     if bits > 62:
         raise BudgetError("pair weights too wide to pack beside their sums")
+    return bits
+
+
+def _pair_windows(vals: np.ndarray, bits: int):
+    """The one walk of the pair sums vals[i] + vals[k], i <= k, in windows of
+    ascending sums: yields (lo, hi, start, counts, diag, diag_stop) per
+    window [lo, hi), where row i gives out its columns start[i] ..
+    start[i] + counts[i] - 1 and the diagonal its sums 2 * vals[diag ..
+    diag_stop - 1].  Windows split the sum range, so no run of equal sums
+    crosses an edge.
+
+    As in Bernstein's enumeration of p(a) + q(b), the state is O(len(vals)):
+    row i keeps its first column k > i not yet given out, and a window takes
+    each row's columns up to one searchsorted of hi - vals.  A window's span
+    is at most 2^(62 - bits), so (sum - lo) << bits stays below 2^62; it aims
+    at BLOCK keys from the last window's density and shrinks until it holds
+    at most 2 * BLOCK, unless one sum has more pairs.  The next window starts
+    at the next sum that occurs.
+    """
+    n = len(vals)
     cap = 1 << (62 - bits)
-    mask = (1 << bits) - 1
     wide = 1 << 63
     twice = 2 * vals  # the diagonal sums, ascending
     last = int(twice[-1])
@@ -214,31 +238,11 @@ def _pair_groups(vals: np.ndarray, wts: np.ndarray):
             stop = np.maximum(np.searchsorted(vals, reach), start)
             diag_stop = int(np.searchsorted(twice, hi))
             counts = stop - start
-            pairs = int(counts.sum())
-            size = pairs + diag_stop - diag
+            size = int(counts.sum()) + diag_stop - diag
             if size <= 2 * BLOCK or span == 1:
                 break
             span = max(1, span * BLOCK // size)
-        keys = np.empty(size, dtype=np.int64)
-        off, on = keys[:pairs], keys[pairs:]
-        # columns start[i] .. stop[i] - 1 of every row, as one ragged arange
-        cols = np.repeat(start - (np.cumsum(counts) - counts), counts)
-        cols += np.arange(pairs)
-        np.add(np.repeat(vals, counts), vals[cols], out=off)
-        off -= lo
-        off <<= bits
-        off |= np.repeat(2 * wts, counts) * wts[cols]
-        np.subtract(twice[diag:diag_stop], lo, out=on)
-        on <<= bits
-        on |= wts[diag:diag_stop] * wts[diag:diag_stop]
-        keys.sort()
-        sums = keys >> bits
-        new_run = np.empty(size, dtype=bool)
-        new_run[0] = True
-        np.not_equal(sums[1:], sums[:-1], out=new_run[1:])
-        first = np.flatnonzero(new_run)
-        keys &= mask
-        yield sums[first] + lo, np.add.reduceat(keys, first)
+        yield lo, hi, start, counts, diag, diag_stop
         if hi > last:
             return
         start, diag = stop, diag_stop
@@ -249,10 +253,138 @@ def _pair_groups(vals: np.ndarray, wts: np.ndarray):
         span = min(cap, max(1, span * BLOCK // size))
 
 
+def _ragged_cols(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Columns start[i] .. start[i] + counts[i] - 1 of every row, as one
+    ragged arange."""
+    cols = np.repeat(start - (np.cumsum(counts) - counts), counts)
+    cols += np.arange(len(cols))
+    return cols
+
+
+def _window_keys(vals: np.ndarray, wts: np.ndarray, bits: int, window) -> np.ndarray:
+    """A window's pairs as unsorted int64 keys (sum - lo) << bits | weight,
+    the upper triangle's pairs first, then the diagonal's; as uint32 keys
+    when (hi - lo) << bits <= KEY32_SPAN, which bounds every key below 2^32.
+
+    A key is the row's part (vals[i] - lo) << bits plus the column's part
+    vals[k] << bits plus the weight, formed in unsigned arithmetic mod 2^32
+    or 2^64: the true key is below the modulus, so it is what the wrapped
+    sum leaves."""
+    lo, hi, start, counts, diag, diag_stop = window
+    dtype = np.uint32 if (hi - lo) << bits <= KEY32_SPAN else np.uint64
+    v, w, base = vals.astype(dtype), wts.astype(dtype), np.int64(lo).astype(dtype)
+    row = (v - base) << bits
+    cols = _ragged_cols(start, counts)
+    pairs = len(cols)
+    keys = np.empty(pairs + diag_stop - diag, dtype=dtype)
+    off, on = keys[:pairs], keys[pairs:]
+    np.add(np.repeat(row, counts), (v << bits)[cols], out=off)
+    off |= np.repeat(2 * w, counts) * w[cols]
+    np.add(row[diag:diag_stop], v[diag:diag_stop] << bits, out=on)
+    on |= w[diag:diag_stop] * w[diag:diag_stop]
+    return keys if dtype == np.uint32 else keys.view(np.int64)
+
+
+def _key_groups(keys: np.ndarray, bits: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorts a window's keys in place and returns its distinct sums and
+    their summed weights, both int64."""
+    keys.sort()
+    sums = keys >> bits
+    new_run = np.empty(len(keys), dtype=bool)
+    new_run[0] = True
+    np.not_equal(sums[1:], sums[:-1], out=new_run[1:])
+    first = np.flatnonzero(new_run)
+    keys &= (1 << bits) - 1
+    return sums[first].astype(np.int64) + lo, np.add.reduceat(keys, first, dtype=np.int64)
+
+
+def _pair_groups(vals: np.ndarray, wts: np.ndarray):
+    """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
+    each with its summed weight wts[i] * wts[k], yielded as (sums, weights)
+    int64 arrays one window of _pair_windows at a time.
+
+    vals must be nonempty, distinct and ascending, and wts >= 1, both int64;
+    every pair sum must fit int64, and every group's weight sum is at most
+    sum(wts)^2, which must stay below 2^63.  Only the upper triangle i <= k
+    is enumerated, a pair with i < k counting twice, so every weight is at
+    most 2 * max(wts)^2, which has b bits; b > 62 raises BudgetError.  A
+    window's keys (_window_keys) are sorted, and add.reduceat totals each
+    run of equal sums; nothing is carried between windows, and only one
+    window of keys is held.
+    """
+    bits = _weight_bits(wts)
+    for window in _pair_windows(vals, bits):
+        yield _key_groups(_window_keys(vals, wts, bits, window), bits, window[0])
+
+
 def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All the groups of _pair_groups as one (sums, weights) pair of arrays."""
     sums, weights = zip(*_pair_groups(vals, wts))
     return np.concatenate(sums), np.concatenate(weights)
+
+
+def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
+    """sum W^2 over the groups of _pair_groups(vals, wts), W a group's
+    weight, one window at a time, storing no group.
+
+    A window whose keys fit uint32 is grouped exactly, as in _pair_groups.
+    Any other window sorts a 32-bit word of each pair sum instead, Knuth's
+    multiplicative hash (TAOCP vol. 3, 6.4): the top 32 bits of
+    sum * HASH_MULTIPLIER mod 2^64, which for a pair is the sum of the two
+    values' products.  With w_k the weights of the window's keys,
+
+        sum_g W_g^2 = sum_k w_k^2 + sum_g (W_g^2 - sum_{k in g} w_k^2).
+
+    The first term is closed form, 4 sum_i w_i^2 (C[stop_i] - C[start_i])
+    over the rows plus sum w_d^4 over the diagonal, C the prefix sums of
+    wts^2.  A group of one key adds nothing to the second, and equal sums
+    give equal words, so every group of two or more keys lies among the
+    keys whose word repeats; only those are packed as exact int64 keys and
+    grouped.  The hash decides how many keys are resolved exactly, never
+    the total.  A window where more than HASH_REPEATS of the keys repeat a
+    word is grouped by its keys after all, as resolving them would sort
+    most keys twice: at j = 3 a sum of four distinct values comes from three
+    pairings, while at j = 2 equal sums are rare.  C fits int64, as
+    sum(wts^2) <= sum(wts)^2 < 2^63, and the closed form is at most
+    5 sum(wts^2)^2; past 2^63 every window is grouped by its keys.
+    """
+    bits = _weight_bits(wts)
+    sq = wts * wts
+    prefix = np.concatenate(([0], np.cumsum(sq)))
+    closed = 5 * int(prefix[-1]) ** 2 < 1 << 63
+    products = vals.astype(np.uint64) * HASH_MULTIPLIER
+    total = 0
+    for window in _pair_windows(vals, bits):
+        lo, hi, start, counts, diag, diag_stop = window
+        if closed and (hi - lo) << bits > KEY32_SPAN:
+            cols = _ragged_cols(start, counts)
+            pairs = len(cols)
+            words = np.empty(pairs + diag_stop - diag, dtype=np.uint32)
+            hashed = np.repeat(products, counts)
+            hashed += products[cols]
+            np.right_shift(hashed, 32, out=words[:pairs], casting="unsafe")
+            np.right_shift(2 * products[diag:diag_stop], 32, out=words[pairs:], casting="unsafe")
+            ordered = np.sort(words)
+            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+            if len(repeated) <= HASH_REPEATS * len(words):
+                stop = start + counts
+                total += 4 * int(np.dot(sq, prefix[stop] - prefix[start]))
+                total += int(np.dot(sq[diag:diag_stop], sq[diag:diag_stop]))
+                if len(repeated) == 0:
+                    continue
+                at = np.flatnonzero(np.isin(words, repeated))
+                off, on = at[at < pairs], at[at >= pairs] - pairs + diag
+                rows = np.searchsorted(np.cumsum(counts) - counts, off, side="right") - 1
+                cols = cols[off]
+                keys = np.concatenate((vals[rows] + vals[cols], 2 * vals[on])) - lo
+                keys <<= bits
+                weights = np.concatenate((2 * wts[rows] * wts[cols], sq[on]))
+                keys |= weights
+                groups = _key_groups(keys, bits, lo)[1]
+                total += _sum_of_squares_int64(groups) - _sum_of_squares_int64(weights)
+                continue
+        total += _sum_of_squares_int64(_key_groups(_window_keys(vals, wts, bits, window), bits, lo)[1])
+    return total
 
 
 _DENSE_REFUSAL = "sixteenth moment is limited to N <= 24 and 8*(max f - min f) <= 12000000"
@@ -283,21 +415,26 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
             return _sum_of_squares_int64(cnts)
         for _ in range(j - 2):
             vals, cnts = _pair_sums(vals, cnts)
-        return sum(_sum_of_squares_int64(w) for _, w in _pair_groups(vals, cnts))
+        return _squared_pair_total(vals, cnts)
     # j == 4: the quadruple-sum counts c4 stay sparse (_pair_sums twice);
     # one rising sweep over the octuple sums forms, per BLOCK entries, c5 by
     # scattering c4 at every shift, c6 and c7 from the rolling windows of
     # the level below, and c8, squared as it is formed.  Every c8 entry is
     # at most N^8 <= 24^8 < 2^37, and a degree-4 f takes a value at most 4
     # times, so c7 is at most 4 * 24^6 < 2^32 and fits u4, as does every
-    # partial sum before it.  Level e is zero past x^(e * top), so its
-    # blocks past there are neither made nor read
+    # partial sum before it.  c8(n) = sum_m c4(m) c4(n - m) is at most
+    # max(c4) * sum(c4) = max(c4) * N^4 (1.6e7 at {3,4,3}, N = 24), so the
+    # octuple block and its partial sums fit u4 below OCTUPLE_U4_LIMIT, and
+    # int64 from there.  Level e is zero past x^(e * top), so its blocks
+    # past there are neither made nor read
     top = int(fv.max())
     if 8 * top > 12_000_000:
         raise BudgetError(_DENSE_REFUSAL)
     sums, cnts = np.unique(fv, return_counts=True)
     for _ in range(2):
         sums, cnts = _pair_sums(sums, cnts)
+    wide = int(cnts.max()) * N**4 >= OCTUPLE_U4_LIMIT
+    octuple = np.empty(BLOCK, dtype=np.int64 if wide else np.uint32)
     cnts = cnts.astype(np.uint32)
     shifts = fv.tolist()
     # a block reads the level below back to top entries under its own lower
@@ -323,7 +460,8 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
                 block = rings[e - 5, at : at + hi - lo]
                 block[:] = 0
                 _shift_add(block, lo, rings[e - 6], shifts, (e - 1) * top + 1)
-        block = np.zeros(hi - lo, dtype=np.int64)
+        block = octuple[: hi - lo]
+        block[:] = 0
         _shift_add(block, lo, rings[2], shifts, 7 * top + 1)
         total += _sum_of_squares_int64(block)
     return total

@@ -233,6 +233,15 @@ def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
     assert expsums.mean_value(spec, N, j) == want
 
 
+def weighted_pair_sums(vals, wts):
+    """Counter of every ordered pair sum x + y, each weighted wx * wy."""
+    want = Counter()
+    for x, cx in zip(vals, wts):
+        for y, cy in zip(vals, wts):
+            want[x + y] += cx * cy
+    return want
+
+
 @pytest.mark.parametrize(
     "vals, wts",
     [
@@ -260,10 +269,7 @@ def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
     ],
 )
 def test_pair_sums_match_counter(monkeypatch, vals, wts):
-    want = Counter()
-    for x, cx in zip(vals, wts):
-        for y, cy in zip(vals, wts):
-            want[x + y] += cx * cy
+    want = weighted_pair_sums(vals, wts)
     vals, wts = np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64)
     # short blocks make windows of a few keys, and a sum with more pairs than
     # 2 * BLOCK fills a window alone
@@ -284,7 +290,88 @@ def test_pair_groups_refuses_weights_too_wide_to_pack():
         next(expsums._pair_groups(np.array([0, 1], dtype=np.int64), np.array([1518500250, 1], dtype=np.int64)))
 
 
+@pytest.mark.parametrize(
+    "vals, wts, block, span",
+    [
+        # window [1, 3) at b = 31: (hi - lo) << b is 2^32, the widest span of
+        # uint32 keys
+        ([0, 1, 2], [30000, 1, 1], 2, 1 << 32),
+        # window [2, 3) at b = 32: every key is its weight, the sum shifted out
+        ([0, 1], [40000, 1], 1, 1 << 32),
+        # one window [0, 2^30 + 1) at b = 2: one sum past it, int64 keys
+        ([0, 1, 1 << 29], [1, 1, 1], 3, (1 << 32) + 4),
+    ],
+)
+def test_pair_groups_at_the_key_dtype_switch(monkeypatch, vals, wts, block, span):
+    want = weighted_pair_sums(vals, wts)
+    seen = []
+    window_keys = expsums._window_keys
+
+    def spy(v, w, bits, window):
+        keys = window_keys(v, w, bits, window)
+        seen.append(((window[1] - window[0]) << bits, keys.dtype))
+        return keys
+
+    monkeypatch.setattr(expsums, "BLOCK", block)
+    monkeypatch.setattr(expsums, "_window_keys", spy)
+    got_v, got_w = expsums._pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+    assert (span, np.dtype(np.uint32 if span <= 1 << 32 else np.int64)) in seen
+    assert got_v.tolist() == sorted(want)
+    assert got_w.tolist() == [want[v] for v in sorted(want)]
+
+
 WIDE = figurate.make_spec(1, 1 << 58, 0)  # values 1, 2, 2^58 + 3, 2^60 + 5
+
+
+@pytest.mark.parametrize("repeats", [1, expsums.HASH_REPEATS])
+@pytest.mark.parametrize("multiplier", [0, int(expsums.HASH_MULTIPLIER)])
+@pytest.mark.parametrize("block", [1, 2, 3, 5, expsums.BLOCK])
+def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier, repeats):
+    # a zero multiplier hashes every sum to word 0, the worst case: every key
+    # of a window repeats its word; with the default one only equal sums and
+    # chance collisions do.  KEY32_SPAN = 0 sends every window of the last
+    # pass to the hash, where by default only WIDE's go.  HASH_REPEATS = 1
+    # resolves every repeated word there, however many; at its default, a
+    # window with many repeats (all of them at multiplier 0, most at j = 3)
+    # is grouped by its keys
+    monkeypatch.setattr(expsums, "BLOCK", block)
+    monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
+    monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
+    monkeypatch.setattr(expsums, "HASH_REPEATS", repeats)
+    three = figurate.make_spec(3, -4, 1)
+    cases = [(F1, 10, 2), (F1, 6, 3), (three, 8, 2), (three, 6, 3), (WIDE, 4, 2), (WIDE, 4, 3)]
+    for spec, N, j in cases:
+        vals = [spec.value(n) for n in range(1, N + 1)]
+        want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
+        assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
+        if repeats < 1:
+            continue
+        # the last pass alone, with no window grouped by its exact keys
+        last, wts = np.unique(expsums._shifted_values(spec, N, j), return_counts=True)
+        if j == 3:
+            last, wts = expsums._pair_sums(last, wts)
+        with monkeypatch.context() as m:
+            m.setattr(expsums, "_window_keys", None)
+            assert expsums._squared_pair_total(last, wts) == want, (spec, N, j)
+
+
+def test_squared_pair_total_past_its_closed_form(monkeypatch):
+    # sum(wts^2) = 2^34 + 29: 5 * sum(wts^2)^2 passes 2^63, so the closed
+    # form of the hashed pass could wrap, and the wide windows are grouped
+    # by their int64 keys instead
+    vals, wts = [0, 3, 1 << 40], [1 << 17, 5, 2]
+    want = weighted_pair_sums(vals, wts)
+    seen = []
+    window_keys = expsums._window_keys
+
+    def spy(v, w, bits, window):
+        seen.append((window[1] - window[0]) << bits > expsums.KEY32_SPAN)
+        return window_keys(v, w, bits, window)
+
+    monkeypatch.setattr(expsums, "_window_keys", spy)
+    got = expsums._squared_pair_total(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+    assert got == sum(c * c for c in want.values())
+    assert any(seen)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])
@@ -315,18 +402,43 @@ def test_mean_value_block_edges_match_tuple_oracle(monkeypatch, block):
         assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
 
 
+def meet_in_the_middle(quad):
+    """The sixteenth moment from the quadruple-sum counts: the octuple-sum
+    counts as products of pairs of them, squared and summed."""
+    octo = Counter()
+    for x, cx in quad.items():
+        for y, cy in quad.items():
+            octo[x + y] += cx * cy
+    return sum(c * c for c in octo.values())
+
+
 @pytest.mark.parametrize("spec, N", [(F2, 8), (F3, 7)])
 def test_mean_value_j4_matches_meet_in_the_middle_oracle(spec, N):
     # at the default BLOCK: the largest shifted value (76951, 233694) passes
     # BLOCK, so the sweep's rolling windows wrap several times
     vals = [spec.value(n) for n in range(1, N + 1)]
     assert max(vals) - min(vals) > expsums.BLOCK
+    assert expsums.mean_value(spec, N, 4) == meet_in_the_middle(sum_counter(vals, 4))
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("spec, N", [(F2, 8), (F3, 7)])
+def test_octuple_block_widens_to_int64_at_its_bound(monkeypatch, spec, N, wide):
+    # every octuple-sum count is at most max(c4) * N^4: a limit at that bound
+    # makes the block int64, one above it keeps it u4
+    vals = [spec.value(n) for n in range(1, N + 1)]
     quad = sum_counter(vals, 4)
-    octo = Counter()
-    for x, cx in quad.items():
-        for y, cy in quad.items():
-            octo[x + y] += cx * cy
-    assert expsums.mean_value(spec, N, 4) == sum(c * c for c in octo.values())
+    monkeypatch.setattr(expsums, "OCTUPLE_U4_LIMIT", max(quad.values()) * N**4 + (0 if wide else 1))
+    dtypes = set()
+    squares = expsums._sum_of_squares_int64
+
+    def spy(arr):
+        dtypes.add(arr.dtype)
+        return squares(arr)
+
+    monkeypatch.setattr(expsums, "_sum_of_squares_int64", spy)
+    assert expsums.mean_value(spec, N, 4) == meet_in_the_middle(quad)
+    assert dtypes == {np.dtype(np.int64 if wide else np.uint32)}
 
 
 def test_sixteenth_moment_holds_only_rolling_windows():
@@ -367,10 +479,11 @@ if len(sys.argv) > 1:
 
 def test_mean_value_peak_rss_in_a_fresh_process():
     # the benchmark's peak_rss_mib, per job: a baseline child that imports
-    # only numpy and expsums, then the j = 4 and j = 2 jobs above it
+    # only numpy and expsums, then the j = 4 and j = 2 jobs above it.  The
+    # j = 4 job's three u4 rings of 2^20 entries are 12 MiB of its 13
     baseline = child_peak_rss_mib("-c", RSS_JOB)
     for N, j in ((24, 4), (3996, 2)):
-        assert child_peak_rss_mib("-c", RSS_JOB, str(N), str(j)) - baseline < 40, (N, j)
+        assert child_peak_rss_mib("-c", RSS_JOB, str(N), str(j)) - baseline < 16, (N, j)
 
 
 @pytest.mark.parametrize("spec, N", [(F1, 25), (F2, 17), (F3, 11)])
@@ -410,6 +523,15 @@ def test_mean_value_refuses_sums_past_int64():
 )
 def test_sum_of_squares_int64_matches_python(vals):
     assert expsums._sum_of_squares_int64(np.array(vals, dtype=np.int64)) == sum(v * v for v in vals)
+
+
+@pytest.mark.parametrize("top", [1 << 16, (1 << 32) - 1])
+def test_sum_of_squares_int64_widens_u4_in_chunks(top):
+    # u4 entries as the octuple block holds them, over three chunks: small
+    # ones take the one dot per chunk, ones up to 2^32 - 1 the split
+    rng = random.Random(top)
+    vals = [rng.randrange(top + 1) for _ in range(2 * expsums.SQUARE_CHUNK + 3)] + [top]
+    assert expsums._sum_of_squares_int64(np.array(vals, dtype=np.uint32)) == sum(v * v for v in vals)
 
 
 def test_sum_of_squares_int64_refuses_past_the_split():

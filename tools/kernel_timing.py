@@ -1,4 +1,4 @@
-"""Per-layer timing of the cyclic self-power kernel, the sixteenth moment, a
+"""Per-layer timing of the cyclic self-power kernel, the exact moments, a
 single representation count, the Hensel split's singular counts and a
 density ladder at large s.
 
@@ -7,16 +7,20 @@ f(1..q) mod q of every catalog spec, at q = 2^10, 2^11, 2^12, 3^6 and 3^7,
 against the packed big-int powering (exactconv._packed_self_power; in a
 checkout without it, cyclic_self_power is the packed powering).  Times
 expsums.mean_value at j = 4 for every catalog spec at its largest N inside
-the j = 4 cap (24, 16 and 10), with the call's tracemalloc peak beside the
-timings.  Times exactconv.sparse_power_entry, one exact R_s(m), for {3,4,3}
-at s = 16 and 17 and m = 999,500 (the benchmark's count-single size), also
-with the tracemalloc peak.  Times the Hensel split's singular counts
-(localdensity._singular_class), every class of one level, for {5,3,3} at
-p = 5, levels 1..5 and s = 17, and one whole density ladder
+the j = 4 cap (24, 16 and 10), and for {3,4,3} at the benchmark's j = 2 and
+j = 3 sizes (N = 3998 and 90).  Each moment case runs in REPEATS fresh
+processes that make one call apiece, because repeats in one process do not
+resolve a 15% change there; one more fresh process gives the call's
+tracemalloc peak.  Times exactconv.sparse_power_entry, one exact R_s(m),
+for {3,4,3} at s = 16 and 17 and m = 999,500 (the benchmark's count-single
+size), also with the tracemalloc peak.  Times the Hensel split's singular
+counts (localdensity._singular_class), every class of one level, for
+{5,3,3} at p = 5, levels 1..5 and s = 17, and one whole density ladder
 (localdensity.local_density_limit) for {3,4,3} at s = 150, m = 12345 and
-p = 7; both start from empty density caches on every call.  Each case is
-timed REPEATS times after one untimed call.  Prints one JSON line: machine
-info and, per case and path, the median and quartiles in milliseconds.
+p = 7; both start from empty density caches on every call.  Every case but
+the moments is timed REPEATS times in this process after one untimed call.
+Prints one JSON line: machine info and, per case and path, the median and
+quartiles in milliseconds.
 
     PYTHONPATH=src python3 tools/kernel_timing.py
 """
@@ -27,6 +31,8 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -37,8 +43,24 @@ from waring4 import exactconv, expsums, figurate, localdensity
 MODULI = (2**10, 2**11, 2**12, 3**6, 3**7)
 S = 17
 REPEATS = 9
-# the largest N inside mean_value's j = 4 cap, per catalog spec
-MOMENT_N = {"{3,4,3}": 24, "{3,3,5}": 16, "{5,3,3}": 10}
+# mean_value (spec, N, j): the largest N inside the j = 4 cap, per catalog
+# spec, and the benchmark's j = 2 and j = 3 sizes
+MOMENTS = (("{3,4,3}", 24, 4), ("{3,3,5}", 16, 4), ("{5,3,3}", 10, 4), ("{3,4,3}", 3998, 2), ("{3,4,3}", 90, 3))
+# one call in a fresh process: its wall time in ms, or with "peak" its
+# tracemalloc peak in MiB
+MOMENT_CALL = """
+import sys, time, tracemalloc
+from waring4 import expsums, figurate
+spec, N, j = figurate.catalog(sys.argv[1]).spec, int(sys.argv[2]), int(sys.argv[3])
+if sys.argv[4] == "peak":
+    tracemalloc.start()
+    expsums.mean_value(spec, N, j)
+    print(round(tracemalloc.get_traced_memory()[1] / 2**20, 2))
+else:
+    start = time.perf_counter()
+    expsums.mean_value(spec, N, j)
+    print((time.perf_counter() - start) * 1e3)
+"""
 # one exact count R_s(m) at the benchmark's count-single size
 ENTRY_M = 999_500
 ENTRY_S = (16, 17)
@@ -71,6 +93,20 @@ def _traced_peak_mib(fn, args) -> float:
         return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
     finally:
         tracemalloc.stop()
+
+
+def _fresh_moment(label: str, N: int, j: int, what: str) -> float:
+    """MOMENT_CALL run in a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(expsums.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", MOMENT_CALL, label, str(N), str(j), what],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return float(done.stdout)
 
 
 def _cold(fn):
@@ -114,12 +150,13 @@ def main() -> None:
                 "cyclic_self_power": _time(exactconv.cyclic_self_power, call),
                 "packed": _time(packed, call),
             }
-    moments = {}
-    for spec in figurate.catalog_specs():
-        call = (spec, MOMENT_N[spec.label], 4)
-        moments[f"{spec.label} N={call[1]}"] = dict(
-            _time(expsums.mean_value, call), tracemalloc_peak_mib=_traced_peak_mib(expsums.mean_value, call)
+    moments = {
+        f"{label} N={N} j={j}": dict(
+            _quartiles([_fresh_moment(label, N, j, "time") for _ in range(REPEATS)]),
+            tracemalloc_peak_mib=_fresh_moment(label, N, j, "peak"),
         )
+        for label, N, j in MOMENTS
+    }
     entries = {}
     values = figurate.values_upto(figurate.catalog("{3,4,3}").spec, ENTRY_M)
     for s in ENTRY_S:
@@ -146,7 +183,7 @@ def main() -> None:
                 "s": S,
                 "unit": "ms",
                 "cases": cases,
-                "mean_value_j4": moments,
+                "mean_value": moments,
                 "sparse_power_entry": entries,
                 "singular_class": singular,
                 "local_density_limit": ladder,
