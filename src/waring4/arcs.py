@@ -74,9 +74,9 @@ def _halfwidth(N: int, delta: Fraction) -> float:
     return float(N) ** (float(delta) - 4.0)
 
 
-def _error_scale(N: int, s: int, rel_tol: float) -> float:
-    """rel_tol relative to N^s, the trivial bound on |S_f|^s (at least rel_tol)."""
-    return rel_tol * max(1.0, float(N) ** s)
+def _error_scale(N: int, s: int) -> float:
+    """REL_TOL relative to N^s, the trivial bound on |S_f|^s (at least REL_TOL)."""
+    return REL_TOL * max(1.0, float(N) ** s)
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,11 @@ def _integrate_pieces(
     m: int,
     N: int,
     pieces: list[tuple[int, int, float, float]],
-    rel_tol: float,
 ) -> tuple[complex, float]:
     """Sum over pieces (q, a, lo, hi) of the Gauss-Legendre quadrature of
     theta -> S_f(a/q + theta)^s e(-(a/q + theta) m) over (lo, hi).
 
-    The tolerance rel_tol * max(1, N^s) is shared equally among the pieces.
+    The tolerance REL_TOL * max(1, N^s) is shared equally among the pieces.
     Each piece takes the panel count quadrature.size_panels derives from the
     piece's length and the integrand's bound on a panel's Bernstein ellipse
     E_(e^u): the integrand is a sum of at most N^s unimodular terms e(k x)
@@ -186,7 +185,7 @@ def _integrate_pieces(
     fvals = values(spec, N)
     # the bandwidth: largest |k| among the frequencies k = f(n_1) + ... + f(n_s) - m
     K = max(abs(s * min(fvals) - m), abs(s * max(fvals) - m))
-    abs_tol = _error_scale(N, s, rel_tol) / max(1, len(pieces))
+    abs_tol = _error_scale(N, s) / max(1, len(pieces))
     log_terms = s * math.log(N)
 
     def log_sup(h: float, u: float) -> float:
@@ -206,7 +205,6 @@ def major_arc_integral(
     s: int,
     m: int,
     dissection: ArcDissection,
-    rel_tol: float = REL_TOL,
 ) -> tuple[complex, float]:
     """Sum over arcs of the quadrature of S_f(alpha)^s e(-alpha m) over
     |alpha - a/q| < halfwidth.
@@ -216,7 +214,7 @@ def major_arc_integral(
     """
     hw = dissection.halfwidth
     arcs = [(arc.q, arc.a, -hw, hw) for arc in dissection.arcs]
-    return _integrate_pieces(spec, s, m, dissection.N, arcs, rel_tol)
+    return _integrate_pieces(spec, s, m, dissection.N, arcs)
 
 
 def minor_arc_integral(
@@ -224,7 +222,6 @@ def minor_arc_integral(
     s: int,
     m: int,
     dissection: ArcDissection,
-    rel_tol: float = REL_TOL,
 ) -> tuple[complex, float]:
     """Quadrature over the complement of the major arcs in one unit period.
 
@@ -244,7 +241,7 @@ def minor_arc_integral(
         if hi > lo:
             gaps.append((1, 1, lo, hi))
         prev = c
-    return _integrate_pieces(spec, s, m, dissection.N, gaps, rel_tol)
+    return _integrate_pieces(spec, s, m, dissection.N, gaps)
 
 
 def approx_chain_check(
@@ -382,7 +379,7 @@ def asymptotic_report(
     try:
         value, err = major_arc_integral(spec, s, m, dissection)
         major = value.real
-        tol = max(err, _error_scale(N, s, REL_TOL))
+        tol = max(err, _error_scale(N, s))
         checks.append(
             BoundCheckReport(
                 abs(value.imag),

@@ -24,9 +24,9 @@ EC-8, 1959).  This is exact because
   - every prime is below PRIME_CAP = isqrt(2**63 - 1), so a product of two
     residues, and a butterfly's signed sum of up to four reduced terms, fit
     an int64.
-The primes (is_prime, the package's one primality test) and their roots
-are found on first use and cached per q; the twiddle table is built per
-call, as a density ladder transforms each q once.
+The primes (is_prime, the package's one primality test), their roots and
+the twiddle table are found anew on each call, as a density ladder
+transforms each q once.
 
 Truncated linear powers of a sparse 0/1 polynomial (representation counts)
 are shift-add passes on numpy arrays: each pass adds in place into an
@@ -49,7 +49,6 @@ import itertools
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
 
 import numpy as np
 
@@ -228,36 +227,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# per q, the primes P = 1 mod q below PRIME_CAP found so far, descending
-_found_primes: dict[int, tuple[int, ...]] = {}
-
-
 def _primes(q: int, bound: int) -> tuple[int, ...]:
     """The fewest of the largest primes P < PRIME_CAP with P = 1 mod q,
     descending, whose product exceeds bound (at least one).
 
-    The search steps down from PRIME_CAP by q.  The primes found so far are
-    kept per q, so a later call carries on where the last one stopped; any
-    kept tuple is a prefix of the same descending sequence, so calls from
-    several threads at most repeat a search.
+    The search steps down from PRIME_CAP by q on every call: a workload
+    transforms each q once, so nothing is kept between calls.
     """
-    found = _found_primes.get(q, ())
-    product, n = 1, 0
+    found: list[int] = []
+    product, P = 1, (PRIME_CAP - 2) // q * q + 1
     while product <= max(bound, 1):
-        if n == len(found):
-            P = found[-1] - q if found else (PRIME_CAP - 2) // q * q + 1
-            while not is_prime(P):
-                P -= q
-                if P < 2:
-                    raise OverflowError(f"the transform primes for modulus {q} cannot exceed {bound}")
-            found += (P,)
-            _found_primes[q] = found
-        product *= found[n]
-        n += 1
-    return found[:n]
+        while not is_prime(P):
+            P -= q
+            if P < 2:
+                raise OverflowError(f"the transform primes for modulus {q} cannot exceed {bound}")
+        found.append(P)
+        product *= P
+        P -= q
+    return tuple(found)
 
 
-@lru_cache(maxsize=128)
 def _root_of_order(q: int, P: int) -> int:
     """The first w = c^((P-1)/q) mod P, c = 2, 3, ..., of order exactly q:
     its order divides q, and equals q when w^(q/r) != 1 for each prime r | q."""

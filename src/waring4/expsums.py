@@ -34,10 +34,11 @@ uint32 when (hi - lo) << b <= 2^32 for b-bit weights and int64 otherwise,
 sorted and totalled, and no run of equal sums crosses a window edge, so
 nothing is carried and only one window of keys is held.  The last pass
 squares each window's group weights as it goes instead of storing them
-(_squared_pair_total).  A window whose keys need int64 sorts a 32-bit
-multiplicative hash of each sum instead; the sum of the squared pair
+(_squared_pair_total).  At j = 2, a window whose keys need int64 sorts a
+32-bit multiplicative hash of each sum instead; the sum of the squared pair
 weights is closed form, and since equal sums hash alike, only keys whose
 word repeats are grouped by their exact sums, so the total stays exact.
+At j = 3 most sums repeat, so every window is grouped by its exact keys.
 j = 4 shifts the values by their minimum and keeps the quadruple-sum
 counts sparse (two passes).  One rising sweep over the octuple sums then
 works BLOCK entries at a time: the quintuple-sum counts of a block are the
@@ -72,9 +73,6 @@ KEY32_SPAN = 1 << 32
 # Knuth's multiplicative hash of a sum: the top 32 bits of its product with
 # this odd constant mod 2^64, 2^64 divided by the golden ratio
 HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-# the share of a hashed window's keys that may repeat a word; past it, the
-# window is grouped by its exact keys
-HASH_REPEATS = 1 / 4
 # the j = 4 octuple block accumulates in u4 while max(c4) * N^4 is below this
 OCTUPLE_U4_LIMIT = 1 << 32
 # _sum_of_squares_int64 widens an array narrower than int64 this many
@@ -323,15 +321,18 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(sums), np.concatenate(weights)
 
 
-def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
+def _squared_pair_total(vals: np.ndarray, wts: np.ndarray, hashed: bool) -> int:
     """sum W^2 over the groups of _pair_groups(vals, wts), W a group's
     weight, one window at a time, storing no group.
 
-    A window whose keys fit uint32 is grouped exactly, as in _pair_groups.
-    Any other window sorts a 32-bit word of each pair sum instead, Knuth's
-    multiplicative hash (TAOCP vol. 3, 6.4): the top 32 bits of
-    sum * HASH_MULTIPLIER mod 2^64, which for a pair is the sum of the two
-    values' products.  With w_k the weights of the window's keys,
+    Unless hashed (mean_value hashes at j = 2, where equal sums are rare,
+    and not at j = 3, where a sum of four values comes from three
+    pairings), and for any window whose keys fit uint32, a window is
+    grouped exactly, as in _pair_groups.  Any other window sorts a 32-bit
+    word of each pair sum instead, Knuth's multiplicative hash (TAOCP
+    vol. 3, 6.4): the top 32 bits of sum * HASH_MULTIPLIER mod 2^64, which
+    for a pair is the sum of the two values' products.  With w_k the
+    weights of the window's keys,
 
         sum_g W_g^2 = sum_k w_k^2 + sum_g (W_g^2 - sum_{k in g} w_k^2).
 
@@ -341,49 +342,45 @@ def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
     give equal words, so every group of two or more keys lies among the
     keys whose word repeats; only those are packed as exact int64 keys and
     grouped.  The hash decides how many keys are resolved exactly, never
-    the total.  A window where more than HASH_REPEATS of the keys repeat a
-    word is grouped by its keys after all, as resolving them would sort
-    most keys twice: at j = 3 a sum of four distinct values comes from three
-    pairings, while at j = 2 equal sums are rare.  C fits int64, as
-    sum(wts^2) <= sum(wts)^2 < 2^63, and the closed form is at most
-    5 sum(wts^2)^2; past 2^63 every window is grouped by its keys.
+    the total.  C fits int64, as sum(wts^2) <= sum(wts)^2 < 2^63, and the
+    closed form is at most 5 sum(wts^2)^2; past 2^63 every window is
+    grouped by its keys.
     """
     bits = _weight_bits(wts)
     sq = wts * wts
     prefix = np.concatenate(([0], np.cumsum(sq)))
-    closed = 5 * int(prefix[-1]) ** 2 < 1 << 63
+    hashed = hashed and 5 * int(prefix[-1]) ** 2 < 1 << 63
     products = vals.astype(np.uint64) * HASH_MULTIPLIER
     total = 0
     for window in _pair_windows(vals, bits):
         lo, hi, start, counts, diag, diag_stop = window
-        if closed and (hi - lo) << bits > KEY32_SPAN:
-            cols = _ragged_cols(start, counts)
-            pairs = len(cols)
-            words = np.empty(pairs + diag_stop - diag, dtype=np.uint32)
-            hashed = np.repeat(products, counts)
-            hashed += products[cols]
-            np.right_shift(hashed, 32, out=words[:pairs], casting="unsafe")
-            np.right_shift(2 * products[diag:diag_stop], 32, out=words[pairs:], casting="unsafe")
-            ordered = np.sort(words)
-            repeated = ordered[1:][ordered[1:] == ordered[:-1]]
-            if len(repeated) <= HASH_REPEATS * len(words):
-                stop = start + counts
-                total += 4 * int(np.dot(sq, prefix[stop] - prefix[start]))
-                total += int(np.dot(sq[diag:diag_stop], sq[diag:diag_stop]))
-                if len(repeated) == 0:
-                    continue
-                at = np.flatnonzero(np.isin(words, repeated))
-                off, on = at[at < pairs], at[at >= pairs] - pairs + diag
-                rows = np.searchsorted(np.cumsum(counts) - counts, off, side="right") - 1
-                cols = cols[off]
-                keys = np.concatenate((vals[rows] + vals[cols], 2 * vals[on])) - lo
-                keys <<= bits
-                weights = np.concatenate((2 * wts[rows] * wts[cols], sq[on]))
-                keys |= weights
-                groups = _key_groups(keys, bits, lo)[1]
-                total += _sum_of_squares_int64(groups) - _sum_of_squares_int64(weights)
-                continue
-        total += _sum_of_squares_int64(_key_groups(_window_keys(vals, wts, bits, window), bits, lo)[1])
+        if not hashed or (hi - lo) << bits <= KEY32_SPAN:
+            total += _sum_of_squares_int64(_key_groups(_window_keys(vals, wts, bits, window), bits, lo)[1])
+            continue
+        cols = _ragged_cols(start, counts)
+        pairs = len(cols)
+        words = np.empty(pairs + diag_stop - diag, dtype=np.uint32)
+        sums = np.repeat(products, counts)
+        sums += products[cols]
+        np.right_shift(sums, 32, out=words[:pairs], casting="unsafe")
+        np.right_shift(2 * products[diag:diag_stop], 32, out=words[pairs:], casting="unsafe")
+        ordered = np.sort(words)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        stop = start + counts
+        total += 4 * int(np.dot(sq, prefix[stop] - prefix[start]))
+        total += int(np.dot(sq[diag:diag_stop], sq[diag:diag_stop]))
+        if len(repeated) == 0:
+            continue
+        at = np.flatnonzero(np.isin(words, repeated))
+        off, on = at[at < pairs], at[at >= pairs] - pairs + diag
+        rows = np.searchsorted(np.cumsum(counts) - counts, off, side="right") - 1
+        cols = cols[off]
+        keys = np.concatenate((vals[rows] + vals[cols], 2 * vals[on])) - lo
+        keys <<= bits
+        weights = np.concatenate((2 * wts[rows] * wts[cols], sq[on]))
+        keys |= weights
+        groups = _key_groups(keys, bits, lo)[1]
+        total += _sum_of_squares_int64(groups) - _sum_of_squares_int64(weights)
     return total
 
 
@@ -415,7 +412,7 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
             return _sum_of_squares_int64(cnts)
         for _ in range(j - 2):
             vals, cnts = _pair_sums(vals, cnts)
-        return _squared_pair_total(vals, cnts)
+        return _squared_pair_total(vals, cnts, j == 2)
     # j == 4: the quadruple-sum counts c4 stay sparse (_pair_sums twice);
     # one rising sweep over the octuple sums forms, per BLOCK entries, c5 by
     # scattering c4 at every shift, c6 and c7 from the rolling windows of

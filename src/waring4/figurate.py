@@ -102,9 +102,9 @@ _CATALOG = {
 }
 
 
-def make_spec(A: int, B: int, C: int, label: str = "") -> FigurateSpec:
+def make_spec(A: int, B: int, C: int) -> FigurateSpec:
     """Build a spec from binomial-basis coefficients; A <= 0 is rejected."""
-    return FigurateSpec(A, B, C, label)
+    return FigurateSpec(A, B, C)
 
 
 def catalog(symbol: str) -> CatalogEntry:

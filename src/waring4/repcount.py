@@ -55,19 +55,15 @@ def _check_budget(s: int, m_max: int, vals: list[int], budget: int) -> None:
         )
 
 
-def count_profile(
-    spec: FigurateSpec,
-    s: int,
-    m_max: int,
-    budget: int = DEFAULT_OP_BUDGET,
-) -> CountVector:
-    """Exact counts R_s(m) for all 0 <= m <= m_max."""
+def count_profile(spec: FigurateSpec, s: int, m_max: int) -> CountVector:
+    """Exact counts R_s(m) for all 0 <= m <= m_max, refused past
+    DEFAULT_OP_BUDGET block operations."""
     if s < 0:
         raise ValueError("order must be >= 0")
     if m_max < 0:
         raise ValueError("bound must be >= 0")
     vals = values_upto(spec, m_max)
-    _check_budget(s, m_max, vals, budget)
+    _check_budget(s, m_max, vals, DEFAULT_OP_BUDGET)
     counts = sparse_power_profile(vals, s, m_max)
     return CountVector(tuple(counts))
 

@@ -323,36 +323,59 @@ def test_pair_groups_at_the_key_dtype_switch(monkeypatch, vals, wts, block, span
 WIDE = figurate.make_spec(1, 1 << 58, 0)  # values 1, 2, 2^58 + 3, 2^60 + 5
 
 
-@pytest.mark.parametrize("repeats", [1, expsums.HASH_REPEATS])
+@pytest.mark.parametrize("hashed", [1, 0])
 @pytest.mark.parametrize("multiplier", [0, int(expsums.HASH_MULTIPLIER)])
 @pytest.mark.parametrize("block", [1, 2, 3, 5, expsums.BLOCK])
-def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier, repeats):
+def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier, hashed):
     # a zero multiplier hashes every sum to word 0, the worst case: every key
-    # of a window repeats its word; with the default one only equal sums and
-    # chance collisions do.  KEY32_SPAN = 0 sends every window of the last
-    # pass to the hash, where by default only WIDE's go.  HASH_REPEATS = 1
-    # resolves every repeated word there, however many; at its default, a
-    # window with many repeats (all of them at multiplier 0, most at j = 3)
-    # is grouped by its keys
+    # of a window repeats its word, and every repeated word is resolved; with
+    # the default one only equal sums and chance collisions do.
+    # KEY32_SPAN = 0 sends every window of a hashed last pass to the hash,
+    # where by default only WIDE's go; mean_value hashes at j = 2 only.  The
+    # last pass alone is then run on the route hashed names, 1 hashing every
+    # window and 0 grouping every window by its int64 keys
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
     monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
-    monkeypatch.setattr(expsums, "HASH_REPEATS", repeats)
     three = figurate.make_spec(3, -4, 1)
     cases = [(F1, 10, 2), (F1, 6, 3), (three, 8, 2), (three, 6, 3), (WIDE, 4, 2), (WIDE, 4, 3)]
     for spec, N, j in cases:
         vals = [spec.value(n) for n in range(1, N + 1)]
         want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
         assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
-        if repeats < 1:
-            continue
-        # the last pass alone, with no window grouped by its exact keys
         last, wts = np.unique(expsums._shifted_values(spec, N, j), return_counts=True)
         if j == 3:
             last, wts = expsums._pair_sums(last, wts)
         with monkeypatch.context() as m:
-            m.setattr(expsums, "_window_keys", None)
-            assert expsums._squared_pair_total(last, wts) == want, (spec, N, j)
+            if hashed:  # no window is grouped by its exact keys
+                m.setattr(expsums, "_window_keys", None)
+            assert expsums._squared_pair_total(last, wts, hashed) == want, (spec, N, j)
+
+
+def test_eighth_moment_groups_int64_windows_by_their_keys(monkeypatch):
+    # {5,3,3} at N = 28 has one last-pass window whose keys need int64; at
+    # j = 3 it is grouped by its exact keys, which sort in place, and never
+    # hashed, which alone calls np.sort
+    vals = figurate.values(F3, 28)
+    pairs = weighted_pair_sums(vals, [1] * len(vals))
+    want = sum(c * c for c in weighted_pair_sums(list(pairs), list(pairs.values())).values())
+    seen = []
+    window_keys = expsums._window_keys
+
+    def keys_spy(v, w, bits, window):
+        keys = window_keys(v, w, bits, window)
+        seen.append(keys.dtype)
+        return keys
+
+    def sort_spy(*args, **kwargs):
+        raise AssertionError("np.sort called: an eighth-moment window was hashed")
+
+    with monkeypatch.context() as m:
+        m.setattr(expsums, "_window_keys", keys_spy)
+        m.setattr(np, "sort", sort_spy)
+        got = expsums.mean_value(F3, 28, 3)
+    assert got == want
+    assert np.dtype(np.int64) in seen
 
 
 def test_squared_pair_total_past_its_closed_form(monkeypatch):
@@ -369,7 +392,7 @@ def test_squared_pair_total_past_its_closed_form(monkeypatch):
         return window_keys(v, w, bits, window)
 
     monkeypatch.setattr(expsums, "_window_keys", spy)
-    got = expsums._squared_pair_total(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+    got = expsums._squared_pair_total(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64), True)
     assert got == sum(c * c for c in want.values())
     assert any(seen)
 

@@ -7,11 +7,15 @@ f(1..q) mod q of every catalog spec, at q = 2^10, 2^11, 2^12, 3^6 and 3^7,
 against the packed big-int powering (exactconv._packed_self_power; in a
 checkout without it, cyclic_self_power is the packed powering).  Times
 expsums.mean_value at j = 4 for every catalog spec at its largest N inside
-the j = 4 cap (24, 16 and 10), and for {3,4,3} at the benchmark's j = 2 and
-j = 3 sizes (N = 3998 and 90).  Each moment case runs in REPEATS fresh
-processes that make one call apiece, because repeats in one process do not
-resolve a 15% change there; one more fresh process gives the call's
-tracemalloc peak.  Times exactconv.sparse_power_entry, one exact R_s(m),
+the j = 4 cap (24, 16 and 10), for {3,4,3} at the benchmark's j = 2 and
+j = 3 sizes (N = 3998 and 90), and for {5,3,3} at j = 3 and N = 60, whose
+last pass has windows with int64 keys.  Each moment case runs in REPEATS
+fresh processes that make one call apiece, because repeats in one process
+do not resolve a 15% change there; one more fresh process gives the call's
+tracemalloc peak.  The fresh processes read byte code that one warm-up
+process wrote to a temporary PYTHONPYCACHEPREFIX, whatever the caller's
+PYTHONDONTWRITEBYTECODE says: a process that compiles the package itself
+times its calls about 40% slower.  Times exactconv.sparse_power_entry, one exact R_s(m),
 for {3,4,3} at s = 16 and 17 and m = 999,500 (the benchmark's count-single
 size), also with the tracemalloc peak.  Times the Hensel split's singular
 counts (localdensity._singular_class), every class of one level, for
@@ -33,6 +37,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -44,8 +49,15 @@ MODULI = (2**10, 2**11, 2**12, 3**6, 3**7)
 S = 17
 REPEATS = 9
 # mean_value (spec, N, j): the largest N inside the j = 4 cap, per catalog
-# spec, and the benchmark's j = 2 and j = 3 sizes
-MOMENTS = (("{3,4,3}", 24, 4), ("{3,3,5}", 16, 4), ("{5,3,3}", 10, 4), ("{3,4,3}", 3998, 2), ("{3,4,3}", 90, 3))
+# spec, the benchmark's j = 2 and j = 3 sizes, and j = 3 with int64 windows
+MOMENTS = (
+    ("{3,4,3}", 24, 4),
+    ("{3,3,5}", 16, 4),
+    ("{5,3,3}", 10, 4),
+    ("{3,4,3}", 3998, 2),
+    ("{3,4,3}", 90, 3),
+    ("{5,3,3}", 60, 3),
+)
 # one call in a fresh process: its wall time in ms, or with "peak" its
 # tracemalloc peak in MiB
 MOMENT_CALL = """
@@ -95,13 +107,21 @@ def _traced_peak_mib(fn, args) -> float:
         tracemalloc.stop()
 
 
-def _fresh_moment(label: str, N: int, j: int, what: str) -> float:
-    """MOMENT_CALL run in a fresh interpreter that imports this checkout."""
+def _moment_env(prefix: str) -> dict:
+    """The environment of a fresh moment process: this checkout first on the
+    path, and byte code written to and read from prefix."""
     src = os.path.dirname(os.path.dirname(expsums.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONPYCACHEPREFIX=prefix)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def _fresh_moment(env: dict, label: str, N: int, j: int, what: str) -> float:
+    """MOMENT_CALL run in a fresh interpreter with env."""
     done = subprocess.run(
         [sys.executable, "-c", MOMENT_CALL, label, str(N), str(j), what],
-        env=dict(os.environ, PYTHONPATH=path),
+        env=env,
         capture_output=True,
         text=True,
         check=True,
@@ -150,13 +170,16 @@ def main() -> None:
                 "cyclic_self_power": _time(exactconv.cyclic_self_power, call),
                 "packed": _time(packed, call),
             }
-    moments = {
-        f"{label} N={N} j={j}": dict(
-            _quartiles([_fresh_moment(label, N, j, "time") for _ in range(REPEATS)]),
-            tracemalloc_peak_mib=_fresh_moment(label, N, j, "peak"),
-        )
-        for label, N, j in MOMENTS
-    }
+    with tempfile.TemporaryDirectory() as prefix:
+        env = _moment_env(prefix)
+        _fresh_moment(env, "{3,4,3}", 1, 1, "time")  # writes the byte code
+        moments = {
+            f"{label} N={N} j={j}": dict(
+                _quartiles([_fresh_moment(env, label, N, j, "time") for _ in range(REPEATS)]),
+                tracemalloc_peak_mib=_fresh_moment(env, label, N, j, "peak"),
+            )
+            for label, N, j in MOMENTS
+        }
     entries = {}
     values = figurate.values_upto(figurate.catalog("{3,4,3}").spec, ENTRY_M)
     for s in ENTRY_S:
