@@ -25,7 +25,13 @@ The cases:
   - ``mean_value`` j = 1..3 at N = 21..60, j = 1, 2 at N = 100, 999, 3992,
     3996, 4000, j = 3 at N = 90, 120, j = 4 at N = 1 up to each spec's cap
     (24, 16, 10) and one past it, and N = 4001 at j = 1, 2 and 121 at j = 3
-    (one past the caps of j = 2 and 3).
+    (one past the caps of j = 2 and 3);
+  - every other CLI path: ``eval`` on the catalog specs and on explicit
+    A,B,C specs, ``series`` at the default Q and at Q = 200, ``integral``,
+    ``arcs``, ``report --format csv``, ``local`` with --k-max past the exact
+    depth (the float path) and at p = 5003 past the modulus cap, ``count``
+    on an explicit spec, and two usage errors (``--m 1x``, no ``--spec``)
+    that exit 1.
 """
 
 from __future__ import annotations
@@ -35,10 +41,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 from waring4 import cli, expsums, figurate
 from waring4.errors import BudgetError
@@ -87,6 +95,21 @@ def cases() -> list[tuple[list[str], bool]]:
         out += [(["mean_value", spec, str(N), "4"], N < 10 or N > J4_CAP[spec]) for N in range(1, J4_CAP[spec] + 2)]
         # one past the caps of j = 2 and 3; j = 1 has none
         out += [(["mean_value", spec, str(N), str(j)], True) for j, N in ((1, 4001), (2, 4001), (3, 121))]
+    for spec in (*SPECS, "72,84,22", "1,0,0"):
+        out.append((["eval", "--spec", spec, "--n", "100"], True))
+    for q in ([], ["--Q", "200"]):
+        out.append((["series", "--spec", "{3,4,3}", "--s", "17", "--m", "10000", *q], True))
+    out.append((["integral", "--s", "17", "--m", "100,1000"], True))
+    out.append((["integral", "--s", "5", "--m", "100"], True))
+    out.append((["arcs", "--spec", "{3,4,3}", "--m", "10000"], True))
+    out.append((["arcs", "--spec", "{5,3,3}", "--s", "20", "--m", "100000000"], True))
+    out.append((["report", "--spec", "{3,4,3}", "--s", "17", "--m", "10000,30000", "--format", "csv"], True))
+    for p, k_max in ((2, 14), (7, 6)):
+        out.append((["local", "--spec", "{3,4,3}", "--s", "17", "--m", "10000", "--p", str(p), "--k-max", str(k_max)], True))
+    out.append((["local", "--spec", "{3,4,3}", "--s", "17", "--m", "10000", "--p", "5003"], True))
+    out.append((["count", "--spec", "1,0,0", "--s", "3", "--m", "100,1000"], True))
+    out.append((["count", "--spec", "{3,4,3}", "--s", "3", "--m", "1x"], True))
+    out.append((["count", "--s", "3", "--m", "10"], True))
     return out
 
 
@@ -99,7 +122,9 @@ def run(argv: list[str], threads: int = 1) -> str:
         except (BudgetError, ValueError) as exc:
             return f"{type(exc).__name__}: {exc}\n"
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    # argparse wraps its usage text to COLUMNS; pin it so a usage error
+    # reads the same in any terminal
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), mock.patch.dict(os.environ, COLUMNS="80"):
         code = cli.main([*argv, "--threads", str(threads)])
     return f"exit {code}\n--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}"
 
