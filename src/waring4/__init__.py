@@ -2,7 +2,7 @@
 bounds, local densities, and circle-method comparisons."""
 
 from .errors import BudgetError
-from .figurate import CatalogEntry, FigurateSpec, catalog, catalog_specs, make_spec
+from .figurate import CatalogEntry, FigurateSpec, catalog, catalog_specs
 from .repcount import CountVector, count_profile, count_representations
 
 __version__ = "0.1.0"
@@ -17,5 +17,4 @@ __all__ = [
     "catalog_specs",
     "count_profile",
     "count_representations",
-    "make_spec",
 ]

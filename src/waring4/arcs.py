@@ -23,7 +23,7 @@ from .errors import BudgetError
 from .expsums import complete_sum_V, partial_sum_M
 from .figurate import FigurateSpec, residues, values
 from .quadrature import integrate, size_panels
-from .repcount import count_representations
+from .repcount import DEFAULT_OP_BUDGET, count_representations
 from .singularintegral import MainTermParams, main_term, v_theta
 from .singularseries import SeriesEstimate, euler_product
 from .weylbounds import REL_SLACK, BoundCheckReport
@@ -324,7 +324,7 @@ def minor_bound_check(
     )
     lhs = abs(residual)
     hypothesis_met = s >= 17
-    comparison = lhs == 0.0 or math.log(lhs) <= log_rhs + 1e-9 * abs(log_rhs)
+    comparison = lhs == 0.0 or math.log(lhs) <= log_rhs + REL_SLACK * abs(log_rhs)
     holds = bool(comparison) if hypothesis_met else True
     rhs = math.exp(log_rhs) if log_rhs < 700.0 else math.inf
     ctx = (
@@ -353,7 +353,7 @@ def asymptotic_report(
     s: int,
     m: int,
     prime_limit: int = 50,
-    count_budget: int = 8_000_000_000,
+    count_budget: int = DEFAULT_OP_BUDGET,
 ) -> ComparisonReport:
     """Exact count vs circle-method prediction at one (s, m).
 

@@ -17,7 +17,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import arcs as arcs_mod
@@ -37,29 +37,6 @@ CSV_HEADER = [
     "minor_residual",
     "checks_passed",
 ]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    spec: str
-    s: int
-    m_values: tuple[int, ...]
-    Q: int
-    prime_limit: int
-    fmt: str
-    seed: int
-    budget: int
-
-    def echo(self) -> str:
-        """Result-affecting configuration only: thread count is omitted
-        because outputs are required to be independent of it."""
-        ms = ",".join(str(m) for m in self.m_values)
-        return (
-            f"# config command={self.command} spec={self.spec} s={self.s} "
-            f"m={ms} Q={self.Q} prime_limit={self.prime_limit} "
-            f"format={self.fmt} seed={self.seed} budget={self.budget}"
-        )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +87,7 @@ def parse_spec(text: str) -> figurate.FigurateSpec:
         raise ValueError(
             "spec must be a catalog symbol {p,q,r} or three integers A,B,C"
         )
-    return figurate.make_spec(int(parts[0]), int(parts[1]), int(parts[2]))
+    return figurate.FigurateSpec(int(parts[0]), int(parts[1]), int(parts[2]))
 
 
 def report_to_dict(report: arcs_mod.ComparisonReport) -> dict:
@@ -123,28 +100,22 @@ def report_to_dict(report: arcs_mod.ComparisonReport) -> dict:
     return data
 
 
-def report_from_dict(data: dict) -> arcs_mod.ComparisonReport:
-    """Inverse of report_to_dict."""
-    fields = dict(data)
-    fields["spec_label"] = fields.pop("spec")
-    exact = fields.pop("exact")
-    fields["exact_count"] = None if exact is None else int(exact)
-    series = dict(fields["series"])
-    series["per_prime"] = tuple(tuple(pv) for pv in series["per_prime"])
-    fields["series"] = singularseries.SeriesEstimate(**series)
-    fields["bound_checks"] = tuple(
-        weylbounds.BoundCheckReport(**c) for c in fields["bound_checks"]
+def _echo(args) -> str:
+    """Result-affecting configuration only: thread count is omitted
+    because outputs are required to be independent of it."""
+    ms = ",".join(str(m) for m in args.m)
+    return (
+        f"# config command={args.command} spec={args.spec} s={args.s} "
+        f"m={ms} Q={args.Q} prime_limit={args.prime_limit} "
+        f"format={args.format} seed={args.seed} budget={args.budget}"
     )
-    return arcs_mod.ComparisonReport(**fields)
 
 
-def emit_report(
-    reports: list[arcs_mod.ComparisonReport], fmt: str, config: RunConfig
-) -> str:
+def emit_report(reports: list[arcs_mod.ComparisonReport], args) -> str:
     """Render reports as CSV (fixed header) or JSON (config embedded)."""
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
-        buf.write(config.echo() + "\n")
+        buf.write(_echo(args) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in reports:
@@ -166,11 +137,11 @@ def emit_report(
         return buf.getvalue()
     payload = {
         "config": {
-            "command": config.command,
-            "spec": config.spec,
-            "s": config.s,
-            "m": list(config.m_values),
-            "seed": config.seed,
+            "command": args.command,
+            "spec": args.spec,
+            "s": args.s,
+            "m": list(args.m),
+            "seed": args.seed,
         },
         "reports": [report_to_dict(r) for r in reports],
     }
@@ -349,6 +320,8 @@ def _build_parser() -> _Parser:
         default="csv",
         help="report output format; the other commands accept and ignore it",
     )
+    # what the config echo prints for a field the command has no option for
+    parser.set_defaults(spec="-", s=0, m=(), Q=0, prime_limit=50)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate f(n)", parents=[common])
@@ -404,39 +377,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        spec=getattr(args, "spec", "-"),
-        s=getattr(args, "s", 0),
-        m_values=getattr(args, "m", ()),
-        Q=getattr(args, "Q", 0),
-        prime_limit=getattr(args, "prime_limit", 50),
-        fmt=args.format,
-        seed=args.seed,
-        budget=args.budget,
-    )
-
-
 def _run(args) -> int:
-    config = _config_from_args(args)
-    out: list[str] = [config.echo()]
+    out: list[str] = [_echo(args)]
 
     if args.command == "eval":
         spec = parse_spec(args.spec)
         out.append(str(spec.value(args.n)))
     elif args.command == "count":
         spec = parse_spec(args.spec)
-        for m in config.m_values:
+        for m in args.m:
             out.append(str(repcount.count_representations(spec, args.s, m, budget=args.budget)))
     elif args.command == "series":
         spec = parse_spec(args.spec)
-        for m in config.m_values:
+        for m in args.m:
             est = singularseries.truncated_series(spec, args.s, m, args.Q)
             out.append(f"{est.truncated!r} (imag residue {est.imag_residue:.2e})")
     elif args.command == "local":
         spec = parse_spec(args.spec)
-        for m in config.m_values:
+        for m in args.m:
             rep = localdensity.local_density_limit(
                 spec, args.s, m, args.p, k_max=args.k_max
             )
@@ -446,7 +404,7 @@ def _run(args) -> int:
                 f"bound_holds={rep.bound_holds} {levels}"
             )
     elif args.command == "integral":
-        for m in config.m_values:
+        for m in args.m:
             check = singularintegral.j1_bound_check(args.s, m)
             out.append(
                 f"holds={check.holds} lhs={check.lhs!r} rhs={check.rhs!r} "
@@ -454,7 +412,7 @@ def _run(args) -> int:
             )
     elif args.command == "arcs":
         spec = parse_spec(args.spec)
-        for m in config.m_values:
+        for m in args.m:
             N = arcs_mod.choose_N(spec.A, m)
             d = arcs_mod.dissect(N, arcs_mod.dissection_delta(args.s))
             qmax = max(arc.q for arc in d.arcs)
@@ -471,13 +429,13 @@ def _run(args) -> int:
                 prime_limit=args.prime_limit,
                 count_budget=args.budget,
             )
-            for m in config.m_values
+            for m in args.m
         ]
-        _write_output(emit_report(reports, args.format, config), args.output)
+        _write_output(emit_report(reports, args), args.output)
         return 0
     elif args.command == "check-suite":
         text, ok = run_check_suite(args.seed, args.threads)
-        _write_output(config.echo() + "\n" + text, args.output)
+        _write_output(_echo(args) + "\n" + text, args.output)
         return 0 if ok else 1
     else:  # pragma: no cover - argparse enforces the command set
         return 1

@@ -102,11 +102,6 @@ _CATALOG = {
 }
 
 
-def make_spec(A: int, B: int, C: int) -> FigurateSpec:
-    """Build a spec from binomial-basis coefficients; A <= 0 is rejected."""
-    return FigurateSpec(A, B, C)
-
-
 def catalog(symbol: str) -> CatalogEntry:
     """Catalog entry for a regular 4-polytope Schlaefli symbol."""
     try:
@@ -148,12 +143,6 @@ def values_upto(spec: FigurateSpec, m: int) -> list[int]:
         out.append(v)
         n, prev = n + 1, v
     return out
-
-
-def max_index(spec: FigurateSpec, m: int) -> int:
-    """Largest n >= 0 with f(n) <= m; ValueError if the values up to there
-    do not increase strictly."""
-    return len(values_upto(spec, m))
 
 
 def residues(spec: FigurateSpec, count: int, q: int) -> np.ndarray:

@@ -316,7 +316,10 @@ def local_density(spec: FigurateSpec, s: int, m: int, p: int, k: int) -> float:
 def exact_depth(p: int) -> int:
     """The deepest exact-path level of p's ladder: the largest k with
     p^k <= EXACT_MODULUS_CAP, and 1 for p past the cap."""
-    return max(1, int(math.log(EXACT_MODULUS_CAP) / math.log(p)))
+    k = 1
+    while p ** (k + 1) <= EXACT_MODULUS_CAP:
+        k += 1
+    return k
 
 
 def local_density_limit(
@@ -368,13 +371,23 @@ def local_density_limit(
 def valuation_tau(spec: FigurateSpec, p: int) -> int:
     """min over 1 <= y <= max(p^3, 24p) of v_p(f'(y)).
 
-    The valuation of f'(y) depends only on y mod p^(tau+1), so the scan sees
+    For p >= 5 this is 0, with no scan.  Proof: suppose 12 f' = 0 mod p as
+    a polynomial.  Then d/dt (24 f) = 2 * 12 f' = 0 mod p, so i * c_i = 0
+    mod p for each coefficient c_i of 24 f = c4 t^4 + ... + c1 t, and as
+    i <= 4 < p, 24 f = 0 mod p.  That gives 24 = 24 (f(1) - f(0)) = 0 mod
+    p, impossible for p >= 5.  So 12 f' mod p is a nonzero cubic with at
+    most 3 roots, some y <= p has v_p(12 f'(y)) = 0, and v_p(12) = 0.
+
+    At p = 2 and 3 the scan runs over 1 <= y <= 24p (which is >= p^3).  The
+    valuation of f'(y) depends only on y mod p^(tau+1), so the scan sees
     every class that matters.  12 f' is a cubic with leading coefficient
     2A != 0, so it vanishes at no more than 3 of the >= 48 scanned points.
     """
     if not is_prime(p):
         raise ValueError("modulus must be prime")
-    scan = range(1, max(p**3, 24 * p) + 1)
+    if p >= 5:
+        return 0
+    scan = range(1, 24 * p + 1)
     return min(v for y in scan if (v := _derivative_valuation(spec, y, p)) is not None)
 
 

@@ -8,7 +8,7 @@ pass's coefficient bound (32-bit digit rows past 2**64), so no wraparound can
 occur.  A single count is read from the two half powers, never from a full
 profile.
 
-count_via_dft is an independent floating cross-check: with more sample
+count_profile_via_dft is an independent floating cross-check: with more sample
 points than the degree of S(alpha)^s, the inverse transform recovers every
 count exactly up to floating rounding, which is checked against a 0.4
 residue guard before rounding.
@@ -126,9 +126,3 @@ def count_profile_via_dft(spec: FigurateSpec, s: int, m_max: int) -> CountVector
         )
     return CountVector(tuple(_dft_profile(vals, s, m_max)))
 
-
-def count_via_dft(spec: FigurateSpec, s: int, m: int) -> int:
-    """Exact R_s(m) through the floating transform path."""
-    if m < 0:
-        raise ValueError("target must be >= 0")
-    return count_profile_via_dft(spec, s, m).entry(m)

@@ -240,6 +240,14 @@ def test_asymptotic_report_unique_representation():
     assert rep.ratio == pytest.approx(1.0 / rep.main_term)
 
 
+def test_asymptotic_report_count_budget_defaults_to_the_cli_budget():
+    # R_17(5 * 10^6) needs ~3 * 10^9 block operations, past DEFAULT_OP_BUDGET
+    rep = arcs.asymptotic_report(F1, 17, 5_000_000, prime_limit=10)
+    assert rep.exact_count is None
+    with pytest.raises(BudgetError):
+        repcount.count_representations(F1, 17, 5_000_000)
+
+
 def test_asymptotic_report_budget_refusal_leaves_fields_none():
     rep = arcs.asymptotic_report(F1, 17, 17, prime_limit=10, count_budget=1)
     assert rep.exact_count is None

@@ -305,14 +305,14 @@ def congruence_cases(draw):
     t = draw(st.integers(1, 6))
     q = draw(st.integers(1, 9))
     m = draw(st.integers(-20, 40))
-    return figurate.make_spec(A, B, C), s, m, t, q
+    return figurate.FigurateSpec(A, B, C), s, m, t, q
 
 
 @settings(max_examples=80, deadline=None)
 @given(congruence_cases())
-@example((figurate.make_spec(3, 4, 3), 1, 0, 1, 1))
-@example((figurate.make_spec(3, 4, 3), 2, 7, 5, 8))
-@example((figurate.make_spec(3, 3, 5), 3, 2, 6, 9))
+@example((figurate.FigurateSpec(3, 4, 3), 1, 0, 1, 1))
+@example((figurate.FigurateSpec(3, 4, 3), 2, 7, 5, 8))
+@example((figurate.FigurateSpec(3, 3, 5), 3, 2, 6, 9))
 def test_count_congruence_split_entry_matches_enumeration(case):
     spec, s, m, t, q = case
     residues = [spec.value(n) % q for n in range(1, t + 1)]

@@ -198,7 +198,7 @@ def sum_counter(vals, h):
 
 def test_mean_value_j4_matches_dict_oracle():
     # (3, -4, 1) has negative, non-monotone values: 1, 3, 2, -3, -10, -14, -7, 22
-    cases = [(F1, N) for N in (2, 4, 6, 8)] + [(figurate.make_spec(3, -4, 1), 8)]
+    cases = [(F1, N) for N in (2, 4, 6, 8)] + [(figurate.FigurateSpec(3, -4, 1), 8)]
     for sp, N in cases:
         vals = [sp.value(n) for n in range(1, N + 1)]
         want = sum(v * v for v in sum_counter(vals, 8).values())
@@ -220,7 +220,7 @@ def test_mean_value_j4_matches_dict_oracle():
 @example(1, 1 << 58, 0, 4, 4)
 @example(3, -4, 1, 6, 3)
 def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
-    spec = figurate.make_spec(A, B, C)
+    spec = figurate.FigurateSpec(A, B, C)
     vals = [spec.value(n) for n in range(1, N + 1)]
     spread = max(vals) - min(vals)
     # j <= 3 shifts by the midpoint, j = 4 by the minimum
@@ -320,7 +320,7 @@ def test_pair_groups_at_the_key_dtype_switch(monkeypatch, vals, wts, block, span
     assert got_w.tolist() == [want[v] for v in sorted(want)]
 
 
-WIDE = figurate.make_spec(1, 1 << 58, 0)  # values 1, 2, 2^58 + 3, 2^60 + 5
+WIDE = figurate.FigurateSpec(1, 1 << 58, 0)  # values 1, 2, 2^58 + 3, 2^60 + 5
 
 
 @pytest.mark.parametrize("hashed", [1, 0])
@@ -337,7 +337,7 @@ def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier, hashed
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
     monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
-    three = figurate.make_spec(3, -4, 1)
+    three = figurate.FigurateSpec(3, -4, 1)
     cases = [(F1, 10, 2), (F1, 6, 3), (three, 8, 2), (three, 6, 3), (WIDE, 4, 2), (WIDE, 4, 3)]
     for spec, N, j in cases:
         vals = [spec.value(n) for n in range(1, N + 1)]
@@ -407,9 +407,9 @@ def test_mean_value_block_edges_match_tuple_oracle(monkeypatch, block):
         (F1, 6, 2),
         (F1, 5, 3),
         (F1, 4, 4),
-        (figurate.make_spec(3, -4, 1), 8, 2),
-        (figurate.make_spec(3, -4, 1), 6, 3),
-        (figurate.make_spec(3, -4, 1), 8, 4),
+        (figurate.FigurateSpec(3, -4, 1), 8, 2),
+        (figurate.FigurateSpec(3, -4, 1), 6, 3),
+        (figurate.FigurateSpec(3, -4, 1), 8, 4),
         (WIDE, 4, 2),  # pair sums 2^58 apart: windows jump the gaps
         (WIDE, 4, 3),  # at BLOCK = 5 the span reaches its cap of 2^58
     ]
@@ -523,7 +523,7 @@ def test_mean_value_refuses_sums_past_int64():
     # quadruple sums of these values span more than 2^64; the unshifted int64
     # sums wrapped and the eighth moment read 2718 instead of 2716.  The pair
     # sums span 1.17 * 2^63: they fit int64 only once shifted by the midpoint
-    spec = figurate.make_spec(3, 2305843009213693961, -768614336404564661)
+    spec = figurate.FigurateSpec(3, 2305843009213693961, -768614336404564661)
     vals = [spec.value(n) for n in range(1, 5)]
     assert sum(c * c for c in sum_counter(vals, 4).values()) == 2716
     assert expsums.mean_value(spec, 4, 1) == sum(c * c for c in sum_counter(vals, 1).values())

@@ -38,23 +38,23 @@ def test_unknown_symbol_rejected():
         figurate.catalog("{4,3,3}")
 
 
-def test_make_spec_rejects_nonpositive_leading_coefficient():
+def test_spec_rejects_nonpositive_leading_coefficient():
     with pytest.raises(ValueError):
-        figurate.make_spec(0, 1, 1)
+        figurate.FigurateSpec(0, 1, 1)
     with pytest.raises(ValueError):
-        figurate.make_spec(-4, 1, 1)
+        figurate.FigurateSpec(-4, 1, 1)
 
 
-def test_make_spec_rejects_bool_coefficients():
+def test_spec_rejects_bool_coefficients():
     for args in ((True, 0, 0), (1, False, 0), (1, 0, True)):
         with pytest.raises(TypeError):
-            figurate.make_spec(*args)
+            figurate.FigurateSpec(*args)
 
 
 def test_scaled24_matches_value():
     rng = random.Random(101)
     for _ in range(200):
-        sp = figurate.make_spec(
+        sp = figurate.FigurateSpec(
             rng.randrange(1, 4000), rng.randrange(-4000, 4000), rng.randrange(-4000, 4000)
         )
         n = rng.randrange(0, 500)
@@ -65,7 +65,7 @@ def test_poly24_has_no_constant_term():
     # 24*f(0) = 0, so the quartic through the origin is determined by 4 coefficients
     rng = random.Random(102)
     for _ in range(50):
-        sp = figurate.make_spec(rng.randrange(1, 100), rng.randrange(-100, 100), 7)
+        sp = figurate.FigurateSpec(rng.randrange(1, 100), rng.randrange(-100, 100), 7)
         assert len(sp.poly24) == 4
         assert sp.scaled24(0) == 0
 
@@ -78,7 +78,7 @@ def test_deriv12_matches_difference_quotient():
     """
     rng = random.Random(103)
     for _ in range(100):
-        sp = figurate.make_spec(
+        sp = figurate.FigurateSpec(
             rng.randrange(1, 2000), rng.randrange(-2000, 2000), rng.randrange(-2000, 2000)
         )
         c4, c3, c2, c1 = sp.poly24
@@ -103,13 +103,13 @@ def test_real_value_agrees_with_exact_at_integers():
 
 def test_max_index():
     f1 = figurate.catalog("{3,4,3}").spec
-    assert figurate.max_index(f1, 2000) == 5
-    assert figurate.max_index(f1, 1) == 1
+    assert len(figurate.values_upto(f1, 2000)) == 5
+    assert len(figurate.values_upto(f1, 1)) == 1
     rng = random.Random(104)
     for sp in figurate.catalog_specs():
         for _ in range(50):
             m = rng.randrange(1, 10**9)
-            k = figurate.max_index(sp, m)
+            k = len(figurate.values_upto(sp, m))
             assert sp.value(k) <= m < sp.value(k + 1)
 
 
@@ -128,7 +128,7 @@ def test_values_strictly_increasing():
 )
 def test_residues_match_direct_values(A, B, C, q):
     # over one full period of n, against f(n) mod q in Python ints
-    spec = figurate.make_spec(A, B, C)
+    spec = figurate.FigurateSpec(A, B, C)
     got = figurate.residues(spec, 24 * q, q)
     assert got.tolist() == [spec.value(n) % q for n in range(1, 24 * q + 1)]
 
@@ -152,7 +152,7 @@ def _full_scan_counts(spec, t, q):
     return counts
 
 
-FIVE_CELL = figurate.make_spec(1, 3, 3)  # C(n+3, 4): period 16 mod 2
+FIVE_CELL = figurate.FigurateSpec(1, 3, 3)  # C(n+3, 4): period 16 mod 2
 
 
 @settings(max_examples=150, deadline=None)
@@ -160,7 +160,7 @@ FIVE_CELL = figurate.make_spec(1, 3, 3)  # C(n+3, 4): period 16 mod 2
     st.one_of(
         st.sampled_from(figurate.catalog_specs() + [FIVE_CELL]),
         st.builds(
-            figurate.make_spec,
+            figurate.FigurateSpec,
             st.integers(1, 10**4),
             st.integers(-(10**4), 10**4),
             st.integers(-(10**4), 10**4),

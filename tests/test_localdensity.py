@@ -241,7 +241,7 @@ def test_nonsingular_count_every_residue(spec):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 60), st.integers(-60, 60), st.integers(-60, 60))
 def test_nonsingular_count_every_residue_drawn_spec(A, B, C):
-    _assert_nonsingular_every_residue(figurate.make_spec(A, B, C))
+    _assert_nonsingular_every_residue(figurate.FigurateSpec(A, B, C))
 
 
 def test_local_density_level_zero_and_exact_path():
@@ -299,7 +299,7 @@ def _direct_profile(spec, s, q):
 
 @st.composite
 def split_cases(draw):
-    spec = figurate.make_spec(draw(st.integers(1, 60)), draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))
+    spec = figurate.FigurateSpec(draw(st.integers(1, 60)), draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))
     p = draw(st.sampled_from([5, 7, 11, 13]))
     k = draw(st.integers(2, 3))
     s = draw(st.integers(1, 17))
@@ -331,7 +331,7 @@ def _direct_singular_profile(spec, s, p, k):
 
 @st.composite
 def class_cases(draw):
-    spec = figurate.make_spec(draw(st.integers(1, 60)), draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))
+    spec = figurate.FigurateSpec(draw(st.integers(1, 60)), draw(st.integers(-60, 60)), draw(st.integers(-60, 60)))
     return spec, draw(st.sampled_from([5, 7, 11, 13])), draw(st.integers(1, 3)), draw(st.integers(1, 5))
 
 
@@ -394,8 +394,8 @@ def test_local_density_limit_from_k_min_lists_only_the_top_levels():
         (F3, 5, [1, 3, 4], None),  # three singular classes
         (F1, 7, [0, 2, 6], None),
         (F1, 13, [0, 6, 8], None),
-        (figurate.make_spec(1, -10, -8), 5, [1, 3], 3),  # a double root
-        (figurate.make_spec(1, -7, -7), 5, [1], 1),  # a triple root
+        (figurate.FigurateSpec(1, -10, -8), 5, [1, 3], 3),  # a double root
+        (figurate.FigurateSpec(1, -7, -7), 5, [1], 1),  # a triple root
     ],
 )
 def test_hensel_split_every_residue(spec, p, roots, repeated):
@@ -428,6 +428,23 @@ def test_local_density_limit_rejects_k_max_below_one(k_max):
         localdensity.local_density_limit(F1, 17, 1, 2, k_max=k_max)
 
 
+def _valuation_scan(spec, p, stop):
+    """min of v_p(f'(y)) over 1 <= y <= stop, skipping f'(y) = 0."""
+    v12 = 2 if p == 2 else (1 if p == 3 else 0)
+    best = None
+    for y in range(1, stop + 1):
+        d = spec.deriv12_at(y)
+        if d == 0:
+            continue
+        v = 0
+        while d % p == 0:
+            d //= p
+            v += 1
+        if best is None or v - v12 < best:
+            best = v - v12
+    return best
+
+
 def test_valuation_tau_frozen_values():
     assert [localdensity.valuation_tau(F1, p) for p in (2, 3, 5, 7)] == [2, 0, 0, 0]
     assert [localdensity.valuation_tau(F3, p) for p in (2, 3, 5)] == [0, 0, 0]
@@ -441,20 +458,39 @@ def test_valuation_tau_frozen_values():
 
 def test_valuation_tau_matches_brute_scan():
     for (sp, p) in [(F1, 2), (F1, 3), (F2, 3), (F3, 5)]:
-        v12 = 2 if p == 2 else (1 if p == 3 else 0)
-        best = None
-        for y in range(1, 10_001):
-            d = sp.deriv12_at(y)
-            if d == 0:
-                continue
-            v = 0
-            while d % p == 0:
-                d //= p
-                v += 1
-            v -= v12
-            if best is None or v < best:
-                best = v
-        assert localdensity.valuation_tau(sp, p) == best
+        assert localdensity.valuation_tau(sp, p) == _valuation_scan(sp, p, 10_000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10**4),
+    st.integers(-(10**4), 10**4),
+    st.integers(-(10**4), 10**4),
+    st.sampled_from([p for p in range(5, 98) if exactconv.is_prime(p)]),
+)
+def test_valuation_tau_matches_a_scan_past_three(A, B, C, p):
+    # at p >= 5 every v_p(f'(y)) is >= 0, so a minimum of 0 on the first
+    # p^2 points is the minimum over the whole range max(p^3, 24p)
+    spec = figurate.FigurateSpec(A, B, C)
+    assert localdensity.valuation_tau(spec, p) == _valuation_scan(spec, p, p * p)
+
+
+def test_valuation_tau_scans_nothing_past_three(monkeypatch):
+    def scan(*args):
+        raise AssertionError("valuation_tau scanned at p >= 5")
+
+    monkeypatch.setattr(localdensity, "_derivative_valuation", scan)
+    assert [localdensity.valuation_tau(sp, 211) for sp in (F1, F2, F3)] == [0, 0, 0]
+
+
+def test_exact_depth_is_the_largest_power_under_the_cap():
+    cap = localdensity.EXACT_MODULUS_CAP
+    for p in range(2, cap + 1):
+        if exactconv.is_prime(p):
+            k = localdensity.exact_depth(p)
+            assert p**k <= cap < p ** (k + 1)
+    for p in (5003, 5009, 10007, 1_000_003):
+        assert localdensity.exact_depth(p) == 1
 
 
 def test_hensel_lift_frozen_enumeration():

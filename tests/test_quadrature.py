@@ -57,7 +57,7 @@ def exact_arc_integrals(counts: Counter, d: arcs.ArcDissection) -> tuple[complex
 
 @st.composite
 def arc_cases(draw):
-    spec = figurate.make_spec(draw(st.integers(1, 40)), draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
+    spec = figurate.FigurateSpec(draw(st.integers(1, 40)), draw(st.integers(-40, 40)), draw(st.integers(-40, 40)))
     N = draw(st.integers(2, 7))
     s = draw(st.integers(1, 4))
     vals = figurate.values(spec, N)

@@ -17,7 +17,7 @@ F3 = figurate.catalog("{5,3,3}").spec
 
 def dict_dp_profile(spec, s, limit):
     """Independent oracle: dictionary-based polynomial powering."""
-    vals = [spec.value(n) for n in range(1, figurate.max_index(spec, limit) + 1)]
+    vals = [spec.value(n) for n in range(1, len(figurate.values_upto(spec, limit)) + 1)]
     acc = {0: 1}
     for _ in range(s):
         new = {}
@@ -87,9 +87,9 @@ def test_frozen_large_counts():
     assert repcount.count_representations(F1, 17, 3 * 10**5) == 149937624236400
 
 
-def test_count_via_dft_matches_exact_on_spot_checks():
+def test_dft_entry_matches_exact_on_spot_checks():
     for (s, m) in ((2, 577), (3, 1000), (2, 25)):
-        assert repcount.count_via_dft(F1, s, m) == repcount.count_representations(
+        assert repcount.count_profile_via_dft(F1, s, m).entry(m) == repcount.count_representations(
             F1, s, m
         )
 
@@ -104,7 +104,7 @@ def test_budget_refusal():
 def test_dft_refuses_counts_beyond_float_range():
     # within the degree guard, but counts reach len(vals)**40 >> 2^53, where
     # floats round to neighbours the 0.4 residue guard cannot detect
-    spec = figurate.make_spec(1, 0, 0)
+    spec = figurate.FigurateSpec(1, 0, 0)
     assert 40 * max(repcount.values_upto(spec, 26213)) <= repcount.DFT_DEGREE_LIMIT
     with pytest.raises(BudgetError):
         repcount.count_profile_via_dft(spec, 40, 26213)
@@ -136,7 +136,7 @@ def test_count_vector_mass():
 def small_valid_specs(draw):
     """Specs with A >= 1 and small B, C whose values increase (checked up to
     n = 40, past every value the tests below reach)."""
-    spec = figurate.make_spec(
+    spec = figurate.FigurateSpec(
         draw(st.integers(1, 20)), draw(st.integers(-6, 12)), draw(st.integers(0, 12))
     )
     assume(all(spec.value(n + 1) > spec.value(n) for n in range(40)))
@@ -156,9 +156,9 @@ def brute_force_profile(spec, s, limit):
 
 @settings(max_examples=60, deadline=None)
 @given(small_valid_specs(), st.integers(0, 4), st.integers(0, 300))
-@example(figurate.make_spec(1, 0, 0), 4, 300)
-@example(figurate.make_spec(72, 84, 22), 3, 300)
-@example(figurate.make_spec(1, 0, 0), 0, 0)
+@example(figurate.FigurateSpec(1, 0, 0), 4, 300)
+@example(figurate.FigurateSpec(72, 84, 22), 3, 300)
+@example(figurate.FigurateSpec(1, 0, 0), 0, 0)
 def test_counts_match_brute_force_enumeration(spec, s, limit):
     want = brute_force_profile(spec, s, limit)
     assert list(repcount.count_profile(spec, s, limit).counts) == want
