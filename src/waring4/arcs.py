@@ -8,6 +8,10 @@ comparison report assembles.
 
 All dissection inequalities (q <= N^d, disjointness, N^(3d-4) < 1/2) are
 decided in exact integer arithmetic on powers, never through floating point.
+
+The report functions import expsums, singularintegral, singularseries and
+weylbounds when called, so that the dissection and the arc integrals load
+none of them.
 """
 
 from __future__ import annotations
@@ -16,17 +20,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import BudgetError
-from .expsums import complete_sum_V, partial_sum_M
 from .figurate import FigurateSpec, residues, values
 from .quadrature import integrate, size_panels
 from .repcount import DEFAULT_OP_BUDGET, count_representations
-from .singularintegral import MainTermParams, main_term, v_theta
-from .singularseries import SeriesEstimate, euler_product
-from .weylbounds import REL_SLACK, BoundCheckReport
+
+if TYPE_CHECKING:
+    from .singularseries import SeriesEstimate
+    from .weylbounds import BoundCheckReport
 
 FALLBACK_DELTA = Fraction(73, 372)
 REL_TOL = 1e-12
@@ -263,6 +268,10 @@ def approx_chain_check(
     flagged in the context rather than refused.  Only |theta| > 1/2 (outside
     the fundamental domain) is an error.
     """
+    from .expsums import complete_sum_V, partial_sum_M
+    from .singularintegral import v_theta
+    from .weylbounds import REL_SLACK, BoundCheckReport
+
     if q < 1 or not (1 <= a <= q) or gcd(a, q) != 1:
         raise ValueError("need 1 <= a <= q with gcd(a, q) = 1")
     if abs(theta) > 0.5:
@@ -310,6 +319,8 @@ def minor_bound_check(
     evaluates both sides but records that the hypothesis is unmet, and
     `holds` reflects the comparison only when the hypothesis applies.
     """
+    from .weylbounds import REL_SLACK, BoundCheckReport
+
     if N < 3:
         raise ValueError("bound needs N >= 3 (log log N must be positive)")
     d = float(Fraction(delta))
@@ -364,6 +375,10 @@ def asymptotic_report(
     The dissection exponent is dissection_delta(s) and the quadrature
     tolerance REL_TOL.
     """
+    from .singularintegral import MainTermParams, main_term
+    from .singularseries import euler_product
+    from .weylbounds import BoundCheckReport
+
     delta = dissection_delta(s)
     N = choose_N(spec.A, m)
     dissection = dissect(N, delta)

@@ -27,10 +27,22 @@ import numpy as np
 
 from .errors import BudgetError
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(12)
+# numpy.polynomial.legendre.leggauss(12), written out so that no caller
+# imports numpy.polynomial
+_NODES = np.array([
+    -0.9815606342467192, -0.9041172563704748, -0.7699026741943047, -0.5873179542866175,
+    -0.3678314989981802, -0.1252334085114689, 0.1252334085114689, 0.3678314989981802,
+    0.5873179542866175, 0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+])
+_WEIGHTS = np.array([
+    0.04717533638651141, 0.10693932599531907, 0.16007832854334642, 0.20316742672306573,
+    0.2334925365383546, 0.2491470458134027, 0.2491470458134027, 0.2334925365383546,
+    0.20316742672306573, 0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+])
 PANEL_CAP = 1 << 20
-# panels evaluated per call of fn, so memory stays flat however many panels
-_BLOCK_PANELS = 4096
+# panels evaluated per call of fn: a (panels x 12) complex block is then
+# 96 KiB, under glibc's 128 KiB mmap threshold and resident in L2
+_BLOCK_PANELS = 512
 # with rho = e^u: rho^(2 - 2n) / (rho^2 - 1) = exp(-(2n - 1) u) / (2 sinh u)
 _DECAY = 2 * len(_NODES) - 1
 # the search bracket for log u: sinh, cosh and every term stay finite on it

@@ -11,6 +11,8 @@ import pytest
 from waring4 import arcs, figurate, repcount
 from waring4.errors import BudgetError
 
+from fresh_process import child_loaded_modules
+
 F1 = figurate.catalog("{3,4,3}").spec
 F2 = figurate.catalog("{3,3,5}").spec
 F3 = figurate.catalog("{5,3,3}").spec
@@ -254,3 +256,16 @@ def test_asymptotic_report_budget_refusal_leaves_fields_none():
     assert rep.minor_residual is None
     assert math.isnan(rep.ratio)
     assert rep.main_term > 0.0
+
+
+REPORT_MODULES = {
+    f"waring4.{name}" for name in ("singularseries", "localdensity", "weylbounds", "singularintegral", "expsums")
+}
+
+
+def test_arc_integrals_load_no_report_module():
+    """The dissection, the arc integrals and the exact count load none of
+    the modules only the reports use; the CLI still loads all of them."""
+    loaded = child_loaded_modules("waring4.figurate", "waring4.arcs", "waring4.repcount")
+    assert not loaded & (REPORT_MODULES | {"numpy.polynomial"})
+    assert REPORT_MODULES <= child_loaded_modules("waring4.cli")

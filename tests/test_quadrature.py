@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -131,11 +132,32 @@ def test_integrate_blocks_do_not_change_bits():
         x = mid[:, None] + offsets[None, :]
         return np.exp(2j * np.pi * ((fv * x[..., None]) % 1.0)).sum(axis=2) ** 3
 
-    panels = 2 * 4096 + 17
+    panels = 2 * quadrature._BLOCK_PANELS + 17
     h = (0.9 - 0.1) / (2 * panels)
     mid = 0.1 + (2 * np.arange(panels) + 1) * h
     whole = (fn(mid, h * quadrature._NODES) * quadrature._WEIGHTS).sum(axis=1).sum() * h
     assert quadrature.integrate(fn, 0.1, 0.9, panels) == complex(whole)
+
+
+def test_nodes_and_weights_are_leggauss_12():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    assert quadrature._NODES.tobytes() == nodes.tobytes()
+    assert quadrature._WEIGHTS.tobytes() == weights.tobytes()
+
+
+def test_minor_arc_memory_stays_within_a_block():
+    """{3,4,3} at s = 6, m = 3200 (N = 7, one arc): 18540 panels in one gap.
+    Blocks of 512 panels peak near 0.95 MiB, blocks of 4096 at 4.9 MiB."""
+    spec = figurate.catalog("{3,4,3}").spec
+    d = arcs.dissect(arcs.choose_N(spec.A, 3200), Fraction(73, 372))
+    assert d.N == 7
+    tracemalloc.start()
+    try:
+        arcs.minor_arc_integral(spec, 6, 3200, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def _no_evaluation(*args):

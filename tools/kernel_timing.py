@@ -1,6 +1,6 @@
 """Per-layer timing of the cyclic self-power kernel, the exact moments, a
-single representation count, the Hensel split's singular counts and a
-density ladder at large s.
+single representation count, the Hensel split's singular counts, a
+density ladder at large s and the arc quadrature.
 
 Times exactconv.cyclic_self_power at s = 17 on the residue histograms
 f(1..q) mod q of every catalog spec, at q = 2^10, 2^11, 2^12, 3^6 and 3^7,
@@ -21,8 +21,11 @@ size), also with the tracemalloc peak.  Times the Hensel split's singular
 counts (localdensity._singular_class), every class of one level, for
 {5,3,3} at p = 5, levels 1..5 and s = 17, and one whole density ladder
 (localdensity.local_density_limit) for {3,4,3} at s = 150, m = 12345 and
-p = 7; both start from empty density caches on every call.  Every case but
-the moments is timed REPEATS times in this process after one untimed call.
+p = 7; both start from empty density caches on every call.  Times the arc
+quadrature, arcs.major_arc_integral plus arcs.minor_arc_integral, for
+{3,4,3} at s = 6, m = 3200 (N = 7, the benchmark's circle size), also with
+the tracemalloc peak.  Every case but the moments is timed REPEATS times in
+this process after one untimed call.
 Prints one JSON line: machine info and, per case and path, the median and
 quartiles in milliseconds.
 
@@ -40,10 +43,11 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 
-from waring4 import exactconv, expsums, figurate, localdensity
+from waring4 import arcs, exactconv, expsums, figurate, localdensity
 
 MODULI = (2**10, 2**11, 2**12, 3**6, 3**7)
 S = 17
@@ -80,6 +84,8 @@ ENTRY_S = (16, 17)
 SINGULAR = ("{5,3,3}", 5, range(1, 6), 17)
 # one whole ladder at large s, where the singular counts dominate
 LADDER = ("{3,4,3}", 150, 12_345, 7)
+# both arc integrals at the benchmark's circle size: (spec, s, m, delta)
+ARCS = ("{3,4,3}", 6, 3200, (73, 372))
 
 
 def _quartiles(samples: list[float]) -> dict:
@@ -145,6 +151,11 @@ def _singular_level(spec, s: int, p: int, k: int) -> None:
         localdensity._singular_class(spec, s, p, k, u)
 
 
+def _arc_quadrature(spec, s: int, m: int, dissection) -> None:
+    arcs.major_arc_integral(spec, s, m, dissection)
+    arcs.minor_arc_integral(spec, s, m, dissection)
+
+
 def _machine() -> dict:
     model = platform.processor() or "unknown"
     try:
@@ -199,6 +210,14 @@ def main() -> None:
             _cold(localdensity.local_density_limit), (figurate.catalog(label).spec, s, m, p)
         )
     }
+    label, s, m, delta = ARCS
+    spec = figurate.catalog(label).spec
+    call = (spec, s, m, arcs.dissect(arcs.choose_N(spec.A, m), Fraction(*delta)))
+    arc_quadrature = {
+        f"{label} s={s} m={m}": dict(
+            _time(_arc_quadrature, call), tracemalloc_peak_mib=_traced_peak_mib(_arc_quadrature, call)
+        )
+    }
     print(
         json.dumps(
             {
@@ -210,6 +229,7 @@ def main() -> None:
                 "sparse_power_entry": entries,
                 "singular_class": singular,
                 "local_density_limit": ladder,
+                "arc_quadrature": arc_quadrature,
             }
         )
     )
