@@ -34,11 +34,17 @@ uint32 when (hi - lo) << b <= 2^32 for b-bit weights and int64 otherwise,
 sorted and totalled, and no run of equal sums crosses a window edge, so
 nothing is carried and only one window of keys is held.  The last pass
 squares each window's group weights as it goes instead of storing them
-(_squared_pair_total).  At j = 2, a window whose keys need int64 sorts a
-32-bit multiplicative hash of each sum instead; the sum of the squared pair
+(_squared_pair_total).  A window whose keys need int64 sorts a 32-bit
+multiplicative hash of each sum instead; the sum of the squared pair
 weights is closed form, and since equal sums hash alike, only keys whose
 word repeats are grouped by their exact sums, so the total stays exact.
-At j = 3 most sums repeat, so every window is grouped by its exact keys.
+j = 3 takes these pair passes only where its quadruple sums are dense.
+Elsewhere it makes one pass over the 4-multisets a <= b <= c <= d of
+indices (_eighth_moment), C(N+3, 4) of them against N^4 ordered
+quadruples: each stands for its 24, 12, 6, 4 or 1 orderings, the sum of
+their squares is closed form, and the same identity leaves only the
+multisets whose 32-bit word repeats to be grouped by their exact sums.
+The words are held and sorted in parts of about 16 * BLOCK.
 j = 4 shifts the values by their minimum and keeps the quadruple-sum
 counts sparse (two passes).  One rising sweep over the octuple sums then
 works BLOCK entries at a time: the quintuple-sum counts of a block are the
@@ -56,7 +62,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import fsum, gcd
+from math import comb, fsum, gcd
 
 import numpy as np
 
@@ -321,18 +327,15 @@ def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.concatenate(sums), np.concatenate(weights)
 
 
-def _squared_pair_total(vals: np.ndarray, wts: np.ndarray, hashed: bool) -> int:
+def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
     """sum W^2 over the groups of _pair_groups(vals, wts), W a group's
     weight, one window at a time, storing no group.
 
-    Unless hashed (mean_value hashes at j = 2, where equal sums are rare,
-    and not at j = 3, where a sum of four values comes from three
-    pairings), and for any window whose keys fit uint32, a window is
-    grouped exactly, as in _pair_groups.  Any other window sorts a 32-bit
-    word of each pair sum instead, Knuth's multiplicative hash (TAOCP
-    vol. 3, 6.4): the top 32 bits of sum * HASH_MULTIPLIER mod 2^64, which
-    for a pair is the sum of the two values' products.  With w_k the
-    weights of the window's keys,
+    A window whose keys fit uint32 is grouped exactly, as in _pair_groups.
+    Any other window sorts a 32-bit word of each pair sum instead, Knuth's
+    multiplicative hash (TAOCP vol. 3, 6.4): the top 32 bits of
+    sum * HASH_MULTIPLIER mod 2^64, which for a pair is the sum of the two
+    values' products.  With w_k the weights of the window's keys,
 
         sum_g W_g^2 = sum_k w_k^2 + sum_g (W_g^2 - sum_{k in g} w_k^2).
 
@@ -349,7 +352,7 @@ def _squared_pair_total(vals: np.ndarray, wts: np.ndarray, hashed: bool) -> int:
     bits = _weight_bits(wts)
     sq = wts * wts
     prefix = np.concatenate(([0], np.cumsum(sq)))
-    hashed = hashed and 5 * int(prefix[-1]) ** 2 < 1 << 63
+    hashed = 5 * int(prefix[-1]) ** 2 < 1 << 63
     products = vals.astype(np.uint64) * HASH_MULTIPLIER
     total = 0
     for window in _pair_windows(vals, bits):
@@ -384,6 +387,137 @@ def _squared_pair_total(vals: np.ndarray, wts: np.ndarray, hashed: bool) -> int:
     return total
 
 
+# the orderings 4!/prod(mult!) of a 4-multiset a <= b <= c <= d of indices,
+# indexed by (a == b) + 2 * (b == c) + 4 * (c == d)
+_ORDERINGS = np.array([24, 12, 12, 4, 12, 6, 4, 1], dtype=np.uint8)
+
+
+def _multiset_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The index pairs (c, d), c <= d < n, in c-major order, as two arrays,
+    and for every b the position of the first pair with c >= b."""
+    first, second = np.triu_indices(n)
+    return first, second, np.searchsorted(first, np.arange(n))
+
+
+def _multiset_blocks(table: np.ndarray, layout):
+    """Per b, table[a] + table[b] + table[c] + table[d] over the 4-multisets
+    a <= b <= c <= d of indices whose second index is b: one add.outer of
+    the rows a = 0..b with the pairs (c, d) of layout from b on, yielded
+    flat as (b, block).  The sums wrap in table's dtype."""
+    first, second, offsets = layout
+    pairs = table[first] + table[second]
+    for b in range(len(table)):
+        yield b, np.add.outer(table[: b + 1] + table[b], pairs[offsets[b] :]).ravel()
+
+
+def _multiset_sums(vals: np.ndarray, layout, b: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The exact sums and the orderings of the multisets at the flat
+    positions at of _multiset_blocks's block b."""
+    first, second, offsets = layout
+    a, k = np.divmod(at, len(first) - offsets[b])
+    k += offsets[b]
+    c, d = first[k], second[k]
+    return vals[a] + vals[b] + vals[c] + vals[d], _ORDERINGS[(a == b) + 2 * (c == b) + 4 * (c == d)]
+
+
+def _group_excess(sums: np.ndarray, weights: np.ndarray) -> int:
+    """sum_g (W_g^2 - sum_{k in g} w_k^2) over the groups g of equal sums,
+    w_k the weights and W_g their total in the group."""
+    if len(sums) == 0:
+        return 0
+    order = np.argsort(sums)
+    sums = sums[order]
+    starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1])))
+    totals = np.add.reduceat(weights[order], starts, dtype=np.int64)
+    return _sum_of_squares_int64(totals) - _sum_of_squares_int64(weights)
+
+
+def _word_ranges(count: int, size: int) -> list[tuple[int, int]]:
+    """The 32-bit words split into ceil(count / size) equal ranges
+    [start, stop): about size of count evenly spread words per range."""
+    parts = max(1, -(-count // size))
+    edges = [(p << 32) // parts for p in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _repeats(words: np.ndarray) -> np.ndarray:
+    """Sorts words in place and returns each word that equals its
+    predecessor, ascending."""
+    words.sort()
+    return words[1:][words[1:] == words[:-1]]
+
+
+def _eighth_moment(vals: np.ndarray) -> int:
+    """sum c4(s)^2 over the quadruple sums s of vals, c4(s) the ordered
+    quadruples (u_1..u_4) of indices with vals[u_1] + .. + vals[u_4] = s.
+
+    Each 4-multiset M of indices gives one sum, counted once per ordering
+    (w_M, by _ORDERINGS), so with W_g the total weight of a group of
+    multisets of equal sum,
+
+        sum_s c4(s)^2 = sum_M w_M^2 + sum_g (W_g^2 - sum_{M in g} w_M^2).
+
+    The first term is closed form over the equality patterns:
+    576 C(n,4) + 144 n C(n-1,2) + 36 C(n,2) + 16 n(n-1) + n.  A group of
+    one multiset adds nothing to the second, and equal sums give equal
+    32-bit words, so only the multisets whose word repeats are grouped by
+    their exact int64 sums.  The word is exact when 4 * spread <
+    KEY32_SPAN: the sum's offset from 4 * min(vals) times the odd top half
+    of HASH_MULTIPLIER, mod 2^32.  Otherwise it is Knuth's hash, the top
+    32 bits of sum * HASH_MULTIPLIER mod 2^64.  Either way it is a sum of
+    four table entries, one per value, and the multiplier spreads the
+    words evenly.
+
+    The words are held in parts, ranges of words of about 16 * BLOCK
+    entries each: every part enumerates the multisets again, keeps its
+    own words and sorts them.  A repeated word sets two bits, one at its
+    top bits and one at those of its product with the low half of
+    HASH_MULTIPLIER.  A second enumeration takes the multisets whose word
+    has both bits set; one that passes without repeating has a sum of its
+    own and adds nothing, so no hit needs confirming.  These hits are
+    resolved in ranges of about 4 * BLOCK repeating multisets, which
+    bounds what is held when most sums repeat.
+    """
+    n = len(vals)
+    layout = _multiset_layout(n)
+    lo = int(vals.min())
+    exact = 4 * (int(vals.max()) - lo) < KEY32_SPAN
+    if exact:
+        table = (vals - lo).astype(np.uint32) * np.uint32(int(HASH_MULTIPLIER) >> 32)
+    else:
+        table = vals.astype(np.uint64) * HASH_MULTIPLIER
+
+    def words():
+        for b, block in _multiset_blocks(table, layout):
+            yield b, block if exact else (block >> np.uint64(32)).astype(np.uint32)
+
+    mix = np.uint32(int(HASH_MULTIPLIER) & 0xFFFFFFFF)
+    shift = 33 - (16 * BLOCK).bit_length()  # the bits of a word that a bit's slot ignores
+    seen = np.zeros((2, 1 << (32 - shift)), dtype=bool)
+    parts = _word_ranges(comb(n + 3, 4), 16 * BLOCK)
+    repeating = 0  # the multisets whose word repeats
+    for start, stop in parts:
+        repeats = _repeats(np.concatenate([w if len(parts) == 1 else w[w - np.uint32(start) < stop - start] for _, w in words()]))
+        seen[0, repeats >> shift] = True
+        seen[1, (repeats * mix) >> shift] = True
+        repeating += 2 * len(repeats) - np.count_nonzero(repeats[1:] == repeats[:-1])
+    total = 576 * comb(n, 4) + 144 * n * comb(n - 1, 2) + 36 * comb(n, 2) + 16 * n * (n - 1) + n
+    if not repeating:
+        return total
+    ranges = _word_ranges(repeating, 4 * BLOCK)
+    for start, stop in ranges:
+        found = []
+        for b, w in words():
+            if len(ranges) == 1:
+                at = np.flatnonzero(seen[0, w >> shift])
+            else:
+                at = np.flatnonzero(w - np.uint32(start) < stop - start)
+            hit = w[at]
+            found.append(_multiset_sums(vals, layout, b, at[seen[0, hit >> shift] & seen[1, (hit * mix) >> shift]]))
+        total += _group_excess(*map(np.concatenate, zip(*found)))
+    return total
+
+
 _DENSE_REFUSAL = "sixteenth moment is limited to N <= 24 and 8*(max f - min f) <= 12000000"
 
 
@@ -404,6 +538,11 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
         raise BudgetError(_DENSE_REFUSAL)
 
     fv = _shifted_values(spec, N, j)
+    # j = 3 enumerates the 4-multisets while they number under 1/16 of the
+    # span of their sums, where few sums repeat; past that most sums repeat,
+    # and the pass over the pair sums below is faster
+    if j == 3 and 16 * comb(N + 3, 4) < 4 * (int(fv.max()) - int(fv.min())):
+        return _eighth_moment(fv)
     if j < 4:
         # h-fold sums with their counts, doubling h on every pass; the last
         # pass is squared window by window
@@ -412,7 +551,7 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
             return _sum_of_squares_int64(cnts)
         for _ in range(j - 2):
             vals, cnts = _pair_sums(vals, cnts)
-        return _squared_pair_total(vals, cnts, j == 2)
+        return _squared_pair_total(vals, cnts)
     # j == 4: the quadruple-sum counts c4 stay sparse (_pair_sums twice);
     # one rising sweep over the octuple sums forms, per BLOCK entries, c5 by
     # scattering c4 at every shift, c6 and c7 from the rolling windows of

@@ -1,6 +1,7 @@
 """Exponential sums: complete sums, partial sums, multiplicativity, mean values."""
 
 import cmath
+import itertools
 import math
 import random
 import tracemalloc
@@ -330,52 +331,135 @@ def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier, hashed
     # a zero multiplier hashes every sum to word 0, the worst case: every key
     # of a window repeats its word, and every repeated word is resolved; with
     # the default one only equal sums and chance collisions do.
-    # KEY32_SPAN = 0 sends every window of a hashed last pass to the hash,
-    # where by default only WIDE's go; mean_value hashes at j = 2 only.  The
-    # last pass alone is then run on the route hashed names, 1 hashing every
-    # window and 0 grouping every window by its int64 keys
+    # KEY32_SPAN = 0 sends every window of the fourth moment's last pass to
+    # the hash, where by default only WIDE's go.  The last pass alone is
+    # then checked on the route hashed names: 1 hashes every window, and 0
+    # groups every window by its int64 keys (_pair_groups)
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
     monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
-    three = figurate.FigurateSpec(3, -4, 1)
-    cases = [(F1, 10, 2), (F1, 6, 3), (three, 8, 2), (three, 6, 3), (WIDE, 4, 2), (WIDE, 4, 3)]
-    for spec, N, j in cases:
+    for spec, N in [(F1, 10), (figurate.FigurateSpec(3, -4, 1), 8), (WIDE, 4)]:
         vals = [spec.value(n) for n in range(1, N + 1)]
-        want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
-        assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
-        last, wts = np.unique(expsums._shifted_values(spec, N, j), return_counts=True)
-        if j == 3:
-            last, wts = expsums._pair_sums(last, wts)
+        want = sum(c * c for c in sum_counter(vals, 2).values())
+        assert expsums.mean_value(spec, N, 2) == want, (spec, N)
+        last, wts = np.unique(expsums._shifted_values(spec, N, 2), return_counts=True)
+        if not hashed:
+            got = sum(expsums._sum_of_squares_int64(w) for _, w in expsums._pair_groups(last, wts))
+            assert got == want, (spec, N)
+            continue
         with monkeypatch.context() as m:
-            if hashed:  # no window is grouped by its exact keys
-                m.setattr(expsums, "_window_keys", None)
-            assert expsums._squared_pair_total(last, wts, hashed) == want, (spec, N, j)
+            m.setattr(expsums, "_window_keys", None)  # no window is grouped by its exact keys
+            assert expsums._squared_pair_total(last, wts) == want, (spec, N)
 
 
-def test_eighth_moment_groups_int64_windows_by_their_keys(monkeypatch):
-    # {5,3,3} at N = 28 has one last-pass window whose keys need int64; at
-    # j = 3 it is grouped by its exact keys, which sort in place, and never
-    # hashed, which alone calls np.sort
+def resolved_multisets(monkeypatch):
+    """Counts, into the returned list, the multisets that _eighth_moment
+    groups by their exact sums."""
+    seen = []
+    multiset_sums = expsums._multiset_sums
+
+    def spy(vals, layout, b, at):
+        seen.append(len(at))
+        return multiset_sums(vals, layout, b, at)
+
+    monkeypatch.setattr(expsums, "_multiset_sums", spy)
+    return seen
+
+
+@pytest.mark.parametrize("words", ["exact", "hash"])
+@pytest.mark.parametrize("multiplier", [0, int(expsums.HASH_MULTIPLIER)])
+@pytest.mark.parametrize("block", [1, 2, 3, 5, expsums.BLOCK])
+def test_eighth_moment_matches_tuple_oracle(monkeypatch, block, multiplier, words):
+    # the eighth moment over the 4-multisets, called directly: mean_value
+    # sends (3, -4, 1), whose quadruple sums are dense, to the pair passes.
+    # A zero multiplier makes every word 0, so every multiset is grouped by
+    # its exact sum; a short BLOCK holds the words in many parts of a few
+    # words and resolves the repeats in many ranges; KEY32_SPAN = 0 makes
+    # every word a hash word, as WIDE's always are
+    monkeypatch.setattr(expsums, "BLOCK", block)
+    monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
+    if words == "hash":
+        monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
+    resolved = resolved_multisets(monkeypatch)
+    parts = []
+    repeats = expsums._repeats
+    monkeypatch.setattr(expsums, "_repeats", lambda words: parts.append(len(words)) or repeats(words))
+    counts = []  # the first is every multiset, the second those whose word repeats
+    word_ranges = expsums._word_ranges
+    monkeypatch.setattr(expsums, "_word_ranges", lambda count, size: counts.append(count) or word_ranges(count, size))
+    for spec, N in [(F1, 6), (figurate.FigurateSpec(3, -4, 1), 6), (WIDE, 4)]:
+        vals = [spec.value(n) for n in range(1, N + 1)]
+        want = sum(c * c for c in sum_counter(vals, 4).values())
+        sums = Counter(sum(vals[i] for i in m) for m in itertools.combinations_with_replacement(range(N), 4))
+        shared = sum(c for c in sums.values() if c > 1)
+        resolved.clear()
+        parts.clear()
+        counts.clear()
+        assert expsums._eighth_moment(expsums._shifted_values(spec, N, 3)) == want, (spec, N)
+        # the parts hold every word once: 126 words make 8 parts at BLOCK = 1
+        assert len(parts) == -(-math.comb(N + 3, 4) // (16 * block))
+        assert sum(parts) == math.comb(N + 3, 4)
+        # an exact word repeats exactly when its sum does, and the repeats set
+        # how many ranges resolve them
+        repeating = counts[1] if len(counts) > 1 else 0
+        if multiplier == 0:
+            assert sum(resolved) == repeating == math.comb(N + 3, 4)
+        elif words == "exact":
+            assert repeating == shared, (spec, N)
+        else:
+            assert repeating >= shared, (spec, N)
+    assert expsums.mean_value(F1, 6, 3) == sum(c * c for c in sum_counter(figurate.values(F1, 6), 4).values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(-60, 60), st.integers(-60, 60), st.integers(1, 12))
+# (1, -7, 8) falls from n = 4 on and repeats f(1) = f(6) and f(3) = f(5);
+# (1, -10, -8) starts 1, -6
+@example(1, -7, 8, 12)
+@example(1, -10, -8, 12)
+def test_eighth_moment_matches_sum_counter(A, B, C, N):
+    spec = figurate.FigurateSpec(A, B, C)
+    vals = [spec.value(n) for n in range(1, N + 1)]
+    want = sum(c * c for c in sum_counter(vals, 4).values())
+    assert expsums._eighth_moment(expsums._shifted_values(spec, N, 3)) == want
+    assert expsums.mean_value(spec, N, 3) == want
+
+
+def test_eighth_moment_takes_the_multisets_where_sums_are_sparse(monkeypatch):
+    # {3,4,3} at N = 40 has 123410 multisets over a span of 3.0e7 sums and
+    # takes the multisets; (1, -7, 8), four of whose values repeat, has a
+    # span of 1.2e5 and takes the pair passes.  Both routes agree
+    calls = []
+    eighth_moment = expsums._eighth_moment
+    monkeypatch.setattr(expsums, "_eighth_moment", lambda vals: calls.append(len(vals)) or eighth_moment(vals))
+    dense = figurate.FigurateSpec(1, -7, 8)
+    for spec, sparse in ((F1, True), (dense, False)):
+        calls.clear()
+        got = expsums.mean_value(spec, 40, 3)
+        assert calls == ([40] if sparse else [])
+        assert got == eighth_moment(expsums._shifted_values(spec, 40, 3))
+
+
+def test_eighth_moment_resolves_hash_words_by_their_exact_sums(monkeypatch):
+    # {5,3,3} at N = 28 on hash words (KEY32_SPAN = 0): the words are the
+    # top halves of uint64 products, and the multisets whose word repeats
+    # are grouped by their exact int64 sums
     vals = figurate.values(F3, 28)
     pairs = weighted_pair_sums(vals, [1] * len(vals))
     want = sum(c * c for c in weighted_pair_sums(list(pairs), list(pairs.values())).values())
-    seen = []
-    window_keys = expsums._window_keys
+    dtypes = set()
+    multiset_blocks = expsums._multiset_blocks
 
-    def keys_spy(v, w, bits, window):
-        keys = window_keys(v, w, bits, window)
-        seen.append(keys.dtype)
-        return keys
+    def blocks_spy(table, layout):
+        dtypes.add(table.dtype)
+        return multiset_blocks(table, layout)
 
-    def sort_spy(*args, **kwargs):
-        raise AssertionError("np.sort called: an eighth-moment window was hashed")
-
-    with monkeypatch.context() as m:
-        m.setattr(expsums, "_window_keys", keys_spy)
-        m.setattr(np, "sort", sort_spy)
-        got = expsums.mean_value(F3, 28, 3)
-    assert got == want
-    assert np.dtype(np.int64) in seen
+    monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
+    monkeypatch.setattr(expsums, "_multiset_blocks", blocks_spy)
+    resolved = resolved_multisets(monkeypatch)
+    assert expsums.mean_value(F3, 28, 3) == want
+    assert dtypes == {np.dtype(np.uint64)}
+    assert 0 < sum(resolved) < math.comb(31, 4)
 
 
 def test_squared_pair_total_past_its_closed_form(monkeypatch):
@@ -392,7 +476,7 @@ def test_squared_pair_total_past_its_closed_form(monkeypatch):
         return window_keys(v, w, bits, window)
 
     monkeypatch.setattr(expsums, "_window_keys", spy)
-    got = expsums._squared_pair_total(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64), True)
+    got = expsums._squared_pair_total(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
     assert got == sum(c * c for c in want.values())
     assert any(seen)
 
@@ -477,11 +561,12 @@ def test_sixteenth_moment_holds_only_rolling_windows():
     assert peak < 16 << 20
 
 
-@pytest.mark.parametrize("N, j, cap_mib", [(3996, 2, 16), (90, 3, 16), (24, 4, 32)])
+@pytest.mark.parametrize("N, j, cap_mib", [(3996, 2, 16), (90, 3, 16), (120, 3, 16), (24, 4, 32)])
 def test_mean_value_peak_memory(N, j, cap_mib):
-    # the last pass is streamed: no array of its groups or pair keys (j = 2,
-    # 3) or of the octuple-sum counts (j = 4) is held, only one window of
-    # keys or the three rolling windows of the j = 4 sweep
+    # the last pass is streamed: no array of its groups or pair keys (j = 2)
+    # or of the octuple-sum counts (j = 4) is held, only one window of keys
+    # or the three rolling windows of the j = 4 sweep; j = 3 holds one part
+    # of its multisets' words, about 16 * BLOCK of the 9078630 at N = 120
     tracemalloc.start()
     try:
         expsums.mean_value(F1, N, j)
@@ -502,11 +587,13 @@ if len(sys.argv) > 1:
 
 def test_mean_value_peak_rss_in_a_fresh_process():
     # the benchmark's peak_rss_mib, per job: a baseline child that imports
-    # only numpy and expsums, then the j = 4 and j = 2 jobs above it.  The
-    # j = 4 job's three u4 rings of 2^20 entries are 12 MiB of its 13
+    # only numpy and expsums, then the j = 4, 2 and 3 jobs above it.  The
+    # j = 4 job's three u4 rings of 2^20 entries are 12 MiB of its 13, and
+    # it sets the benchmark's peak: the j = 3 job stays below it
     baseline = child_peak_rss_mib("-c", RSS_JOB)
-    for N, j in ((24, 4), (3996, 2)):
-        assert child_peak_rss_mib("-c", RSS_JOB, str(N), str(j)) - baseline < 16, (N, j)
+    delta = {j: child_peak_rss_mib("-c", RSS_JOB, str(N), str(j)) - baseline for N, j in ((24, 4), (3996, 2), (90, 3))}
+    assert max(delta.values()) < 16, delta
+    assert delta[3] < delta[4], delta
 
 
 @pytest.mark.parametrize("spec, N", [(F1, 25), (F2, 17), (F3, 11)])

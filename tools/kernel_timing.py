@@ -8,14 +8,14 @@ against the packed big-int powering (exactconv._packed_self_power; in a
 checkout without it, cyclic_self_power is the packed powering).  Times
 expsums.mean_value at j = 4 for every catalog spec at its largest N inside
 the j = 4 cap (24, 16 and 10), for {3,4,3} at the benchmark's j = 2 and
-j = 3 sizes (N = 3998 and 90), and for {5,3,3} at j = 3 and N = 60, whose
-last pass has windows with int64 keys.  Each moment case runs in REPEATS
-fresh processes that make one call apiece, because repeats in one process
-do not resolve a 15% change there; one more fresh process gives the call's
-tracemalloc peak.  The fresh processes read byte code that one warm-up
-process wrote to a temporary PYTHONPYCACHEPREFIX, whatever the caller's
-PYTHONDONTWRITEBYTECODE says: a process that compiles the package itself
-times its calls about 40% slower.  Times exactconv.sparse_power_entry, one exact R_s(m),
+j = 3 sizes (N = 3998 and 90) and at the j = 3 cap (N = 120), and for
+{5,3,3} at j = 3 and N = 60, whose words are hash words.  Each moment case
+runs in REPEATS fresh processes that make one call apiece, because repeats
+in one process do not resolve a 15% change there; one more fresh process
+gives the call's tracemalloc peak.  The fresh processes read byte code that
+one warm-up process wrote to a temporary PYTHONPYCACHEPREFIX, whatever the
+caller's PYTHONDONTWRITEBYTECODE says: a process that compiles the package
+itself times its calls about 40% slower.  Times exactconv.sparse_power_entry, one exact R_s(m),
 for {3,4,3} at s = 16 and 17 and m = 999,500 (the benchmark's count-single
 size), also with the tracemalloc peak.  Times the Hensel split's singular
 counts (localdensity._singular_class), every class of one level, for
@@ -23,9 +23,10 @@ counts (localdensity._singular_class), every class of one level, for
 (localdensity.local_density_limit) for {3,4,3} at s = 150, m = 12345 and
 p = 7; both start from empty density caches on every call.  Times the arc
 quadrature, arcs.major_arc_integral plus arcs.minor_arc_integral, for
-{3,4,3} at s = 6, m = 3200 (N = 7, the benchmark's circle size), also with
-the tracemalloc peak.  Every case but the moments is timed REPEATS times in
-this process after one untimed call.
+{3,4,3} at s = 6, m = 3200 (N = 7, the benchmark's circle size), in fresh
+processes like the moments, because warm repeats in one process spread
+from 19 to 33 ms; the dissection is made before the clock starts.  Every
+other case is timed REPEATS times in this process after one untimed call.
 Prints one JSON line: machine info and, per case and path, the median and
 quartiles in milliseconds.
 
@@ -43,40 +44,52 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 
-from waring4 import arcs, exactconv, expsums, figurate, localdensity
+from waring4 import exactconv, expsums, figurate, localdensity
 
 MODULI = (2**10, 2**11, 2**12, 3**6, 3**7)
 S = 17
 REPEATS = 9
 # mean_value (spec, N, j): the largest N inside the j = 4 cap, per catalog
-# spec, the benchmark's j = 2 and j = 3 sizes, and j = 3 with int64 windows
+# spec, the benchmark's j = 2 and j = 3 sizes, j = 3 at its cap, and j = 3
+# on hash words
 MOMENTS = (
     ("{3,4,3}", 24, 4),
     ("{3,3,5}", 16, 4),
     ("{5,3,3}", 10, 4),
     ("{3,4,3}", 3998, 2),
     ("{3,4,3}", 90, 3),
+    ("{3,4,3}", 120, 3),
     ("{5,3,3}", 60, 3),
 )
-# one call in a fresh process: its wall time in ms, or with "peak" its
-# tracemalloc peak in MiB
-MOMENT_CALL = """
+# one call in a fresh process, after setup: its wall time in ms, or with a
+# last argument "peak" its tracemalloc peak in MiB
+FRESH_CALL = """
 import sys, time, tracemalloc
-from waring4 import expsums, figurate
-spec, N, j = figurate.catalog(sys.argv[1]).spec, int(sys.argv[2]), int(sys.argv[3])
-if sys.argv[4] == "peak":
+{setup}
+if sys.argv[-1] == "peak":
     tracemalloc.start()
-    expsums.mean_value(spec, N, j)
+    {call}
     print(round(tracemalloc.get_traced_memory()[1] / 2**20, 2))
 else:
     start = time.perf_counter()
-    expsums.mean_value(spec, N, j)
+    {call}
     print((time.perf_counter() - start) * 1e3)
 """
+MOMENT_CALL = FRESH_CALL.format(
+    setup="""from waring4 import expsums, figurate
+spec, N, j = figurate.catalog(sys.argv[1]).spec, int(sys.argv[2]), int(sys.argv[3])""",
+    call="expsums.mean_value(spec, N, j)",
+)
+ARC_CALL = FRESH_CALL.format(
+    setup="""from fractions import Fraction
+from waring4 import arcs, figurate
+spec, s, m = figurate.catalog(sys.argv[1]).spec, int(sys.argv[2]), int(sys.argv[3])
+dissection = arcs.dissect(arcs.choose_N(spec.A, m), Fraction(int(sys.argv[4]), int(sys.argv[5])))""",
+    call="arcs.major_arc_integral(spec, s, m, dissection), arcs.minor_arc_integral(spec, s, m, dissection)",
+)
 # one exact count R_s(m) at the benchmark's count-single size
 ENTRY_M = 999_500
 ENTRY_S = (16, 17)
@@ -113,9 +126,9 @@ def _traced_peak_mib(fn, args) -> float:
         tracemalloc.stop()
 
 
-def _moment_env(prefix: str) -> dict:
-    """The environment of a fresh moment process: this checkout first on the
-    path, and byte code written to and read from prefix."""
+def _fresh_env(prefix: str) -> dict:
+    """The environment of a fresh process: this checkout first on the path,
+    and byte code written to and read from prefix."""
     src = os.path.dirname(os.path.dirname(expsums.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path, PYTHONPYCACHEPREFIX=prefix)
@@ -123,16 +136,22 @@ def _moment_env(prefix: str) -> dict:
     return env
 
 
-def _fresh_moment(env: dict, label: str, N: int, j: int, what: str) -> float:
-    """MOMENT_CALL run in a fresh interpreter with env."""
+def _fresh(env: dict, script: str, *args) -> float:
+    """script run with args in a fresh interpreter with env: the number it prints."""
     done = subprocess.run(
-        [sys.executable, "-c", MOMENT_CALL, label, str(N), str(j), what],
+        [sys.executable, "-c", script, *map(str, args)],
         env=env,
         capture_output=True,
         text=True,
         check=True,
     )
     return float(done.stdout)
+
+
+def _fresh_row(env: dict, script: str, *args) -> dict:
+    """REPEATS fresh timings of script with args, and one fresh tracemalloc peak."""
+    samples = [_fresh(env, script, *args, "time") for _ in range(REPEATS)]
+    return dict(_quartiles(samples), tracemalloc_peak_mib=_fresh(env, script, *args, "peak"))
 
 
 def _cold(fn):
@@ -149,11 +168,6 @@ def _cold(fn):
 def _singular_level(spec, s: int, p: int, k: int) -> None:
     for u in range(p ** min(k, 2)):
         localdensity._singular_class(spec, s, p, k, u)
-
-
-def _arc_quadrature(spec, s: int, m: int, dissection) -> None:
-    arcs.major_arc_integral(spec, s, m, dissection)
-    arcs.minor_arc_integral(spec, s, m, dissection)
 
 
 def _machine() -> dict:
@@ -182,15 +196,11 @@ def main() -> None:
                 "packed": _time(packed, call),
             }
     with tempfile.TemporaryDirectory() as prefix:
-        env = _moment_env(prefix)
-        _fresh_moment(env, "{3,4,3}", 1, 1, "time")  # writes the byte code
-        moments = {
-            f"{label} N={N} j={j}": dict(
-                _quartiles([_fresh_moment(env, label, N, j, "time") for _ in range(REPEATS)]),
-                tracemalloc_peak_mib=_fresh_moment(env, label, N, j, "peak"),
-            )
-            for label, N, j in MOMENTS
-        }
+        env = _fresh_env(prefix)
+        _fresh(env, MOMENT_CALL, "{3,4,3}", 1, 1, "time")  # writes the byte code
+        moments = {f"{label} N={N} j={j}": _fresh_row(env, MOMENT_CALL, label, N, j) for label, N, j in MOMENTS}
+        label, s, m, delta = ARCS
+        arc_quadrature = {f"{label} s={s} m={m}": _fresh_row(env, ARC_CALL, label, s, m, *delta)}
     entries = {}
     values = figurate.values_upto(figurate.catalog("{3,4,3}").spec, ENTRY_M)
     for s in ENTRY_S:
@@ -208,14 +218,6 @@ def main() -> None:
     ladder = {
         f"{label} s={s} m={m} p={p}": _time(
             _cold(localdensity.local_density_limit), (figurate.catalog(label).spec, s, m, p)
-        )
-    }
-    label, s, m, delta = ARCS
-    spec = figurate.catalog(label).spec
-    call = (spec, s, m, arcs.dissect(arcs.choose_N(spec.A, m), Fraction(*delta)))
-    arc_quadrature = {
-        f"{label} s={s} m={m}": dict(
-            _time(_arc_quadrature, call), tracemalloc_peak_mib=_traced_peak_mib(_arc_quadrature, call)
         )
     }
     print(
