@@ -25,36 +25,38 @@ mean_value(spec, N, j) is the exact number of solutions of
 i.e. the 2^j-th power moment of |S_N| integrated over the circle: the sum of
 the squared counts of the h-fold sums.  Those counts come from grouping, in
 exact integer arithmetic, never from Monte Carlo.  The values are shifted by
-their midpoint, so the h-fold sums use both signs of int64, and grouped into
-distinct values with counts.  Each pass then turns the distinct k-fold sums
-with their counts into the 2k-fold ones, enumerated in increasing order one
-window of sums at a time (_pair_windows, the one walk every pass shares): a
-window's pairs are packed relative to its lower edge as (sum, weight) keys,
-uint32 when (hi - lo) << b <= 2^32 for b-bit weights and int64 otherwise,
+their midpoint, so the h-fold sums use both signs of int64.  j = 2 groups
+the values into distinct ones with counts and makes one pass over their pair
+sums, enumerated in increasing order one window of sums at a time
+(_pair_windows): a window's pairs are packed relative to its lower edge as
+(sum, weight) keys, uint32 when (hi - lo) << b <= 2^32 for b-bit weights,
 sorted and totalled, and no run of equal sums crosses a window edge, so
-nothing is carried and only one window of keys is held.  The last pass
-squares each window's group weights as it goes instead of storing them
+nothing is carried and only one window of keys is held.  The pass squares
+each window's group weights as it goes instead of storing them
 (_squared_pair_total).  A window whose keys need int64 sorts a 32-bit
 multiplicative hash of each sum instead; the sum of the squared pair
 weights is closed form, and since equal sums hash alike, only keys whose
 word repeats are grouped by their exact sums, so the total stays exact.
-j = 3 takes these pair passes only where its quadruple sums are dense.
-Elsewhere it makes one pass over the 4-multisets a <= b <= c <= d of
-indices (_eighth_moment), C(N+3, 4) of them against N^4 ordered
-quadruples: each stands for its 24, 12, 6, 4 or 1 orderings, the sum of
-their squares is closed form, and the same identity leaves only the
-multisets whose 32-bit word repeats to be grouped by their exact sums.
-The words are held and sorted in parts of about 16 * BLOCK.
+j = 3 makes one pass over the 4-multisets a <= b <= c <= d of indices
+(_eighth_moment), C(N+3, 4) of them against N^4 ordered quadruples: each
+stands for its 24, 12, 6, 4 or 1 orderings, the sum of their squares is
+closed form, and the same identity leaves only the multisets whose 31-bit
+word repeats to be grouped by their exact sums.  A word is a residue mod
+WORD_PRIME, so a multiset's is the sum of those of its two index pairs;
+the words are taken in ranges of about 2 * BLOCK multisets, and each range
+is one slice of pair words per index pair, so every multiset is
+enumerated once.
 j = 4 shifts the values by their minimum and keeps the quadruple-sum
-counts sparse (two passes).  One rising sweep over the octuple sums then
-works BLOCK entries at a time: the quintuple-sum counts of a block are the
-sparse quadruple counts scattered at every value, the sextuple and septuple
-counts are shift-adds from the level below (exactconv._shift_add), each
-level held only as a u4 rolling window of top + BLOCK entries (top the
-largest shifted value), and the octuple-sum counts, u4 while max(c4) * N^4
-< 2^32 bounds them and int64 past that, are squared as they are made (by
-_sum_of_squares_int64, eight times faster here than the digit-plane dot of
-exactconv.sparse_power_entry).  No table of the final sums is stored.
+counts sparse, totalled over the 4-multisets.  One rising sweep over the
+octuple sums then works BLOCK entries at a time: the quintuple-sum counts
+of a block are the sparse quadruple counts scattered at every value, the
+sextuple and septuple counts are shift-adds from the level below
+(exactconv._shift_add), each level held only as a u4 rolling window of
+top + BLOCK entries (top the largest shifted value), and the octuple-sum
+counts, u4 while max(c4) * N^4 < 2^32 bounds them and int64 past that,
+are squared as they are made (by _sum_of_squares_int64, eight times
+faster here than the digit-plane dot of exactconv.sparse_power_entry).
+No table of the final sums is stored.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ from .figurate import FigurateSpec, residue_counts, values
 
 TWO_PI = 2.0 * cmath.pi
 # a moment's passes work on about this many entries at a time: windows of
-# at most about 2 * BLOCK pair keys, and blocks of the j = 4 sweep
+# at most about 2 * BLOCK pair keys, parts of about 2 * BLOCK multisets
+# (j = 3), and blocks of the j = 4 sweep
 BLOCK = 1 << 16
 # a window's pair keys are uint32 when (hi - lo) << bits is at most this
 KEY32_SPAN = 1 << 32
@@ -302,37 +305,20 @@ def _key_groups(keys: np.ndarray, bits: int, lo: int) -> tuple[np.ndarray, np.nd
     return sums[first].astype(np.int64) + lo, np.add.reduceat(keys, first, dtype=np.int64)
 
 
-def _pair_groups(vals: np.ndarray, wts: np.ndarray):
-    """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
-    each with its summed weight wts[i] * wts[k], yielded as (sums, weights)
-    int64 arrays one window of _pair_windows at a time.
+def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
+    """sum W^2 over the distinct sums vals[i] + vals[k] of ordered pairs
+    (i, k), W a sum's summed weight wts[i] * wts[k], one window of
+    _pair_windows at a time, storing no group.
 
     vals must be nonempty, distinct and ascending, and wts >= 1, both int64;
     every pair sum must fit int64, and every group's weight sum is at most
     sum(wts)^2, which must stay below 2^63.  Only the upper triangle i <= k
     is enumerated, a pair with i < k counting twice, so every weight is at
-    most 2 * max(wts)^2, which has b bits; b > 62 raises BudgetError.  A
-    window's keys (_window_keys) are sorted, and add.reduceat totals each
-    run of equal sums; nothing is carried between windows, and only one
-    window of keys is held.
-    """
-    bits = _weight_bits(wts)
-    for window in _pair_windows(vals, bits):
-        yield _key_groups(_window_keys(vals, wts, bits, window), bits, window[0])
+    most 2 * max(wts)^2, which has b bits; b > 62 raises BudgetError.
 
-
-def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All the groups of _pair_groups as one (sums, weights) pair of arrays."""
-    sums, weights = zip(*_pair_groups(vals, wts))
-    return np.concatenate(sums), np.concatenate(weights)
-
-
-def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
-    """sum W^2 over the groups of _pair_groups(vals, wts), W a group's
-    weight, one window at a time, storing no group.
-
-    A window whose keys fit uint32 is grouped exactly, as in _pair_groups.
-    Any other window sorts a 32-bit word of each pair sum instead, Knuth's
+    A window whose keys (_window_keys) fit uint32 is grouped exactly: its
+    keys are sorted, and add.reduceat totals each run of equal sums
+    (_key_groups).  Any other window sorts a 32-bit word of each pair sum instead, Knuth's
     multiplicative hash (TAOCP vol. 3, 6.4): the top 32 bits of
     sum * HASH_MULTIPLIER mod 2^64, which for a pair is the sum of the two
     values' products.  With w_k the weights of the window's keys,
@@ -390,61 +376,33 @@ def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
 # the orderings 4!/prod(mult!) of a 4-multiset a <= b <= c <= d of indices,
 # indexed by (a == b) + 2 * (b == c) + 4 * (c == d)
 _ORDERINGS = np.array([24, 12, 12, 4, 12, 6, 4, 1], dtype=np.uint8)
+# the eighth moment's words are residues mod this prime, 2^31 - 1, so the
+# sum of two of them fits uint32
+WORD_PRIME = (1 << 31) - 1
 
 
-def _multiset_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The index pairs (c, d), c <= d < n, in c-major order, as two arrays,
-    and for every b the position of the first pair with c >= b."""
-    first, second = np.triu_indices(n)
-    return first, second, np.searchsorted(first, np.arange(n))
+def _multiset_sums(vals: np.ndarray, first: np.ndarray, second: np.ndarray, row: np.ndarray, pair: np.ndarray):
+    """The sums and orderings (_ORDERINGS) of the 4-multisets a <= b <= c
+    <= d of indices made of a row (a, b) = (first[row], second[row]) and
+    a pair (c, d) = (first[pair], second[pair])."""
+    a, b, c, d = first[row], second[row], first[pair], second[pair]
+    return vals[a] + vals[b] + vals[c] + vals[d], _ORDERINGS[(a == b) + 2 * (b == c) + 4 * (c == d)]
 
 
-def _multiset_blocks(table: np.ndarray, layout):
-    """Per b, table[a] + table[b] + table[c] + table[d] over the 4-multisets
-    a <= b <= c <= d of indices whose second index is b: one add.outer of
-    the rows a = 0..b with the pairs (c, d) of layout from b on, yielded
-    flat as (b, block).  The sums wrap in table's dtype."""
-    first, second, offsets = layout
-    pairs = table[first] + table[second]
-    for b in range(len(table)):
-        yield b, np.add.outer(table[: b + 1] + table[b], pairs[offsets[b] :]).ravel()
-
-
-def _multiset_sums(vals: np.ndarray, layout, b: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The exact sums and the orderings of the multisets at the flat
-    positions at of _multiset_blocks's block b."""
-    first, second, offsets = layout
-    a, k = np.divmod(at, len(first) - offsets[b])
-    k += offsets[b]
-    c, d = first[k], second[k]
-    return vals[a] + vals[b] + vals[c] + vals[d], _ORDERINGS[(a == b) + 2 * (c == b) + 4 * (c == d)]
-
-
-def _group_excess(sums: np.ndarray, weights: np.ndarray) -> int:
+def _group_excess(sums: np.ndarray, weights: np.ndarray, words: np.ndarray) -> int:
     """sum_g (W_g^2 - sum_{k in g} w_k^2) over the groups g of equal sums,
-    w_k the weights and W_g their total in the group."""
+    w_k the weights and W_g their total in the group.  The sums come
+    ordered by their words, which equal sums share, so every group is one
+    run unless two sums share a word; only then are the sums sorted."""
     if len(sums) == 0:
         return 0
-    order = np.argsort(sums)
-    sums = sums[order]
-    starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1])))
-    totals = np.add.reduceat(weights[order], starts, dtype=np.int64)
+    new_run = sums[1:] != sums[:-1]
+    if np.any(new_run & (words[1:] == words[:-1])):
+        order = np.argsort(sums)
+        sums, weights = sums[order], weights[order]
+        new_run = sums[1:] != sums[:-1]
+    totals = np.add.reduceat(weights, np.flatnonzero(np.concatenate(([True], new_run))), dtype=np.int64)
     return _sum_of_squares_int64(totals) - _sum_of_squares_int64(weights)
-
-
-def _word_ranges(count: int, size: int) -> list[tuple[int, int]]:
-    """The 32-bit words split into ceil(count / size) equal ranges
-    [start, stop): about size of count evenly spread words per range."""
-    parts = max(1, -(-count // size))
-    edges = [(p << 32) // parts for p in range(parts + 1)]
-    return list(zip(edges, edges[1:]))
-
-
-def _repeats(words: np.ndarray) -> np.ndarray:
-    """Sorts words in place and returns each word that equals its
-    predecessor, ascending."""
-    words.sort()
-    return words[1:][words[1:] == words[:-1]]
 
 
 def _eighth_moment(vals: np.ndarray) -> int:
@@ -460,61 +418,76 @@ def _eighth_moment(vals: np.ndarray) -> int:
     The first term is closed form over the equality patterns:
     576 C(n,4) + 144 n C(n-1,2) + 36 C(n,2) + 16 n(n-1) + n.  A group of
     one multiset adds nothing to the second, and equal sums give equal
-    32-bit words, so only the multisets whose word repeats are grouped by
-    their exact int64 sums.  The word is exact when 4 * spread <
-    KEY32_SPAN: the sum's offset from 4 * min(vals) times the odd top half
-    of HASH_MULTIPLIER, mod 2^32.  Otherwise it is Knuth's hash, the top
-    32 bits of sum * HASH_MULTIPLIER mod 2^64.  Either way it is a sum of
-    four table entries, one per value, and the multiplier spreads the
-    words evenly.
+    words, so only the multisets whose word repeats are grouped by their
+    exact int64 sums.  A multiset's word is its sum's offset from
+    4 * min(vals) times HASH_MULTIPLIER, mod WORD_PRIME: a bijection of
+    the sums while 4 * (max - min) < WORD_PRIME, a hash past that.
 
-    The words are held in parts, ranges of words of about 16 * BLOCK
-    entries each: every part enumerates the multisets again, keeps its
-    own words and sorts them.  A repeated word sets two bits, one at its
-    top bits and one at those of its product with the low half of
-    HASH_MULTIPLIER.  A second enumeration takes the multisets whose word
-    has both bits set; one that passes without repeating has a sum of its
-    own and adds nothing, so no hit needs confirming.  These hits are
-    resolved in ranges of about 4 * BLOCK repeating multisets, which
-    bounds what is held when most sums repeat.
+    A multiset is a row, an index pair (a, b) with a <= b, and a pair
+    (c, d) with b <= c <= d; its word is the sum of theirs mod WORD_PRIME.
+    The pairs with c >= b form segment b, sorted by word.  The words are
+    split into ranges, parts of about 2 * BLOCK multisets each, so the
+    pairs that a row meets in a part have words in a cyclic range, one
+    slice of its segment held twice over; a searchsorted per part edge
+    finds every row's slice.  A part packs each multiset's word above its
+    position in the part as a uint64 key, sorts its keys and groups the
+    multisets of each repeated word.  Equal sums share a word, so no group
+    crosses a part, and every multiset is enumerated once.
     """
     n = len(vals)
-    layout = _multiset_layout(n)
-    lo = int(vals.min())
-    exact = 4 * (int(vals.max()) - lo) < KEY32_SPAN
-    if exact:
-        table = (vals - lo).astype(np.uint32) * np.uint32(int(HASH_MULTIPLIER) >> 32)
-    else:
-        table = vals.astype(np.uint64) * HASH_MULTIPLIER
-
-    def words():
-        for b, block in _multiset_blocks(table, layout):
-            yield b, block if exact else (block >> np.uint64(32)).astype(np.uint32)
-
-    mix = np.uint32(int(HASH_MULTIPLIER) & 0xFFFFFFFF)
-    shift = 33 - (16 * BLOCK).bit_length()  # the bits of a word that a bit's slot ignores
-    seen = np.zeros((2, 1 << (32 - shift)), dtype=bool)
-    parts = _word_ranges(comb(n + 3, 4), 16 * BLOCK)
-    repeating = 0  # the multisets whose word repeats
-    for start, stop in parts:
-        repeats = _repeats(np.concatenate([w if len(parts) == 1 else w[w - np.uint32(start) < stop - start] for _, w in words()]))
-        seen[0, repeats >> shift] = True
-        seen[1, (repeats * mix) >> shift] = True
-        repeating += 2 * len(repeats) - np.count_nonzero(repeats[1:] == repeats[:-1])
+    p = WORD_PRIME
+    first, second = np.triu_indices(n)  # the index pairs, rows and pairs alike
+    # the offsets from the least value are below 2^62, their residues and
+    # the multiplier below 2^31, so no product leaves int64
+    res = (vals - vals.min()) % p * (int(HASH_MULTIPLIER) % p) % p
+    word = (res[first] + res[second]) % p
+    # segment b: the pairs with c >= b, ascending by word; edges holds its
+    # words shifted by b * p, all segments in one ascending array, and
+    # twice its words twice over from 2 * begin[b], so a slice's position
+    # in edges plus begin[b] is its position in twice
+    order = np.argsort(word)
+    segment, at = np.nonzero(first[order] >= np.arange(n)[:, None])
+    pairs = order[at].astype(np.int32)
+    del at
+    size = np.bincount(segment, minlength=n)
+    begin = np.cumsum(size) - size
+    edges = word[pairs] + segment * p
+    del segment
+    word32 = word.astype(np.uint32)
+    twice = np.concatenate([s for s in np.split(word32[pairs], begin[1:]) for _ in range(2)])
+    # a row (a, b) reads segment b
+    base, shift, size = second * p, begin[second], size[second]
     total = 576 * comb(n, 4) + 144 * n * comb(n - 1, 2) + 36 * comb(n, 2) + 16 * n * (n - 1) + n
-    if not repeating:
-        return total
-    ranges = _word_ranges(repeating, 4 * BLOCK)
-    for start, stop in ranges:
-        found = []
-        for b, w in words():
-            if len(ranges) == 1:
-                at = np.flatnonzero(seen[0, w >> shift])
-            else:
-                at = np.flatnonzero(w - np.uint32(start) < stop - start)
-            hit = w[at]
-            found.append(_multiset_sums(vals, layout, b, at[seen[0, hit >> shift] & seen[1, (hit * mix) >> shift]]))
-        total += _group_excess(*map(np.concatenate, zip(*found)))
+    parts = -(-comb(n + 3, 4) // (2 * BLOCK))
+    # a row's part edge e is where its pair words reach (e - w) mod p,
+    # counted from its first pair word -w mod p, which edge 0 finds
+    low = -word % p
+    lo = np.searchsorted(edges, base + low) + shift
+    for edge in range(1, parts + 1):
+        high = low + edge * p // parts
+        wraps = high >= p
+        hi = np.searchsorted(edges, base + high - p * wraps) + shift + size * wraps
+        counts = hi - lo
+        keys = np.empty(int(counts.sum()), dtype="<u8")
+        halves = keys.view("<u4")
+        words = halves[1::2]
+        sums = twice[_ragged_cols(lo, counts)]
+        sums += np.repeat(word32, counts)
+        np.minimum(sums, sums - np.uint32(p), out=words)
+        del sums
+        halves[::2] = np.arange(len(keys), dtype=np.uint32)
+        keys.sort()
+        repeated = np.zeros(len(keys), dtype=bool)
+        np.equal(words[1:], words[:-1], out=repeated[1:])
+        repeated[:-1] |= repeated[1:]
+        # a repeated key's position in the part gives its row, and its
+        # offset in the row its pair
+        at = halves[::2][repeated].astype(np.int64)
+        row = np.repeat(np.arange(len(counts), dtype=np.int32), counts)[at]
+        at += lo[row] - (np.cumsum(counts) - counts)[row] - 2 * shift[row]
+        pair = pairs[shift[row] + at % size[row]]
+        total += _group_excess(*_multiset_sums(vals, first, second, row, pair), words[repeated])
+        lo = hi
     return total
 
 
@@ -538,21 +511,17 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
         raise BudgetError(_DENSE_REFUSAL)
 
     fv = _shifted_values(spec, N, j)
-    # j = 3 enumerates the 4-multisets while they number under 1/16 of the
-    # span of their sums, where few sums repeat; past that most sums repeat,
-    # and the pass over the pair sums below is faster
-    if j == 3 and 16 * comb(N + 3, 4) < 4 * (int(fv.max()) - int(fv.min())):
+    if j == 3:
         return _eighth_moment(fv)
-    if j < 4:
-        # h-fold sums with their counts, doubling h on every pass; the last
-        # pass is squared window by window
+    if j < 3:
+        # the distinct values with their counts; j = 2 squares the counts of
+        # their pair sums window by window
         vals, cnts = np.unique(fv, return_counts=True)
         if j == 1:
             return _sum_of_squares_int64(cnts)
-        for _ in range(j - 2):
-            vals, cnts = _pair_sums(vals, cnts)
         return _squared_pair_total(vals, cnts)
-    # j == 4: the quadruple-sum counts c4 stay sparse (_pair_sums twice);
+    # j == 4: the quadruple-sum counts c4 stay sparse, totalled over the
+    # 4-multisets of indices (C(N+3, 4) <= 17550 of them at N <= 24);
     # one rising sweep over the octuple sums forms, per BLOCK entries, c5 by
     # scattering c4 at every shift, c6 and c7 from the rolling windows of
     # the level below, and c8, squared as it is formed.  Every c8 entry is
@@ -566,9 +535,12 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
     top = int(fv.max())
     if 8 * top > 12_000_000:
         raise BudgetError(_DENSE_REFUSAL)
-    sums, cnts = np.unique(fv, return_counts=True)
-    for _ in range(2):
-        sums, cnts = _pair_sums(sums, cnts)
+    first, second = np.triu_indices(N)
+    sums, weights = _multiset_sums(fv, first, second, *np.nonzero(second[:, None] <= first))
+    order = np.argsort(sums)
+    sums = sums[order]
+    starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1])))
+    sums, cnts = sums[starts], np.add.reduceat(weights[order], starts, dtype=np.int64)
     wide = int(cnts.max()) * N**4 >= OCTUPLE_U4_LIMIT
     octuple = np.empty(BLOCK, dtype=np.int64 if wide else np.uint32)
     cnts = cnts.astype(np.uint32)

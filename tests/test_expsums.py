@@ -234,6 +234,21 @@ def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
     assert expsums.mean_value(spec, N, j) == want
 
 
+def pair_groups(vals, wts):
+    """The exact groups of every window of the pair pass, as
+    _squared_pair_total makes them for a window of uint32 keys: (sums,
+    weights) per window of _pair_windows, by _window_keys and _key_groups."""
+    bits = expsums._weight_bits(wts)
+    for window in expsums._pair_windows(vals, bits):
+        yield expsums._key_groups(expsums._window_keys(vals, wts, bits, window), bits, window[0])
+
+
+def pair_sums(vals, wts):
+    """All the groups of pair_groups as one (sums, weights) pair of arrays."""
+    sums, weights = zip(*pair_groups(vals, wts))
+    return np.concatenate(sums), np.concatenate(weights)
+
+
 def weighted_pair_sums(vals, wts):
     """Counter of every ordered pair sum x + y, each weighted wx * wy."""
     want = Counter()
@@ -277,18 +292,19 @@ def test_pair_sums_match_counter(monkeypatch, vals, wts):
     for block in (1, 2, 3, 5, expsums.BLOCK):
         monkeypatch.setattr(expsums, "BLOCK", block)
         # strictly ascending within and across blocks: no sum is split
-        flat = [v for sums, _ in expsums._pair_groups(vals, wts) for v in sums.tolist()]
+        flat = [v for sums, _ in pair_groups(vals, wts) for v in sums.tolist()]
         assert flat == sorted(set(flat))
-        got_v, got_w = expsums._pair_sums(vals, wts)
+        got_v, got_w = pair_sums(vals, wts)
         assert got_v.tolist() == sorted(want)
         assert got_w.tolist() == [want[v] for v in sorted(want)]
 
 
 def test_pair_groups_refuses_weights_too_wide_to_pack():
     # 2 * 1518500250^2 >= 2^62, so a pair weight needs b = 63 bits.
-    # mean_value never gets here: its pair weights are at most N^2 <= 14400
+    # mean_value never gets here: its pair weights are at most 2 * 4^2, as a
+    # quartic takes a value at most four times
     with pytest.raises(BudgetError):
-        next(expsums._pair_groups(np.array([0, 1], dtype=np.int64), np.array([1518500250, 1], dtype=np.int64)))
+        expsums._squared_pair_total(np.array([0, 1], dtype=np.int64), np.array([1518500250, 1], dtype=np.int64))
 
 
 @pytest.mark.parametrize(
@@ -315,7 +331,7 @@ def test_pair_groups_at_the_key_dtype_switch(monkeypatch, vals, wts, block, span
 
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "_window_keys", spy)
-    got_v, got_w = expsums._pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+    got_v, got_w = pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
     assert (span, np.dtype(np.uint32 if span <= 1 << 32 else np.int64)) in seen
     assert got_v.tolist() == sorted(want)
     assert got_w.tolist() == [want[v] for v in sorted(want)]
@@ -331,84 +347,84 @@ def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier, hashed
     # a zero multiplier hashes every sum to word 0, the worst case: every key
     # of a window repeats its word, and every repeated word is resolved; with
     # the default one only equal sums and chance collisions do.
-    # KEY32_SPAN = 0 sends every window of the fourth moment's last pass to
-    # the hash, where by default only WIDE's go.  The last pass alone is
-    # then checked on the route hashed names: 1 hashes every window, and 0
-    # groups every window by its int64 keys (_pair_groups)
+    # KEY32_SPAN = 0 sends every window of the pair pass to the hash, where
+    # by default only WIDE's go.  The pass is checked on the distinct values
+    # with their counts (j = 2), and on the distinct pair sums with theirs
+    # (j = 3 weights, up to 2 * max(count)^2), on the route hashed names: 1
+    # hashes every window, and 0 groups every window by its int64 keys.
+    # mean_value checks the same settings at j = 2 and on the 4-multisets
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
     monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
-    for spec, N in [(F1, 10), (figurate.FigurateSpec(3, -4, 1), 8), (WIDE, 4)]:
-        vals = [spec.value(n) for n in range(1, N + 1)]
-        want = sum(c * c for c in sum_counter(vals, 2).values())
-        assert expsums.mean_value(spec, N, 2) == want, (spec, N)
-        last, wts = np.unique(expsums._shifted_values(spec, N, 2), return_counts=True)
+    cases = [(F1, 10, 2), (figurate.FigurateSpec(3, -4, 1), 8, 2), (WIDE, 4, 2)]
+    cases += [(F1, 6, 3), (figurate.FigurateSpec(3, -4, 1), 6, 3), (WIDE, 4, 3)]
+    for spec, N, j in cases:
+        vals = expsums._shifted_values(spec, N, j).tolist()
+        want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
+        assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
+        half = sum_counter(vals, 2 ** (j - 2))
+        last = np.array(sorted(half), dtype=np.int64)
+        wts = np.array([half[v] for v in sorted(half)], dtype=np.int64)
         if not hashed:
-            got = sum(expsums._sum_of_squares_int64(w) for _, w in expsums._pair_groups(last, wts))
-            assert got == want, (spec, N)
+            got = sum(expsums._sum_of_squares_int64(w) for _, w in pair_groups(last, wts))
+            assert got == want, (spec, N, j)
             continue
         with monkeypatch.context() as m:
             m.setattr(expsums, "_window_keys", None)  # no window is grouped by its exact keys
-            assert expsums._squared_pair_total(last, wts) == want, (spec, N)
+            assert expsums._squared_pair_total(last, wts) == want, (spec, N, j)
 
 
-def resolved_multisets(monkeypatch):
-    """Counts, into the returned list, the multisets that _eighth_moment
-    groups by their exact sums."""
-    seen = []
+def multiset_spy(monkeypatch):
+    """Records, into the returned list, how many multisets each part of
+    _eighth_moment groups by their exact sums (_multiset_sums, once per
+    part)."""
+    resolved = []
     multiset_sums = expsums._multiset_sums
 
-    def spy(vals, layout, b, at):
-        seen.append(len(at))
-        return multiset_sums(vals, layout, b, at)
+    def spy(vals, first, second, row, pair):
+        resolved.append(len(row))
+        return multiset_sums(vals, first, second, row, pair)
 
     monkeypatch.setattr(expsums, "_multiset_sums", spy)
-    return seen
+    return resolved
 
 
-@pytest.mark.parametrize("words", ["exact", "hash"])
+def shared_multisets(vals):
+    """The 4-multisets of indices whose sum another multiset shares."""
+    sums = Counter(sum(vals[i] for i in m) for m in itertools.combinations_with_replacement(range(len(vals)), 4))
+    return sum(c for c in sums.values() if c > 1)
+
+
+@pytest.mark.parametrize("prime", [(1 << 31) - 1, 7])
 @pytest.mark.parametrize("multiplier", [0, int(expsums.HASH_MULTIPLIER)])
 @pytest.mark.parametrize("block", [1, 2, 3, 5, expsums.BLOCK])
-def test_eighth_moment_matches_tuple_oracle(monkeypatch, block, multiplier, words):
-    # the eighth moment over the 4-multisets, called directly: mean_value
-    # sends (3, -4, 1), whose quadruple sums are dense, to the pair passes.
-    # A zero multiplier makes every word 0, so every multiset is grouped by
-    # its exact sum; a short BLOCK holds the words in many parts of a few
-    # words and resolves the repeats in many ranges; KEY32_SPAN = 0 makes
-    # every word a hash word, as WIDE's always are
+def test_eighth_moment_matches_tuple_oracle(monkeypatch, block, multiplier, prime):
+    # a zero multiplier makes every word 0, so every multiset is grouped by
+    # its exact sum, all in one part; a short BLOCK splits the words into
+    # parts of a few multisets, most rows meeting a slice of their pairs
+    # that wraps past the top word; WORD_PRIME = 7 makes the words a hash of
+    # the sums, which few distinct sums escape sharing, as WIDE's words
+    # always are at the default prime
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
-    if words == "hash":
-        monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
-    resolved = resolved_multisets(monkeypatch)
-    parts = []
-    repeats = expsums._repeats
-    monkeypatch.setattr(expsums, "_repeats", lambda words: parts.append(len(words)) or repeats(words))
-    counts = []  # the first is every multiset, the second those whose word repeats
-    word_ranges = expsums._word_ranges
-    monkeypatch.setattr(expsums, "_word_ranges", lambda count, size: counts.append(count) or word_ranges(count, size))
+    monkeypatch.setattr(expsums, "WORD_PRIME", prime)
+    resolved = multiset_spy(monkeypatch)
     for spec, N in [(F1, 6), (figurate.FigurateSpec(3, -4, 1), 6), (WIDE, 4)]:
-        vals = [spec.value(n) for n in range(1, N + 1)]
-        want = sum(c * c for c in sum_counter(vals, 4).values())
-        sums = Counter(sum(vals[i] for i in m) for m in itertools.combinations_with_replacement(range(N), 4))
-        shared = sum(c for c in sums.values() if c > 1)
+        vals = expsums._shifted_values(spec, N, 3)
+        want = sum(c * c for c in sum_counter(vals.tolist(), 4).values())
         resolved.clear()
-        parts.clear()
-        counts.clear()
-        assert expsums._eighth_moment(expsums._shifted_values(spec, N, 3)) == want, (spec, N)
-        # the parts hold every word once: 126 words make 8 parts at BLOCK = 1
-        assert len(parts) == -(-math.comb(N + 3, 4) // (16 * block))
-        assert sum(parts) == math.comb(N + 3, 4)
-        # an exact word repeats exactly when its sum does, and the repeats set
-        # how many ranges resolve them
-        repeating = counts[1] if len(counts) > 1 else 0
+        assert expsums._eighth_moment(vals) == want, (spec, N)
+        # one exact grouping per part: 126 multisets make 63 parts at BLOCK = 1
+        assert len(resolved) == -(-math.comb(N + 3, 4) // (2 * block))
+        exact = prime == (1 << 31) - 1 and spec != WIDE
         if multiplier == 0:
-            assert sum(resolved) == repeating == math.comb(N + 3, 4)
-        elif words == "exact":
-            assert repeating == shared, (spec, N)
+            # every multiset once, all with the one word 0
+            assert sum(resolved) == math.comb(N + 3, 4)
+        elif exact:
+            # a word repeats exactly when the multiset's sum does
+            assert sum(resolved) == shared_multisets(vals.tolist()), (spec, N)
         else:
-            assert repeating >= shared, (spec, N)
-    assert expsums.mean_value(F1, 6, 3) == sum(c * c for c in sum_counter(figurate.values(F1, 6), 4).values())
+            assert sum(resolved) >= shared_multisets(vals.tolist()), (spec, N)
 
 
 @settings(max_examples=80, deadline=None)
@@ -421,45 +437,31 @@ def test_eighth_moment_matches_sum_counter(A, B, C, N):
     spec = figurate.FigurateSpec(A, B, C)
     vals = [spec.value(n) for n in range(1, N + 1)]
     want = sum(c * c for c in sum_counter(vals, 4).values())
-    assert expsums._eighth_moment(expsums._shifted_values(spec, N, 3)) == want
     assert expsums.mean_value(spec, N, 3) == want
 
 
-def test_eighth_moment_takes_the_multisets_where_sums_are_sparse(monkeypatch):
-    # {3,4,3} at N = 40 has 123410 multisets over a span of 3.0e7 sums and
-    # takes the multisets; (1, -7, 8), four of whose values repeat, has a
-    # span of 1.2e5 and takes the pair passes.  Both routes agree
-    calls = []
-    eighth_moment = expsums._eighth_moment
-    monkeypatch.setattr(expsums, "_eighth_moment", lambda vals: calls.append(len(vals)) or eighth_moment(vals))
-    dense = figurate.FigurateSpec(1, -7, 8)
-    for spec, sparse in ((F1, True), (dense, False)):
-        calls.clear()
-        got = expsums.mean_value(spec, 40, 3)
-        assert calls == ([40] if sparse else [])
-        assert got == eighth_moment(expsums._shifted_values(spec, 40, 3))
-
-
 def test_eighth_moment_resolves_hash_words_by_their_exact_sums(monkeypatch):
-    # {5,3,3} at N = 28 on hash words (KEY32_SPAN = 0): the words are the
-    # top halves of uint64 products, and the multisets whose word repeats
-    # are grouped by their exact int64 sums
+    # {5,3,3} at N = 28 on hash words: WORD_PRIME = 1000003 is far below
+    # 4 * (max - min) = 3.0e8, so distinct sums share words, and the
+    # multisets whose word repeats are grouped by their exact int64 sums
     vals = figurate.values(F3, 28)
     pairs = weighted_pair_sums(vals, [1] * len(vals))
     want = sum(c * c for c in weighted_pair_sums(list(pairs), list(pairs.values())).values())
-    dtypes = set()
-    multiset_blocks = expsums._multiset_blocks
-
-    def blocks_spy(table, layout):
-        dtypes.add(table.dtype)
-        return multiset_blocks(table, layout)
-
-    monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
-    monkeypatch.setattr(expsums, "_multiset_blocks", blocks_spy)
-    resolved = resolved_multisets(monkeypatch)
+    monkeypatch.setattr(expsums, "WORD_PRIME", 1000003)
+    resolved = multiset_spy(monkeypatch)
     assert expsums.mean_value(F3, 28, 3) == want
-    assert dtypes == {np.dtype(np.uint64)}
-    assert 0 < sum(resolved) < math.comb(31, 4)
+    assert shared_multisets(vals) < sum(resolved) < math.comb(31, 4)
+
+
+def test_group_excess_sorts_sums_that_share_a_word():
+    # sums 1, 2, 1 in one run of word 5: the two 1s are one group although
+    # they are not adjacent, (2 + 3)^2 - 2^2 - 3^2 = 12; in runs of their
+    # own words they are taken as they come
+    sums = np.array([1, 2, 1], dtype=np.int64)
+    weights = np.array([2, 4, 3], dtype=np.uint8)
+    assert expsums._group_excess(sums, weights, np.array([5, 5, 5], dtype=np.uint32)) == 12
+    assert expsums._group_excess(sums[[0, 2, 1]], weights[[0, 2, 1]], np.array([5, 5, 6], dtype=np.uint32)) == 12
+    assert expsums._group_excess(sums[:0], weights[:0], np.array([], dtype=np.uint32)) == 0
 
 
 def test_squared_pair_total_past_its_closed_form(monkeypatch):
@@ -565,8 +567,9 @@ def test_sixteenth_moment_holds_only_rolling_windows():
 def test_mean_value_peak_memory(N, j, cap_mib):
     # the last pass is streamed: no array of its groups or pair keys (j = 2)
     # or of the octuple-sum counts (j = 4) is held, only one window of keys
-    # or the three rolling windows of the j = 4 sweep; j = 3 holds one part
-    # of its multisets' words, about 16 * BLOCK of the 9078630 at N = 120
+    # or the three rolling windows of the j = 4 sweep; j = 3 holds its
+    # segments of pair words and one part of its multisets' keys, about
+    # 2 * BLOCK of the 9078630 at N = 120
     tracemalloc.start()
     try:
         expsums.mean_value(F1, N, j)
