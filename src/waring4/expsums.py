@@ -25,16 +25,17 @@ mean_value(spec, N, j) is the exact number of solutions of
 i.e. the 2^j-th power moment of |S_N| integrated over the circle: the sum of
 the squared counts of the h-fold sums.  Those counts come from grouping, in
 exact integer arithmetic, never from Monte Carlo.  The values are shifted by
-their midpoint, so the h-fold sums use both signs of int64.  j = 2 groups
-the values into distinct ones with counts and makes one pass over their pair
-sums, enumerated in increasing order one window of sums at a time
-(_pair_windows): a window's pairs are packed relative to its lower edge as
-(sum, weight) keys, uint32 when (hi - lo) << b <= 2^32 for b-bit weights,
+their midpoint, so the h-fold sums use both signs of int64, and grouped into
+distinct values with counts.  Each pass then turns the distinct k-fold sums
+with their counts into the 2k-fold ones, enumerated in increasing order one
+window of sums at a time (_pair_windows, the one walk every pass shares): a
+window's pairs are packed relative to its lower edge as (sum, weight) keys,
+uint32 when (hi - lo) << b <= 2^32 for b-bit weights and int64 otherwise,
 sorted and totalled, and no run of equal sums crosses a window edge, so
-nothing is carried and only one window of keys is held.  The pass squares
-each window's group weights as it goes instead of storing them
-(_squared_pair_total).  A window whose keys need int64 sorts a 32-bit
-multiplicative hash of each sum instead; the sum of the squared pair
+nothing is carried and only one window of keys is held.  The last pass
+squares each window's group weights as it goes instead of storing them
+(_squared_pair_total).  At j = 2, a window whose keys need int64 sorts a
+32-bit multiplicative hash of each sum instead; the sum of the squared pair
 weights is closed form, and since equal sums hash alike, only keys whose
 word repeats are grouped by their exact sums, so the total stays exact.
 j = 3 makes one pass over the 4-multisets a <= b <= c <= d of indices
@@ -47,16 +48,15 @@ the words are taken in ranges of about 2 * BLOCK multisets, and each range
 is one slice of pair words per index pair, so every multiset is
 enumerated once.
 j = 4 shifts the values by their minimum and keeps the quadruple-sum
-counts sparse, totalled over the 4-multisets.  One rising sweep over the
-octuple sums then works BLOCK entries at a time: the quintuple-sum counts
-of a block are the sparse quadruple counts scattered at every value, the
-sextuple and septuple counts are shift-adds from the level below
-(exactconv._shift_add), each level held only as a u4 rolling window of
-top + BLOCK entries (top the largest shifted value), and the octuple-sum
-counts, u4 while max(c4) * N^4 < 2^32 bounds them and int64 past that,
-are squared as they are made (by _sum_of_squares_int64, eight times
-faster here than the digit-plane dot of exactconv.sparse_power_entry).
-No table of the final sums is stored.
+counts sparse (two passes).  One rising sweep over the octuple sums then
+works BLOCK entries at a time: the quintuple-sum counts of a block are the
+sparse quadruple counts scattered at every value, the sextuple and septuple
+counts are shift-adds from the level below (exactconv._shift_add), each
+level held only as a u4 rolling window of top + BLOCK entries (top the
+largest shifted value), and the octuple-sum counts, u4 while max(c4) * N^4
+< 2^32 bounds them and int64 past that, are squared as they are made (by
+_sum_of_squares_int64, eight times faster here than the digit-plane dot of
+exactconv.sparse_power_entry).  No table of the final sums is stored.
 """
 
 from __future__ import annotations
@@ -305,20 +305,37 @@ def _key_groups(keys: np.ndarray, bits: int, lo: int) -> tuple[np.ndarray, np.nd
     return sums[first].astype(np.int64) + lo, np.add.reduceat(keys, first, dtype=np.int64)
 
 
-def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
-    """sum W^2 over the distinct sums vals[i] + vals[k] of ordered pairs
-    (i, k), W a sum's summed weight wts[i] * wts[k], one window of
-    _pair_windows at a time, storing no group.
+def _pair_groups(vals: np.ndarray, wts: np.ndarray):
+    """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
+    each with its summed weight wts[i] * wts[k], yielded as (sums, weights)
+    int64 arrays one window of _pair_windows at a time.
 
     vals must be nonempty, distinct and ascending, and wts >= 1, both int64;
     every pair sum must fit int64, and every group's weight sum is at most
     sum(wts)^2, which must stay below 2^63.  Only the upper triangle i <= k
     is enumerated, a pair with i < k counting twice, so every weight is at
-    most 2 * max(wts)^2, which has b bits; b > 62 raises BudgetError.
+    most 2 * max(wts)^2, which has b bits; b > 62 raises BudgetError.  A
+    window's keys (_window_keys) are sorted, and add.reduceat totals each
+    run of equal sums; nothing is carried between windows, and only one
+    window of keys is held.
+    """
+    bits = _weight_bits(wts)
+    for window in _pair_windows(vals, bits):
+        yield _key_groups(_window_keys(vals, wts, bits, window), bits, window[0])
 
-    A window whose keys (_window_keys) fit uint32 is grouped exactly: its
-    keys are sorted, and add.reduceat totals each run of equal sums
-    (_key_groups).  Any other window sorts a 32-bit word of each pair sum instead, Knuth's
+
+def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All the groups of _pair_groups as one (sums, weights) pair of arrays."""
+    sums, weights = zip(*_pair_groups(vals, wts))
+    return np.concatenate(sums), np.concatenate(weights)
+
+
+def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
+    """sum W^2 over the groups of _pair_groups(vals, wts), W a group's
+    weight, one window at a time, storing no group.
+
+    A window whose keys fit uint32 is grouped exactly, as in _pair_groups.
+    Any other window sorts a 32-bit word of each pair sum instead, Knuth's
     multiplicative hash (TAOCP vol. 3, 6.4): the top 32 bits of
     sum * HASH_MULTIPLIER mod 2^64, which for a pair is the sum of the two
     values' products.  With w_k the weights of the window's keys,
@@ -520,8 +537,7 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
         if j == 1:
             return _sum_of_squares_int64(cnts)
         return _squared_pair_total(vals, cnts)
-    # j == 4: the quadruple-sum counts c4 stay sparse, totalled over the
-    # 4-multisets of indices (C(N+3, 4) <= 17550 of them at N <= 24);
+    # j == 4: the quadruple-sum counts c4 stay sparse (_pair_sums twice);
     # one rising sweep over the octuple sums forms, per BLOCK entries, c5 by
     # scattering c4 at every shift, c6 and c7 from the rolling windows of
     # the level below, and c8, squared as it is formed.  Every c8 entry is
@@ -535,12 +551,9 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
     top = int(fv.max())
     if 8 * top > 12_000_000:
         raise BudgetError(_DENSE_REFUSAL)
-    first, second = np.triu_indices(N)
-    sums, weights = _multiset_sums(fv, first, second, *np.nonzero(second[:, None] <= first))
-    order = np.argsort(sums)
-    sums = sums[order]
-    starts = np.flatnonzero(np.concatenate(([True], sums[1:] != sums[:-1])))
-    sums, cnts = sums[starts], np.add.reduceat(weights[order], starts, dtype=np.int64)
+    sums, cnts = np.unique(fv, return_counts=True)
+    for _ in range(2):
+        sums, cnts = _pair_sums(sums, cnts)
     wide = int(cnts.max()) * N**4 >= OCTUPLE_U4_LIMIT
     octuple = np.empty(BLOCK, dtype=np.int64 if wide else np.uint32)
     cnts = cnts.astype(np.uint32)

@@ -234,21 +234,6 @@ def test_mean_value_matches_tuple_oracle(A, B, C, N, j):
     assert expsums.mean_value(spec, N, j) == want
 
 
-def pair_groups(vals, wts):
-    """The exact groups of every window of the pair pass, as
-    _squared_pair_total makes them for a window of uint32 keys: (sums,
-    weights) per window of _pair_windows, by _window_keys and _key_groups."""
-    bits = expsums._weight_bits(wts)
-    for window in expsums._pair_windows(vals, bits):
-        yield expsums._key_groups(expsums._window_keys(vals, wts, bits, window), bits, window[0])
-
-
-def pair_sums(vals, wts):
-    """All the groups of pair_groups as one (sums, weights) pair of arrays."""
-    sums, weights = zip(*pair_groups(vals, wts))
-    return np.concatenate(sums), np.concatenate(weights)
-
-
 def weighted_pair_sums(vals, wts):
     """Counter of every ordered pair sum x + y, each weighted wx * wy."""
     want = Counter()
@@ -292,19 +277,18 @@ def test_pair_sums_match_counter(monkeypatch, vals, wts):
     for block in (1, 2, 3, 5, expsums.BLOCK):
         monkeypatch.setattr(expsums, "BLOCK", block)
         # strictly ascending within and across blocks: no sum is split
-        flat = [v for sums, _ in pair_groups(vals, wts) for v in sums.tolist()]
+        flat = [v for sums, _ in expsums._pair_groups(vals, wts) for v in sums.tolist()]
         assert flat == sorted(set(flat))
-        got_v, got_w = pair_sums(vals, wts)
+        got_v, got_w = expsums._pair_sums(vals, wts)
         assert got_v.tolist() == sorted(want)
         assert got_w.tolist() == [want[v] for v in sorted(want)]
 
 
 def test_pair_groups_refuses_weights_too_wide_to_pack():
     # 2 * 1518500250^2 >= 2^62, so a pair weight needs b = 63 bits.
-    # mean_value never gets here: its pair weights are at most 2 * 4^2, as a
-    # quartic takes a value at most four times
+    # mean_value never gets here: its pair weights are at most N^2 <= 14400
     with pytest.raises(BudgetError):
-        expsums._squared_pair_total(np.array([0, 1], dtype=np.int64), np.array([1518500250, 1], dtype=np.int64))
+        next(expsums._pair_groups(np.array([0, 1], dtype=np.int64), np.array([1518500250, 1], dtype=np.int64)))
 
 
 @pytest.mark.parametrize(
@@ -331,7 +315,7 @@ def test_pair_groups_at_the_key_dtype_switch(monkeypatch, vals, wts, block, span
 
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "_window_keys", spy)
-    got_v, got_w = pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
+    got_v, got_w = expsums._pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
     assert (span, np.dtype(np.uint32 if span <= 1 << 32 else np.int64)) in seen
     assert got_v.tolist() == sorted(want)
     assert got_w.tolist() == [want[v] for v in sorted(want)]
@@ -347,26 +331,25 @@ def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier, hashed
     # a zero multiplier hashes every sum to word 0, the worst case: every key
     # of a window repeats its word, and every repeated word is resolved; with
     # the default one only equal sums and chance collisions do.
-    # KEY32_SPAN = 0 sends every window of the pair pass to the hash, where
-    # by default only WIDE's go.  The pass is checked on the distinct values
-    # with their counts (j = 2), and on the distinct pair sums with theirs
-    # (j = 3 weights, up to 2 * max(count)^2), on the route hashed names: 1
-    # hashes every window, and 0 groups every window by its int64 keys.
-    # mean_value checks the same settings at j = 2 and on the 4-multisets
+    # KEY32_SPAN = 0 sends every window of the last pass to the hash, where
+    # by default only WIDE's go; mean_value takes that pass at j = 2 only.
+    # The last pass alone is then run on j = 2 and j = 3 weights and on the
+    # route hashed names, 1 hashing every window and 0 grouping every window
+    # by its int64 keys (_pair_groups)
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
     monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
-    cases = [(F1, 10, 2), (figurate.FigurateSpec(3, -4, 1), 8, 2), (WIDE, 4, 2)]
-    cases += [(F1, 6, 3), (figurate.FigurateSpec(3, -4, 1), 6, 3), (WIDE, 4, 3)]
+    three = figurate.FigurateSpec(3, -4, 1)
+    cases = [(F1, 10, 2), (F1, 6, 3), (three, 8, 2), (three, 6, 3), (WIDE, 4, 2), (WIDE, 4, 3)]
     for spec, N, j in cases:
-        vals = expsums._shifted_values(spec, N, j).tolist()
+        vals = [spec.value(n) for n in range(1, N + 1)]
         want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
         assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
-        half = sum_counter(vals, 2 ** (j - 2))
-        last = np.array(sorted(half), dtype=np.int64)
-        wts = np.array([half[v] for v in sorted(half)], dtype=np.int64)
+        last, wts = np.unique(expsums._shifted_values(spec, N, j), return_counts=True)
+        if j == 3:
+            last, wts = expsums._pair_sums(last, wts)
         if not hashed:
-            got = sum(expsums._sum_of_squares_int64(w) for _, w in pair_groups(last, wts))
+            got = sum(expsums._sum_of_squares_int64(w) for _, w in expsums._pair_groups(last, wts))
             assert got == want, (spec, N, j)
             continue
         with monkeypatch.context() as m:
