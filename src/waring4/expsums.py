@@ -25,19 +25,14 @@ mean_value(spec, N, j) is the exact number of solutions of
 i.e. the 2^j-th power moment of |S_N| integrated over the circle: the sum of
 the squared counts of the h-fold sums.  Those counts come from grouping, in
 exact integer arithmetic, never from Monte Carlo.  The values are shifted by
-their midpoint, so the h-fold sums use both signs of int64, and grouped into
-distinct values with counts.  Each pass then turns the distinct k-fold sums
-with their counts into the 2k-fold ones, enumerated in increasing order one
-window of sums at a time (_pair_windows, the one walk every pass shares): a
-window's pairs are packed relative to its lower edge as (sum, weight) keys,
-uint32 when (hi - lo) << b <= 2^32 for b-bit weights and int64 otherwise,
-sorted and totalled, and no run of equal sums crosses a window edge, so
-nothing is carried and only one window of keys is held.  The last pass
-squares each window's group weights as it goes instead of storing them
-(_squared_pair_total).  At j = 2, a window whose keys need int64 sorts a
-32-bit multiplicative hash of each sum instead; the sum of the squared pair
-weights is closed form, and since equal sums hash alike, only keys whose
-word repeats are grouped by their exact sums, so the total stays exact.
+their midpoint, so the h-fold sums use both signs of int64.
+j = 2 groups the values into distinct ones with counts and walks their pair
+sums in increasing order one window at a time (_pair_windows); no run of
+equal sums crosses a window edge, so nothing is carried and only one
+window is held.  _squared_pair_total sorts a 32-bit multiplicative hash of
+each of a window's sums: the sum of the squared pair weights is closed
+form, and since equal sums hash alike, only the pairs whose word repeats
+are grouped by their exact sums, so the total stays exact.
 j = 3 makes one pass over the 4-multisets a <= b <= c <= d of indices
 (_eighth_moment), C(N+3, 4) of them against N^4 ordered quadruples: each
 stands for its 24, 12, 6, 4 or 1 orderings, the sum of their squares is
@@ -48,7 +43,8 @@ the words are taken in ranges of about 2 * BLOCK multisets, and each range
 is one slice of pair words per index pair, so every multiset is
 enumerated once.
 j = 4 shifts the values by their minimum and keeps the quadruple-sum
-counts sparse (two passes).  One rising sweep over the octuple sums then
+counts sparse: one np.unique of the N^4 ordered quadruple sums, at most
+331,776 under the N <= 24 cap.  One rising sweep over the octuple sums then
 works BLOCK entries at a time: the quintuple-sum counts of a block are the
 sparse quadruple counts scattered at every value, the sextuple and septuple
 counts are shift-adds from the level below (exactconv._shift_add), each
@@ -74,11 +70,9 @@ from .figurate import FigurateSpec, residue_counts, values
 
 TWO_PI = 2.0 * cmath.pi
 # a moment's passes work on about this many entries at a time: windows of
-# at most about 2 * BLOCK pair keys, parts of about 2 * BLOCK multisets
+# at most about 2 * BLOCK pairs (j = 2), parts of about 2 * BLOCK multisets
 # (j = 3), and blocks of the j = 4 sweep
 BLOCK = 1 << 16
-# a window's pair keys are uint32 when (hi - lo) << bits is at most this
-KEY32_SPAN = 1 << 32
 # Knuth's multiplicative hash of a sum: the top 32 bits of its product with
 # this odd constant mod 2^64, 2^64 divided by the golden ratio
 HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
@@ -202,16 +196,6 @@ def _sum_of_squares_int64(arr: np.ndarray) -> int:
     return total
 
 
-def _weight_bits(wts: np.ndarray) -> int:
-    """b, the bits of the widest pair weight 2 * max(wts)^2; b > 62 raises
-    BudgetError, as such a weight leaves no room in an int64 key."""
-    top = int(wts.max())
-    bits = (2 * top * top).bit_length()
-    if bits > 62:
-        raise BudgetError("pair weights too wide to pack beside their sums")
-    return bits
-
-
 def _pair_windows(vals: np.ndarray, bits: int):
     """The one walk of the pair sums vals[i] + vals[k], i <= k, in windows of
     ascending sums: yields (lo, hi, start, counts, diag, diag_stop) per
@@ -224,7 +208,7 @@ def _pair_windows(vals: np.ndarray, bits: int):
     row i keeps its first column k > i not yet given out, and a window takes
     each row's columns up to one searchsorted of hi - vals.  A window's span
     is at most 2^(62 - bits), so (sum - lo) << bits stays below 2^62; it aims
-    at BLOCK keys from the last window's density and shrinks until it holds
+    at BLOCK pairs from the last window's density and shrinks until it holds
     at most 2 * BLOCK, unless one sum has more pairs.  The next window starts
     at the next sum that occurs.
     """
@@ -268,101 +252,41 @@ def _ragged_cols(start: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _window_keys(vals: np.ndarray, wts: np.ndarray, bits: int, window) -> np.ndarray:
-    """A window's pairs as unsorted int64 keys (sum - lo) << bits | weight,
-    the upper triangle's pairs first, then the diagonal's; as uint32 keys
-    when (hi - lo) << bits <= KEY32_SPAN, which bounds every key below 2^32.
-
-    A key is the row's part (vals[i] - lo) << bits plus the column's part
-    vals[k] << bits plus the weight, formed in unsigned arithmetic mod 2^32
-    or 2^64: the true key is below the modulus, so it is what the wrapped
-    sum leaves."""
-    lo, hi, start, counts, diag, diag_stop = window
-    dtype = np.uint32 if (hi - lo) << bits <= KEY32_SPAN else np.uint64
-    v, w, base = vals.astype(dtype), wts.astype(dtype), np.int64(lo).astype(dtype)
-    row = (v - base) << bits
-    cols = _ragged_cols(start, counts)
-    pairs = len(cols)
-    keys = np.empty(pairs + diag_stop - diag, dtype=dtype)
-    off, on = keys[:pairs], keys[pairs:]
-    np.add(np.repeat(row, counts), (v << bits)[cols], out=off)
-    off |= np.repeat(2 * w, counts) * w[cols]
-    np.add(row[diag:diag_stop], v[diag:diag_stop] << bits, out=on)
-    on |= w[diag:diag_stop] * w[diag:diag_stop]
-    return keys if dtype == np.uint32 else keys.view(np.int64)
-
-
-def _key_groups(keys: np.ndarray, bits: int, lo: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sorts a window's keys in place and returns its distinct sums and
-    their summed weights, both int64."""
-    keys.sort()
-    sums = keys >> bits
-    new_run = np.empty(len(keys), dtype=bool)
-    new_run[0] = True
-    np.not_equal(sums[1:], sums[:-1], out=new_run[1:])
-    first = np.flatnonzero(new_run)
-    keys &= (1 << bits) - 1
-    return sums[first].astype(np.int64) + lo, np.add.reduceat(keys, first, dtype=np.int64)
-
-
-def _pair_groups(vals: np.ndarray, wts: np.ndarray):
-    """Distinct sums vals[i] + vals[k] over ordered pairs (i, k), ascending,
-    each with its summed weight wts[i] * wts[k], yielded as (sums, weights)
-    int64 arrays one window of _pair_windows at a time.
-
-    vals must be nonempty, distinct and ascending, and wts >= 1, both int64;
-    every pair sum must fit int64, and every group's weight sum is at most
-    sum(wts)^2, which must stay below 2^63.  Only the upper triangle i <= k
-    is enumerated, a pair with i < k counting twice, so every weight is at
-    most 2 * max(wts)^2, which has b bits; b > 62 raises BudgetError.  A
-    window's keys (_window_keys) are sorted, and add.reduceat totals each
-    run of equal sums; nothing is carried between windows, and only one
-    window of keys is held.
-    """
-    bits = _weight_bits(wts)
-    for window in _pair_windows(vals, bits):
-        yield _key_groups(_window_keys(vals, wts, bits, window), bits, window[0])
-
-
-def _pair_sums(vals: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All the groups of _pair_groups as one (sums, weights) pair of arrays."""
-    sums, weights = zip(*_pair_groups(vals, wts))
-    return np.concatenate(sums), np.concatenate(weights)
-
-
 def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
-    """sum W^2 over the groups of _pair_groups(vals, wts), W a group's
-    weight, one window at a time, storing no group.
+    """sum W_s^2 over the pair sums s = vals[i] + vals[k], W_s the total of
+    wts[i] * wts[k] over the ordered pairs (i, k) with that sum, one window
+    of _pair_windows at a time, storing no group.
 
-    A window whose keys fit uint32 is grouped exactly, as in _pair_groups.
-    Any other window sorts a 32-bit word of each pair sum instead, Knuth's
-    multiplicative hash (TAOCP vol. 3, 6.4): the top 32 bits of
-    sum * HASH_MULTIPLIER mod 2^64, which for a pair is the sum of the two
-    values' products.  With w_k the weights of the window's keys,
+    vals must be nonempty, distinct and ascending, and wts >= 1, both int64,
+    with every pair sum inside int64 and 5 * sum(wts^2)^2 < 2^63.
+    mean_value meets this: its weights are the multiplicities of the values
+    of a quartic, which takes a value at most 4 times, so sum(wts^2) <=
+    4 * sum(wts) = 4N <= 16000 under the j = 2 cap N <= 4000.
+
+    A window sorts a 32-bit word of each pair sum, Knuth's multiplicative
+    hash (TAOCP vol. 3, 6.4): the top 32 bits of sum * HASH_MULTIPLIER mod
+    2^64, which for a pair is the sum of the two values' products.  Only
+    the upper triangle i <= k is enumerated, a pair with i < k weighing
+    2 * wts[i] * wts[k].  With w_k the weights of the window's pairs,
 
         sum_g W_g^2 = sum_k w_k^2 + sum_g (W_g^2 - sum_{k in g} w_k^2).
 
     The first term is closed form, 4 sum_i w_i^2 (C[stop_i] - C[start_i])
     over the rows plus sum w_d^4 over the diagonal, C the prefix sums of
-    wts^2.  A group of one key adds nothing to the second, and equal sums
-    give equal words, so every group of two or more keys lies among the
-    keys whose word repeats; only those are packed as exact int64 keys and
-    grouped.  The hash decides how many keys are resolved exactly, never
-    the total.  C fits int64, as sum(wts^2) <= sum(wts)^2 < 2^63, and the
-    closed form is at most 5 sum(wts^2)^2; past 2^63 every window is
-    grouped by its keys.
+    wts^2; it is at most 5 sum(wts^2)^2, so the precondition keeps it in
+    int64.  A group of one pair adds nothing to the second, and equal sums
+    give equal words, so every group of two or more pairs lies among the
+    pairs whose word repeats; only those are packed as exact int64 keys
+    (sum - lo) << b | weight, b the bits of the widest weight 2 max(wts)^2,
+    sorted, and totalled per run of equal sums.  The hash decides how many
+    pairs are resolved exactly, never the total.
     """
-    bits = _weight_bits(wts)
+    bits = (2 * int(wts.max()) ** 2).bit_length()
     sq = wts * wts
     prefix = np.concatenate(([0], np.cumsum(sq)))
-    hashed = 5 * int(prefix[-1]) ** 2 < 1 << 63
     products = vals.astype(np.uint64) * HASH_MULTIPLIER
     total = 0
-    for window in _pair_windows(vals, bits):
-        lo, hi, start, counts, diag, diag_stop = window
-        if not hashed or (hi - lo) << bits <= KEY32_SPAN:
-            total += _sum_of_squares_int64(_key_groups(_window_keys(vals, wts, bits, window), bits, lo)[1])
-            continue
+    for lo, hi, start, counts, diag, diag_stop in _pair_windows(vals, bits):
         cols = _ragged_cols(start, counts)
         pairs = len(cols)
         words = np.empty(pairs + diag_stop - diag, dtype=np.uint32)
@@ -385,8 +309,11 @@ def _squared_pair_total(vals: np.ndarray, wts: np.ndarray) -> int:
         keys <<= bits
         weights = np.concatenate((2 * wts[rows] * wts[cols], sq[on]))
         keys |= weights
-        groups = _key_groups(keys, bits, lo)[1]
-        total += _sum_of_squares_int64(groups) - _sum_of_squares_int64(weights)
+        keys.sort()
+        offsets = keys >> bits
+        first = np.flatnonzero(np.concatenate(([True], offsets[1:] != offsets[:-1])))
+        keys &= (1 << bits) - 1
+        total += _sum_of_squares_int64(np.add.reduceat(keys, first)) - _sum_of_squares_int64(weights)
     return total
 
 
@@ -537,23 +464,23 @@ def mean_value(spec: FigurateSpec, N: int, j: int) -> int:
         if j == 1:
             return _sum_of_squares_int64(cnts)
         return _squared_pair_total(vals, cnts)
-    # j == 4: the quadruple-sum counts c4 stay sparse (_pair_sums twice);
-    # one rising sweep over the octuple sums forms, per BLOCK entries, c5 by
-    # scattering c4 at every shift, c6 and c7 from the rolling windows of
-    # the level below, and c8, squared as it is formed.  Every c8 entry is
-    # at most N^8 <= 24^8 < 2^37, and a degree-4 f takes a value at most 4
-    # times, so c7 is at most 4 * 24^6 < 2^32 and fits u4, as does every
-    # partial sum before it.  c8(n) = sum_m c4(m) c4(n - m) is at most
-    # max(c4) * sum(c4) = max(c4) * N^4 (1.6e7 at {3,4,3}, N = 24), so the
-    # octuple block and its partial sums fit u4 below OCTUPLE_U4_LIMIT, and
-    # int64 from there.  Level e is zero past x^(e * top), so its blocks
-    # past there are neither made nor read
+    # j == 4: the quadruple-sum counts c4 stay sparse, one np.unique of the
+    # N^4 ordered quadruple sums; one rising sweep over the octuple sums
+    # forms, per BLOCK entries, c5 by scattering c4 at every shift, c6 and
+    # c7 from the rolling windows of the level below, and c8, squared as it
+    # is formed.  Every c8 entry is at most N^8 <= 24^8 < 2^37, and a
+    # degree-4 f takes a value at most 4 times, so c7 is at most
+    # 4 * 24^6 < 2^32 and fits u4, as does every partial sum before it.
+    # c8(n) = sum_m c4(m) c4(n - m) is at most max(c4) * sum(c4) =
+    # max(c4) * N^4 (1.6e7 at {3,4,3}, N = 24), so the octuple block and its
+    # partial sums fit u4 below OCTUPLE_U4_LIMIT, and int64 from there.
+    # Level e is zero past x^(e * top), so its blocks past there are neither
+    # made nor read
     top = int(fv.max())
     if 8 * top > 12_000_000:
         raise BudgetError(_DENSE_REFUSAL)
-    sums, cnts = np.unique(fv, return_counts=True)
-    for _ in range(2):
-        sums, cnts = _pair_sums(sums, cnts)
+    pairs = np.add.outer(fv, fv)
+    sums, cnts = np.unique(np.add.outer(pairs, pairs), return_counts=True)
     wide = int(cnts.max()) * N**4 >= OCTUPLE_U4_LIMIT
     octuple = np.empty(BLOCK, dtype=np.int64 if wide else np.uint32)
     cnts = cnts.astype(np.uint32)

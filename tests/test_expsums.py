@@ -199,7 +199,10 @@ def sum_counter(vals, h):
 
 def test_mean_value_j4_matches_dict_oracle():
     # (3, -4, 1) has negative, non-monotone values: 1, 3, 2, -3, -10, -14, -7, 22
-    cases = [(F1, N) for N in (2, 4, 6, 8)] + [(figurate.FigurateSpec(3, -4, 1), 8)]
+    # (1, -7, 8) repeats f(1) = f(6) and f(3) = f(5), so np.unique's counts
+    # meet repeated values
+    cases = [(F1, N) for N in (2, 4, 6, 8)]
+    cases += [(figurate.FigurateSpec(3, -4, 1), 8), (figurate.FigurateSpec(1, -7, 8), 8)]
     for sp, N in cases:
         vals = [sp.value(n) for n in range(1, N + 1)]
         want = sum(v * v for v in sum_counter(vals, 8).values())
@@ -256,105 +259,73 @@ def weighted_pair_sums(vals, wts):
         # midpoint-shifted values: sums of both signs, packed relative to lo
         ([-7, -2, 0, 5], [2, 1, 3, 1]),
         ([-(1 << 61), -3, 1], [1, 2, 1]),
-        # sum 8 is five keys of the upper triangle, (0, 8) .. (4, 4)
+        # sum 8 is five pairs of the upper triangle, (0, 8) .. (4, 4)
         (list(range(9)), [1, 2, 1, 3, 1, 1, 2, 1, 4]),
         # sums from -2^63 to 2^63 - 2: hi - v leaves int64 on both sides and
         # is clipped
         ([-(1 << 62), 0, (1 << 62) - 1], [1, 1, 1]),
         ([-(1 << 62), 1 << 61, (1 << 62) - 1], [1, 1, 1]),
-        # the widest weight that packs: b = 62, one sum per window
-        ([0, 1, 5], [1518500249, 1, 2]),
-        # 25 terms in arithmetic progression: sum 72 = 3 * 24 is 13 keys,
+        # the widest weights the closed form admits: 5 * sum(wts^2)^2 just
+        # below 2^63, with b = 32
+        ([0, 1, 5], [36853, 1, 1]),
+        # 25 terms in arithmetic progression: sum 72 = 3 * 24 is 13 pairs,
         # (0, 72) .. (36, 36), more than 2 * BLOCK at the short blocks
         (list(range(0, 75, 3)), [1] * 25),
     ],
 )
 def test_pair_sums_match_counter(monkeypatch, vals, wts):
-    want = weighted_pair_sums(vals, wts)
-    vals, wts = np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64)
-    # short blocks make windows of a few keys, and a sum with more pairs than
+    want = sum(c * c for c in weighted_pair_sums(vals, wts).values())
+    upper = sorted(vals[i] + vals[k] for i in range(len(vals)) for k in range(i, len(vals)))
+    bits = (2 * max(wts) ** 2).bit_length()
+    arrays = np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64)
+    # short blocks make windows of a few pairs, and a sum with more pairs than
     # 2 * BLOCK fills a window alone
     for block in (1, 2, 3, 5, expsums.BLOCK):
         monkeypatch.setattr(expsums, "BLOCK", block)
-        # strictly ascending within and across blocks: no sum is split
-        flat = [v for sums, _ in expsums._pair_groups(vals, wts) for v in sums.tolist()]
-        assert flat == sorted(set(flat))
-        got_v, got_w = expsums._pair_sums(vals, wts)
-        assert got_v.tolist() == sorted(want)
-        assert got_w.tolist() == [want[v] for v in sorted(want)]
-
-
-def test_pair_groups_refuses_weights_too_wide_to_pack():
-    # 2 * 1518500250^2 >= 2^62, so a pair weight needs b = 63 bits.
-    # mean_value never gets here: its pair weights are at most N^2 <= 14400
-    with pytest.raises(BudgetError):
-        next(expsums._pair_groups(np.array([0, 1], dtype=np.int64), np.array([1518500250, 1], dtype=np.int64)))
-
-
-@pytest.mark.parametrize(
-    "vals, wts, block, span",
-    [
-        # window [1, 3) at b = 31: (hi - lo) << b is 2^32, the widest span of
-        # uint32 keys
-        ([0, 1, 2], [30000, 1, 1], 2, 1 << 32),
-        # window [2, 3) at b = 32: every key is its weight, the sum shifted out
-        ([0, 1], [40000, 1], 1, 1 << 32),
-        # one window [0, 2^30 + 1) at b = 2: one sum past it, int64 keys
-        ([0, 1, 1 << 29], [1, 1, 1], 3, (1 << 32) + 4),
-    ],
-)
-def test_pair_groups_at_the_key_dtype_switch(monkeypatch, vals, wts, block, span):
-    want = weighted_pair_sums(vals, wts)
-    seen = []
-    window_keys = expsums._window_keys
-
-    def spy(v, w, bits, window):
-        keys = window_keys(v, w, bits, window)
-        seen.append(((window[1] - window[0]) << bits, keys.dtype))
-        return keys
-
-    monkeypatch.setattr(expsums, "BLOCK", block)
-    monkeypatch.setattr(expsums, "_window_keys", spy)
-    got_v, got_w = expsums._pair_sums(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
-    assert (span, np.dtype(np.uint32 if span <= 1 << 32 else np.int64)) in seen
-    assert got_v.tolist() == sorted(want)
-    assert got_w.tolist() == [want[v] for v in sorted(want)]
+        # the windows ascend without overlap and give out every pair once,
+        # each inside its window, so no run of equal sums is split
+        given, edge = [], None
+        for lo, hi, start, counts, diag, diag_stop in expsums._pair_windows(arrays[0], bits):
+            assert edge is None or edge <= lo
+            sums = [vals[i] + vals[k] for i in range(len(vals)) for k in range(start[i], start[i] + counts[i])]
+            sums += [2 * v for v in vals[diag:diag_stop]]
+            assert all(lo <= s < hi for s in sums)
+            given += sums
+            edge = hi
+        assert sorted(given) == upper
+        # a zero multiplier sends every pair to the exact grouping
+        for multiplier in (0, int(expsums.HASH_MULTIPLIER)):
+            monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
+            assert expsums._squared_pair_total(*arrays) == want
 
 
 WIDE = figurate.FigurateSpec(1, 1 << 58, 0)  # values 1, 2, 2^58 + 3, 2^60 + 5
 
 
-@pytest.mark.parametrize("hashed", [1, 0])
 @pytest.mark.parametrize("multiplier", [0, int(expsums.HASH_MULTIPLIER)])
 @pytest.mark.parametrize("block", [1, 2, 3, 5, expsums.BLOCK])
-def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier, hashed):
-    # a zero multiplier hashes every sum to word 0, the worst case: every key
+def test_hashed_pass_matches_tuple_oracle(monkeypatch, block, multiplier):
+    # a zero multiplier hashes every sum to word 0, the worst case: every pair
     # of a window repeats its word, and every repeated word is resolved; with
-    # the default one only equal sums and chance collisions do.
-    # KEY32_SPAN = 0 sends every window of the last pass to the hash, where
-    # by default only WIDE's go; mean_value takes that pass at j = 2 only.
-    # The last pass alone is then run on j = 2 and j = 3 weights and on the
-    # route hashed names, 1 hashing every window and 0 grouping every window
-    # by its int64 keys (_pair_groups)
+    # the default one only equal sums and chance collisions do.  mean_value
+    # takes the hashed pass at j = 2 only; the pass alone is also run on the
+    # pair sums of the values weighted by their counts, as at j = 3
     monkeypatch.setattr(expsums, "BLOCK", block)
     monkeypatch.setattr(expsums, "HASH_MULTIPLIER", np.uint64(multiplier))
-    monkeypatch.setattr(expsums, "KEY32_SPAN", 0)
     three = figurate.FigurateSpec(3, -4, 1)
     cases = [(F1, 10, 2), (F1, 6, 3), (three, 8, 2), (three, 6, 3), (WIDE, 4, 2), (WIDE, 4, 3)]
     for spec, N, j in cases:
         vals = [spec.value(n) for n in range(1, N + 1)]
         want = sum(c * c for c in sum_counter(vals, 2 ** (j - 1)).values())
         assert expsums.mean_value(spec, N, j) == want, (spec, N, j)
-        last, wts = np.unique(expsums._shifted_values(spec, N, j), return_counts=True)
+        last = Counter(expsums._shifted_values(spec, N, j).tolist())
         if j == 3:
-            last, wts = expsums._pair_sums(last, wts)
-        if not hashed:
-            got = sum(expsums._sum_of_squares_int64(w) for _, w in expsums._pair_groups(last, wts))
-            assert got == want, (spec, N, j)
-            continue
-        with monkeypatch.context() as m:
-            m.setattr(expsums, "_window_keys", None)  # no window is grouped by its exact keys
-            assert expsums._squared_pair_total(last, wts) == want, (spec, N, j)
+            last = weighted_pair_sums(list(last), list(last.values()))
+        sums = sorted(last)
+        got = expsums._squared_pair_total(
+            np.array(sums, dtype=np.int64), np.array([last[s] for s in sums], dtype=np.int64)
+        )
+        assert got == want, (spec, N, j)
 
 
 def multiset_spy(monkeypatch):
@@ -445,25 +416,6 @@ def test_group_excess_sorts_sums_that_share_a_word():
     assert expsums._group_excess(sums, weights, np.array([5, 5, 5], dtype=np.uint32)) == 12
     assert expsums._group_excess(sums[[0, 2, 1]], weights[[0, 2, 1]], np.array([5, 5, 6], dtype=np.uint32)) == 12
     assert expsums._group_excess(sums[:0], weights[:0], np.array([], dtype=np.uint32)) == 0
-
-
-def test_squared_pair_total_past_its_closed_form(monkeypatch):
-    # sum(wts^2) = 2^34 + 29: 5 * sum(wts^2)^2 passes 2^63, so the closed
-    # form of the hashed pass could wrap, and the wide windows are grouped
-    # by their int64 keys instead
-    vals, wts = [0, 3, 1 << 40], [1 << 17, 5, 2]
-    want = weighted_pair_sums(vals, wts)
-    seen = []
-    window_keys = expsums._window_keys
-
-    def spy(v, w, bits, window):
-        seen.append((window[1] - window[0]) << bits > expsums.KEY32_SPAN)
-        return window_keys(v, w, bits, window)
-
-    monkeypatch.setattr(expsums, "_window_keys", spy)
-    got = expsums._squared_pair_total(np.array(vals, dtype=np.int64), np.array(wts, dtype=np.int64))
-    assert got == sum(c * c for c in want.values())
-    assert any(seen)
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 5])

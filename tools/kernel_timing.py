@@ -8,8 +8,10 @@ against the packed big-int powering (exactconv._packed_self_power; in a
 checkout without it, cyclic_self_power is the packed powering).  Times
 expsums.mean_value at j = 4 for every catalog spec at its largest N inside
 the j = 4 cap (24, 16 and 10), for {3,4,3} at the benchmark's j = 2 and
-j = 3 sizes (N = 3998 and 90) and at the j = 3 cap (N = 120), and for
-{5,3,3} at j = 3 and N = 60, whose words are hash words.  Each moment case
+j = 3 sizes (N = 3998 and 90) and at the j = 3 cap (N = 120), for
+{5,3,3} at j = 3 and N = 60, whose words are hash words, and for the
+dense sums of the explicit spec 1,-7,8 at j = 4, N = 24 and j = 3,
+N = 120, where most quadruple sums repeat.  Each moment case
 runs in REPEATS fresh processes that make one call apiece, because repeats
 in one process do not resolve a 15% change there; one more fresh process
 gives the call's tracemalloc peak.  The fresh processes read byte code that
@@ -52,9 +54,9 @@ from waring4 import exactconv, expsums, figurate, localdensity
 MODULI = (2**10, 2**11, 2**12, 3**6, 3**7)
 S = 17
 REPEATS = 9
-# mean_value (spec, N, j): the largest N inside the j = 4 cap, per catalog
-# spec, the benchmark's j = 2 and j = 3 sizes, j = 3 at its cap, and j = 3
-# on hash words
+# mean_value (spec, N, j), spec a catalog symbol or A,B,C: the largest N
+# inside the j = 4 cap, per catalog spec, the benchmark's j = 2 and j = 3
+# sizes, j = 3 at its cap, j = 3 on hash words, and dense sums at j = 4 and 3
 MOMENTS = (
     ("{3,4,3}", 24, 4),
     ("{3,3,5}", 16, 4),
@@ -63,6 +65,8 @@ MOMENTS = (
     ("{3,4,3}", 90, 3),
     ("{3,4,3}", 120, 3),
     ("{5,3,3}", 60, 3),
+    ("1,-7,8", 24, 4),
+    ("1,-7,8", 120, 3),
 )
 # one call in a fresh process, after setup: its wall time in ms, or with a
 # last argument "peak" its tracemalloc peak in MiB
@@ -79,8 +83,8 @@ else:
     print((time.perf_counter() - start) * 1e3)
 """
 MOMENT_CALL = FRESH_CALL.format(
-    setup="""from waring4 import expsums, figurate
-spec, N, j = figurate.catalog(sys.argv[1]).spec, int(sys.argv[2]), int(sys.argv[3])""",
+    setup="""from waring4 import cli, expsums
+spec, N, j = cli.parse_spec(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])""",
     call="expsums.mean_value(spec, N, j)",
 )
 ARC_CALL = FRESH_CALL.format(
